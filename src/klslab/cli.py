@@ -36,7 +36,7 @@ from .walks import WalkError, exact_sample, make_stepper, run_chain, warm_start
 ENV_PREFIX = "KLSLAB_"
 
 _RUNTIME_ERRORS = (WalkError, VolumePhaseError, OracleInconsistencyError,
-                   SlocError, SingularCovarianceError, RuntimeError)
+                   SlocError, SingularCovarianceError)
 _INPUT_ERRORS = (ConfigError, BodyError, ValueError)
 
 
@@ -313,7 +313,9 @@ def _build_parser():
         p.add_argument("--config", help="path to a config file")
         p.add_argument("--seed", type=int, help="RNG seed (u64)")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--threads", type=int, help="parallelism degree")
+        p.add_argument("--threads", type=int,
+                       help="worker threads that run sloc runs; output is "
+                            "byte-identical for every value")
     return parser
 
 

@@ -55,14 +55,15 @@ def _kde_1d(z, grid_size=_KDE_GRID):
     return centers, density, cdf
 
 
-def _halfspace_profile_min(z, floor=_CDF_FLOOR):
-    """min over thresholds of f(s)/min(F(s), 1-F(s)) and its argmin."""
+def _profile_min(z, weight, floor=_CDF_FLOOR):
+    """min over thresholds of f(s)/weight(m(s)), m = min(F(s), 1-F(s)),
+    and its argmin; thresholds with m below floor are skipped."""
     centers, density, cdf = _kde_1d(z)
     m = np.minimum(cdf, 1.0 - cdf)
     ok = m >= floor
     if not np.any(ok):
         raise ValueError("all thresholds below the CDF floor; too few samples")
-    ratio = density[ok] / m[ok]
+    ratio = density[ok] / weight(m[ok])
     i = int(np.argmin(ratio))  # first minimum = smallest threshold
     return float(ratio[i]), float(centers[ok][i])
 
@@ -87,6 +88,30 @@ def direction_family(samples, rng, n_random=None, n_eig=3):
     return np.vstack(dirs)
 
 
+def _halfspace_scan(X, directions, rng, n_boot, weight, floor=_CDF_FLOOR):
+    """Profile minima of every scan direction plus a bootstrap standard
+    error of their minimum over the directions.
+
+    Returns (directions, per-direction minima, their thresholds, se).
+    """
+    rng = as_generator(0 if rng is None else rng)
+    if directions is None:
+        directions = direction_family(X, rng)
+    directions = np.asarray(directions, dtype=float)
+    Z = X @ directions.T
+    per_dir = np.empty(directions.shape[0])
+    thresholds = np.empty(directions.shape[0])
+    for j in range(directions.shape[0]):
+        per_dir[j], thresholds[j] = _profile_min(Z[:, j], weight, floor)
+    boots = np.empty(n_boot)
+    for b in range(n_boot):
+        idx = rng.integers(0, X.shape[0], size=X.shape[0])
+        Zb = Z[idx]
+        boots[b] = min(_profile_min(Zb[:, j], weight, floor)[0]
+                       for j in range(directions.shape[0]))
+    return directions, per_dir, thresholds, float(boots.std(ddof=1))
+
+
 def halfspace_isoperimetry(samples, directions=None, rng=None,
                            n_boot=_N_BOOT, full_output=False):
     """Best halfspace cut coefficient over a family of directions.
@@ -96,24 +121,10 @@ def halfspace_isoperimetry(samples, directions=None, rng=None,
     threshold on the scan grid.
     """
     X = np.asarray(samples, dtype=float)
-    rng = np.random.default_rng(0) if rng is None else as_generator(rng)
-    if directions is None:
-        directions = direction_family(X, rng)
-    directions = np.asarray(directions, dtype=float)
-    Z = X @ directions.T
-    per_dir = np.empty(directions.shape[0])
-    thresholds = np.empty(directions.shape[0])
-    for j in range(directions.shape[0]):
-        per_dir[j], thresholds[j] = _halfspace_profile_min(Z[:, j])
+    directions, per_dir, thresholds, se = _halfspace_scan(
+        X, directions, rng, n_boot, lambda m: m)
     best = int(np.argmin(per_dir))
-    boots = np.empty(n_boot)
-    for b in range(n_boot):
-        idx = rng.integers(0, X.shape[0], size=X.shape[0])
-        Zb = Z[idx]
-        boots[b] = min(_halfspace_profile_min(Zb[:, j])[0]
-                       for j in range(directions.shape[0]))
-    est = Estimate(float(per_dir[best]), float(boots.std(ddof=1)),
-                   X.shape[0], "halfspace_kde_min")
+    est = Estimate(float(per_dir[best]), se, X.shape[0], "halfspace_kde_min")
     if full_output:
         return est, {"per_direction": per_dir, "thresholds": thresholds,
                      "direction_index": best, "direction": directions[best]}
@@ -125,29 +136,10 @@ def log_cheeger_halfspace(samples, directions=None, rng=None, floor=_CDF_FLOOR,
     """Halfspace scan with the Gaussian-isoperimetry weight:
     min f(s) / (m(s) sqrt(ln(e/m(s)))), m = min(F, 1-F)."""
     X = np.asarray(samples, dtype=float)
-    rng = np.random.default_rng(0) if rng is None else as_generator(rng)
-    if directions is None:
-        directions = direction_family(X, rng)
-    directions = np.asarray(directions, dtype=float)
-    Z = X @ directions.T
-
-    def scan(Zm):
-        vals = []
-        for j in range(Zm.shape[1]):
-            _, density, cdf = _kde_1d(Zm[:, j])
-            m = np.minimum(cdf, 1.0 - cdf)
-            ok = m >= floor
-            weight = m[ok] * np.sqrt(1.0 + np.log(1.0 / m[ok]))
-            vals.append(float(np.min(density[ok] / weight)))
-        return min(vals)
-
-    value = scan(Z)
-    boots = np.empty(n_boot)
-    for b in range(n_boot):
-        idx = rng.integers(0, X.shape[0], size=X.shape[0])
-        boots[b] = scan(Z[idx])
-    return Estimate(value, float(boots.std(ddof=1)), X.shape[0],
-                    "log_cheeger_halfspace")
+    _, per_dir, _, se = _halfspace_scan(
+        X, directions, rng, n_boot,
+        lambda m: m * np.sqrt(1.0 + np.log(1.0 / m)), floor)
+    return Estimate(float(per_dir.min()), se, X.shape[0], "log_cheeger_halfspace")
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +268,7 @@ def slicing_constant(samples, rng=None, n_boot=_N_BOOT, isotropy_tol=0.2):
     visibly non-isotropic.
     """
     X = np.asarray(samples, dtype=float)
-    rng = np.random.default_rng(0) if rng is None else as_generator(rng)
+    rng = as_generator(0 if rng is None else rng)
     N, n = X.shape
     mu = X.mean(axis=0)
     xc = X - mu

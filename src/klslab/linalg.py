@@ -1,10 +1,11 @@
 """Covariance containers and the small matrix analysis used throughout.
 
 CovMatrix caches the quantities the estimators keep re-reading: trace,
-trace of the square (the localization potential), and the operator norm.
-The operator norm comes from power iteration with a deterministic start
-vector so that repeated runs agree bit for bit; tests cross-check it
-against a full eigendecomposition.
+trace of the square (the localization potential), the eigenvalues and
+the operator norm.  The operator norm is the top cached eigenvalue, so it
+costs nothing beyond the eigvalsh call that tr(A^q) and the barrier value
+already need.  power_opnorm, a deterministic power iteration, remains as
+a standalone routine.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ def power_opnorm(A, tol=_POWER_TOL):
 
 
 class CovMatrix:
-    """Symmetric PSD matrix with cached trace, tr(A^2) and operator norm."""
+    """Symmetric PSD matrix with cached trace, tr(A^2) and eigenvalues;
+    the operator norm is the largest cached eigenvalue."""
 
     def __init__(self, matrix):
         M = np.asarray(matrix, dtype=float)
@@ -55,14 +57,11 @@ class CovMatrix:
         self.n = M.shape[0]
         self.trace = float(np.trace(self.matrix))
         self.trace_sq = float(np.sum(self.matrix * self.matrix))
-        self._opnorm = None
         self._eigvals = None
 
     @property
     def opnorm(self) -> float:
-        if self._opnorm is None:
-            self._opnorm = power_opnorm(self.matrix)
-        return self._opnorm
+        return float(self.eigvals[-1])
 
     @property
     def eigvals(self) -> np.ndarray:

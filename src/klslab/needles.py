@@ -20,7 +20,7 @@ import numpy as np
 
 from .bodies import RestrictedBody
 from .densities import WithBody, body_of
-from .rng import RngStream
+from .rng import as_stream
 from .walks import WalkError, exact_sample, make_stepper, run_chain, warm_start
 
 __all__ = ["NeedleCell", "NeedleResult", "needle_decompose", "balanced_split"]
@@ -126,10 +126,7 @@ def needle_decompose(density, E, eps, max_depth, k=256, rng=None,
     n = density.n
     if burn_in is None:
         burn_in = 30 * n
-    if isinstance(rng, RngStream):
-        stream = rng
-    else:
-        stream = RngStream(0 if rng is None else int(rng))
+    stream = as_stream(rng)
 
     root_body = body_of(density)
     cells = []

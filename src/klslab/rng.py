@@ -41,6 +41,22 @@ class RngStream:
         return RngStream(self.seed, (self.stream_id + 1) * _FANOUT + i)
 
 
+def as_stream(rng) -> RngStream:
+    """Accept an RngStream, an int seed, or None (seed 0).
+
+    A Generator is refused: it cannot hand out the disjoint substreams
+    that make per-item results independent of scheduling.
+    """
+    if isinstance(rng, RngStream):
+        return rng
+    if rng is None:
+        return RngStream(0)
+    if isinstance(rng, (int, np.integer)):
+        return RngStream(int(rng))
+    raise ValueError(f"need an RngStream or integer seed to make substreams, "
+                     f"got {type(rng).__name__}")
+
+
 def as_generator(rng) -> np.random.Generator:
     """Accept an RngStream, a Generator, or an int seed."""
     if isinstance(rng, np.random.Generator):

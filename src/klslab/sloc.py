@@ -24,8 +24,8 @@ from .densities import Density, Gaussian, Tilted, WithBody
 from .diagnostics import BallSet, HalfspaceSet
 from .linalg import CovMatrix, SingularCovarianceError, stieltjes_u, sym_inv_sqrt
 from .parallel import parallel_map
-from .rng import RngStream, as_generator
-from .walks import WalkError, default_delta, exact_sample, warm_start
+from .rng import as_generator, as_stream
+from .walks import WalkError, _ball_cloud, default_delta, exact_sample, warm_start
 
 __all__ = [
     "SlocError", "LocalizationState", "TrajectoryRecord", "ObservablePool",
@@ -131,20 +131,12 @@ class ObservablePool:
         return mu, cov, g, ess_total
 
 
-def _batch_ball_points(gen, m, n):
-    g = gen.standard_normal((m, n))
-    norms = np.linalg.norm(g, axis=1)
-    norms[norms == 0.0] = 1.0
-    rad = gen.random(m) ** (1.0 / n)
-    return g * (rad / norms)[:, None]
-
-
 def _advance_ensemble(density, X, logf, steps, delta, gen):
     """Batched Metropolis ball-walk steps on every chain of the ensemble."""
     m, n = X.shape
     accepted = 0
     for _ in range(steps):
-        Y = X + delta * _batch_ball_points(gen, m, n)
+        Y = _ball_cloud(gen, m, n, X, delta)
         logf_y = density.log_density_many(Y)
         with np.errstate(divide="ignore"):
             take = np.log(gen.random(m)) < (logf_y - logf)
@@ -285,6 +277,11 @@ def _refresh_estimates(state, gen):
     rate = _advance_ensemble(state.density, state.ensemble, state.log_ensemble,
                              state.inner_steps, delta, gen)
     state.pool.push(state.c, state.B, state.ensemble)
+    _assign_estimates(state, rate)
+
+
+def _assign_estimates(state, rate):
+    """Read the pooled observables at the current tilt into the state."""
     mu, cov, g, ess = state.pool.estimate(state.c, state.B, state.tracked)
     state.mean = mu
     state.cov = cov
@@ -379,16 +376,7 @@ def sloc_init(density, control="identity", tracked_sets=None, q=None, k=None,
                                  state.log_ensemble, state.inner_steps,
                                  state.delta, gen)
         state.pool.push(state.c, state.B, state.ensemble)
-    mu, cov, g, ess = state.pool.estimate(state.c, state.B, state.tracked)
-    state.mean = mu
-    state.cov = cov
-    state.phi = cov.trace_sq
-    state.phi_q = cov.trace_power(q)
-    state.u = stieltjes_u(cov)
-    state.g = {name: val for name, (val, _) in g.items()}
-    state.g_se = {name: se for name, (_, se) in g.items()}
-    state.accept_rate = rate
-    state.meta["pool_ess"] = ess
+    _assign_estimates(state, rate)
     _validate_measures(state)
     return state
 
@@ -540,15 +528,7 @@ def sloc_run(density, T, h=None, k=None, n_runs=1, tracked_sets=None,
         raise ValueError("horizon T must be positive")
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    if isinstance(rng, RngStream):
-        stream = rng
-    elif rng is None:
-        stream = RngStream(0)
-    elif isinstance(rng, (int, np.integer)):
-        stream = RngStream(int(rng))
-    else:
-        raise ValueError("sloc_run needs an RngStream or integer seed "
-                         "to give runs disjoint substreams")
+    stream = as_stream(rng)
     init_kwargs = dict(control=control, tracked_sets=tracked_sets, q=q, k=k,
                        inner_steps=inner_steps, window=window,
                        init_refreshes=init_refreshes,

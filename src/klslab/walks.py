@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .densities import Density, Uniform, Gaussian, Exponential, WithBody, chord_profile
-from .bodies import Ball, AxisCube, Polytope
+from .bodies import Ball, AxisCube
 from .rng import as_generator
 
 _DEGENERATE_CHORD = 1e-13
@@ -329,15 +329,9 @@ def exact_sample(density, count, rng, max_batches=10000):
     while isinstance(density, WithBody):
         density = density.base
     if isinstance(density, Uniform) and isinstance(body, Ball):
-        g = rng.standard_normal((count, n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        rad = rng.random(count) ** (1.0 / n)
-        return body.center + body.radius * g * rad[:, None]
+        return _ball_cloud(rng, count, n, body.center, body.radius)
     if isinstance(density, Uniform) and isinstance(body, AxisCube):
         return body.center + body.half_width * (2.0 * rng.random((count, n)) - 1.0)
-    if isinstance(density, Uniform) and isinstance(body, Polytope):
-        return _rejection(lambda m: _ball_cloud(rng, m, n, body.x0, body.R),
-                          body.contains_many, count, max_batches)
     if isinstance(density, Gaussian):
         if density.a <= 0:
             raise ValueError("gaussian with a=0 has no proper unrestricted law")
@@ -363,6 +357,8 @@ def exact_sample(density, count, rng, max_batches=10000):
 
 
 def _ball_cloud(rng, count, n, center, radius):
+    """count uniform points in the ball(s) of the given center and radius;
+    center may be one point or one row per point."""
     g = rng.standard_normal((count, n))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     rad = rng.random(count) ** (1.0 / n)

@@ -472,6 +472,17 @@ def test_runtime_estimation_failure_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("estimation failure:")
 
 
+def test_library_bug_is_not_an_estimation_failure(tmp_path, monkeypatch):
+    # only the package's own runtime errors map to exit 2; anything else
+    # is a bug and must surface as a traceback
+    def broken(cfg, art):
+        raise NotImplementedError("unfinished handler")
+
+    monkeypatch.setitem(cli._HANDLERS, "sample", broken)
+    with pytest.raises(NotImplementedError, match="unfinished handler"):
+        cli.main(["sample", "--out", str(tmp_path)])
+
+
 def test_run_experiment_requires_subcommand(capsys):
     assert cli.run_experiment(ExperimentConfig()) == 1
     assert "unknown or missing subcommand" in capsys.readouterr().err

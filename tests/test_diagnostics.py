@@ -87,6 +87,15 @@ def test_log_cheeger_gaussian_center_cut():
     assert abs(est.value - oracle) < 0.05
 
 
+@pytest.mark.parametrize("estimator", [halfspace_isoperimetry,
+                                       log_cheeger_halfspace])
+def test_halfspace_scan_needs_thresholds_above_floor(estimator):
+    # one sample: the empirical CDF is 0 or 1 at every threshold
+    X = np.ones((1, 3))
+    with pytest.raises(ValueError, match="CDF floor"):
+        estimator(X, directions=np.eye(3), rng=RngStream(15).generator())
+
+
 def test_subset_halfspace_matches_density():
     X = _gaussian_cloud(4, 40000, 14)
     est, rows = subset_isoperimetry(X, [HalfspaceSet(np.eye(4)[0], 0.0)],

@@ -17,7 +17,7 @@ def test_covmatrix_caches_match_eigvals():
     assert C.trace == pytest.approx(float(lam.sum()), rel=1e-12)
     assert C.trace_sq == pytest.approx(float((lam ** 2).sum()), rel=1e-12)
     assert C.trace_power(3) == pytest.approx(float((lam ** 3).sum()), rel=1e-10)
-    assert C.opnorm == pytest.approx(float(lam[-1]), rel=1e-7)
+    assert C.opnorm == C.eigvals[-1]
 
 
 def test_power_opnorm_matches_eigh():

@@ -101,6 +101,10 @@ def test_needle_root_measure_validation():
         needle_decompose(dens, tiny, eps=-1.0, max_depth=2)
     with pytest.raises(ValueError):
         needle_decompose(dens, tiny, eps=0.3, max_depth=-1)
+    # a Generator cannot hand out per-cell substreams
+    with pytest.raises(ValueError, match="substream"):
+        needle_decompose(dens, tiny, eps=0.3, max_depth=2,
+                         rng=RngStream(7).generator())
 
 
 def test_needle_depth_zero_returns_root_cell():

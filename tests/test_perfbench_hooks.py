@@ -1,0 +1,49 @@
+"""The benchmark's traced mode patches klslab by name at runtime.  A rename
+or deletion of a traced function breaks `perfbench/run.py --trace 1`; this
+test catches that in the ordinary suite, and checks that uninstalling the
+tracer restores every binding it replaced."""
+
+import importlib
+import os
+import sys
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+def _bindings():
+    """Every module attribute and class member of the loaded klslab modules."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if name != "klslab" and not name.startswith("klslab."):
+            continue
+        for key, value in vars(mod).items():
+            out[(name, key)] = value
+            if isinstance(value, type) and value.__module__ == name:
+                for attr, member in vars(value).items():
+                    out[(name, key, attr)] = member
+    return out
+
+
+def _changed(before, after):
+    return sorted(k for k in before if after.get(k) is not before[k])
+
+
+def test_tracer_install_and_uninstall_restore_every_binding(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    for sub in ("bodies", "cli", "densities", "diagnostics", "isotropy",
+                "linalg", "needles", "sloc", "volume", "walks"):
+        importlib.import_module(f"klslab.{sub}")
+    before = _bindings()
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        patched = _changed(before, _bindings())
+    finally:
+        tracer.uninstall()
+
+    assert ("klslab.linalg", "power_opnorm") in patched
+    assert ("klslab.sloc", "ObservablePool", "estimate") in patched
+    assert _changed(before, _bindings()) == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from klslab.rng import RngStream, as_generator
+from klslab.rng import RngStream, as_generator, as_stream
 
 
 def test_same_stream_reproduces():
@@ -52,3 +52,16 @@ def test_as_generator_accepts_stream_generator_int():
     assert as_generator(gen) is gen
     with pytest.raises(TypeError):
         as_generator(None)
+
+
+def test_as_stream_accepts_stream_int_none():
+    stream = RngStream(5, 3)
+    assert as_stream(stream) is stream
+    assert as_stream(5) == RngStream(5)
+    assert as_stream(np.int64(5)) == RngStream(5)
+    assert as_stream(None) == RngStream(0)
+
+
+def test_as_stream_rejects_generator():
+    with pytest.raises(ValueError, match="substream"):
+        as_stream(RngStream(0).generator())
