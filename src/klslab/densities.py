@@ -11,13 +11,20 @@ additive constant and equal to -inf outside the body.  The built-in kinds:
     pushforward(base, M, s) law of y = M x + s for x ~ base
 
 Chord restrictions: for hit-and-run we need the 1-D law along a segment.
-chord_profile() recognizes when that restriction is (truncated) Gaussian
-or exponential in the line parameter, which covers every kind above
-except exponential and lets the walk use exact inverse-CDF draws; the
-generic case falls back to quadrature in the sampler.
+Every kind above gives that restriction in closed form,
+
+    log f(x + t u) = -alpha sqrt((t - t*)^2 + d^2) - (a/2) t^2 + b t + const,
+
+where the first term is the exponential's radial part (alpha = 0 for the
+other kinds) and the rest is quadratic.  The walk draws from it exactly:
+by inverse CDF when alpha = 0 (truncated Gaussian, exponential or
+uniform) and by logconcave rejection otherwise.  chord_profile() names
+the case for callers that only need to tell the two apart.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -53,9 +60,10 @@ class Density:
     def _log_inside_many(self, X) -> np.ndarray:
         return np.array([self._log_inside(row) for row in X])
 
-    def _chord_quadratic(self, x, u):
-        """(a, b) with log f(x + t u) = -(a/2) t^2 + b t + const, or None."""
-        return None
+    def _chord_coeffs(self, x, u):
+        """(alpha, t*, d^2, a, b) with log f(x + t u) =
+        -alpha sqrt((t - t*)^2 + d^2) - (a/2) t^2 + b t + const."""
+        raise NotImplementedError(f"density kind {self.kind!r} has no chord profile")
 
 
 class Uniform(Density):
@@ -67,8 +75,8 @@ class Uniform(Density):
     def _log_inside_many(self, X):
         return np.zeros(X.shape[0])
 
-    def _chord_quadratic(self, x, u):
-        return (0.0, 0.0)
+    def _chord_coeffs(self, x, u):
+        return (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 class Gaussian(Density):
@@ -91,10 +99,10 @@ class Gaussian(Density):
         D = X - self.center
         return -0.5 * self.a * np.einsum("ij,ij->i", D, D)
 
-    def _chord_quadratic(self, x, u):
+    def _chord_coeffs(self, x, u):
         d = np.asarray(x, dtype=float) - self.center
         u = np.asarray(u, dtype=float)
-        return (self.a * float(u @ u), -self.a * float(u @ d))
+        return (0.0, 0.0, 0.0, self.a * float(u @ u), -self.a * float(u @ d))
 
 
 class Exponential(Density):
@@ -113,6 +121,16 @@ class Exponential(Density):
 
     def _log_inside_many(self, X):
         return -self.alpha * np.linalg.norm(X, axis=1)
+
+    def _chord_coeffs(self, x, u):
+        # |x + t u| = |u| sqrt((t - t*)^2 + d^2), t* the closest point to the
+        # origin; d^2 from that point avoids cancelling |x|^2 - (x.u)^2/|u|^2
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        uu = float(u @ u)
+        tstar = -float(x @ u) / uu
+        r = x + tstar * u
+        return (self.alpha * math.sqrt(uu), tstar, float(r @ r) / uu, 0.0, 0.0)
 
 
 class Boltzmann(Density):
@@ -133,8 +151,9 @@ class Boltzmann(Density):
     def _log_inside_many(self, X):
         return -self.alpha * (X @ self.c)
 
-    def _chord_quadratic(self, x, u):
-        return (0.0, -self.alpha * float(self.c @ np.asarray(u, dtype=float)))
+    def _chord_coeffs(self, x, u):
+        b = -self.alpha * float(self.c @ np.asarray(u, dtype=float))
+        return (0.0, 0.0, 0.0, 0.0, b)
 
 
 class Tilted(Density):
@@ -163,16 +182,13 @@ class Tilted(Density):
         quad = np.einsum("ij,jk,ik->i", X, self.B, X)
         return self.base._log_inside_many(X) + X @ self.c - 0.5 * quad
 
-    def _chord_quadratic(self, x, u):
-        inner = self.base._chord_quadratic(x, u)
-        if inner is None:
-            return None
-        a0, b0 = inner
+    def _chord_coeffs(self, x, u):
+        alpha, tstar, d2, a, b = self.base._chord_coeffs(x, u)
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        a = a0 + float(u @ self.B @ u)
-        b = b0 + float(self.c @ u) - float(x @ self.B @ u)
-        return (a, b)
+        Bu = self.B @ u
+        b = b + float(self.c @ u) - float(x @ Bu)
+        return (alpha, tstar, d2, a + float(u @ Bu), b)
 
 
 class Pushforward(Density):
@@ -195,10 +211,10 @@ class Pushforward(Density):
     def _log_inside_many(self, X):
         return self.base._log_inside_many((X - self.shift) @ self._Minv.T)
 
-    def _chord_quadratic(self, x, u):
+    def _chord_coeffs(self, x, u):
         xb = self._Minv @ (np.asarray(x, dtype=float) - self.shift)
         ub = self._Minv @ np.asarray(u, dtype=float)
-        return self.base._chord_quadratic(xb, ub)
+        return self.base._chord_coeffs(xb, ub)
 
 
 class WithBody(Density):
@@ -227,8 +243,8 @@ class WithBody(Density):
     def _log_inside_many(self, X):
         return self.base._log_inside_many(X)
 
-    def _chord_quadratic(self, x, u):
-        return self.base._chord_quadratic(x, u)
+    def _chord_coeffs(self, x, u):
+        return self.base._chord_coeffs(x, u)
 
 
 def chord_profile(density, x, u):
@@ -238,9 +254,9 @@ def chord_profile(density, x, u):
     up to a constant (a >= 0; a == 0 is the exponential/uniform case),
     else ("generic", g) with g a vectorized log-density of t.
     """
-    coeffs = density._chord_quadratic(x, u)
-    if coeffs is not None:
-        return ("quad", coeffs[0], coeffs[1])
+    alpha, _, _, a, b = density._chord_coeffs(x, u)
+    if alpha == 0.0:
+        return ("quad", a, b)
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
 

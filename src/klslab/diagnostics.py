@@ -94,7 +94,7 @@ def _halfspace_scan(X, directions, rng, n_boot, weight, floor=_CDF_FLOOR):
 
     Returns (directions, per-direction minima, their thresholds, se).
     """
-    rng = as_generator(0 if rng is None else rng)
+    rng = as_generator(rng)
     if directions is None:
         directions = direction_family(X, rng)
     directions = np.asarray(directions, dtype=float)
@@ -268,7 +268,7 @@ def slicing_constant(samples, rng=None, n_boot=_N_BOOT, isotropy_tol=0.2):
     visibly non-isotropic.
     """
     X = np.asarray(samples, dtype=float)
-    rng = as_generator(0 if rng is None else rng)
+    rng = as_generator(rng)
     N, n = X.shape
     mu = X.mean(axis=0)
     xc = X - mu

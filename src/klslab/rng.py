@@ -58,11 +58,13 @@ def as_stream(rng) -> RngStream:
 
 
 def as_generator(rng) -> np.random.Generator:
-    """Accept an RngStream, a Generator, or an int seed."""
+    """Accept an RngStream, a Generator, an int seed, or None (seed 0)."""
     if isinstance(rng, np.random.Generator):
         return rng
     if isinstance(rng, RngStream):
         return rng.generator()
+    if rng is None:
+        return RngStream(0).generator()
     if isinstance(rng, (int, np.integer)):
         return RngStream(int(rng)).generator()
     raise TypeError(f"cannot make a generator from {type(rng).__name__}")

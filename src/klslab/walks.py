@@ -7,29 +7,36 @@ Metropolis ball walk consume identical randomness for identical proposals,
 so with a uniform target they produce the same trajectory from the same
 stream; the tests pin that equivalence down.
 
-Hit-and-run resamples the target restricted to a random chord.  The 1-D
-restriction is drawn exactly (inverse CDF) when it is truncated Gaussian,
-exponential, or uniform in the line parameter; otherwise the sampler
-integrates the chord density with composite Simpson panels (zooming onto
-the mass-carrying subinterval when the density is sharply peaked) and
-inverts the cumulative by bisection.
+Hit-and-run resamples the target restricted to a random chord, and the
+1-D restriction is always drawn exactly.  When it is truncated Gaussian,
+exponential, or uniform in the line parameter the draw is by inverse CDF.
+When it carries an exponential's radial term -alpha sqrt((t - t*)^2 + d^2)
+it is logconcave but has no usable CDF, so the draw is by rejection
+(Devroye 1984): the envelope is flat around the mode and falls
+exponentially beyond the points where the log-density has dropped by one,
+which concavity makes a true upper bound with acceptance at least
+1/(1 + e) on every chord.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .densities import Density, Uniform, Gaussian, Exponential, WithBody, chord_profile
+from .densities import Density, Uniform, Gaussian, Exponential, WithBody
 from .bodies import Ball, AxisCube
 from .rng import as_generator
 
 _DEGENERATE_CHORD = 1e-13
-_SIMPSON_PANELS = 64
-_SIMPSON_ZOOMS = 4
-_INVCDF_TOL = 1e-8
+# bisection over doubles halves the bracket; ~2100 halvings take any finite
+# bracket down to adjacent doubles, so more means NaN or inf inputs
+_BISECT_CAP = 2200
+# the envelope accepts with probability >= 1/(1+e), so 1000 straight
+# rejections happen with probability below 1e-130
+_REJECT_CAP = 1000
 
 
 class WalkError(RuntimeError):
@@ -143,15 +150,15 @@ def _chord_move(density, state, rng, u):
 
 def sample_chord_point(density, x, u, lo, hi, rng) -> float:
     """Draw t from the density restricted to {x + t u : lo <= t <= hi}."""
-    prof = chord_profile(density, x, u)
-    if prof[0] == "quad":
-        _, a, b = prof
-        if a < -1e-12:
-            raise WalkError("chord restriction is log-convex; density is not logconcave")
-        if a > 1e-300:
-            return _trunc_gauss(rng, b / a, 1.0 / np.sqrt(a), lo, hi)
-        return _trunc_exp(rng, b, lo, hi)
-    return _generic_chord(prof[1], lo, hi, rng)
+    alpha, tstar, d2, a, b = density._chord_coeffs(x, u)
+    if a < -1e-12:
+        raise WalkError("chord restriction is log-convex; density is not logconcave")
+    if alpha > 0.0:
+        return _logconcave_chord(rng, alpha, tstar, math.sqrt(d2), max(a, 0.0), b,
+                                 float(lo), float(hi))
+    if a > 1e-300:
+        return _trunc_gauss(rng, b / a, 1.0 / np.sqrt(a), lo, hi)
+    return _trunc_exp(rng, b, lo, hi)
 
 
 def _trunc_exp(rng, slope, lo, hi):
@@ -207,65 +214,109 @@ def _tail_trunc_gauss(rng, a, b):
     raise WalkError("tail truncated-normal rejection failed to accept")
 
 
-def _generic_chord(logf, lo, hi, rng):
-    """Inverse-CDF draw via composite Simpson panels on the chord density."""
-    lo0, hi0 = lo, hi
-    ts = w = masses = None
-    for _ in range(_SIMPSON_ZOOMS + 1):
-        ts = np.linspace(lo, hi, 2 * _SIMPSON_PANELS + 1)
-        ls = logf(ts)
-        peak = np.max(ls)
-        if peak == float("-inf"):
-            raise WalkError("chord density vanished on the whole interval")
-        w = np.exp(np.clip(ls - peak, -745.0, 0.0))
-        h = (hi - lo) / _SIMPSON_PANELS
-        masses = (h / 6.0) * (w[0:-1:2] + 4.0 * w[1::2] + w[2::2])
-        total = masses.sum()
-        if total <= 0.0:
-            # peak narrower than the grid: zoom around the max node
-            i = int(np.argmax(ls))
-            lo = ts[max(i - 1, 0)]
-            hi = ts[min(i + 1, ts.size - 1)]
-            continue
-        # zoom when nearly all mass sits in a small sub-window
-        cum = np.concatenate([[0.0], np.cumsum(masses)])
-        eps = 1e-7 * total
-        j0 = max(int(np.searchsorted(cum, eps, side="right")) - 1, 0)
-        j1 = int(np.searchsorted(cum, total - eps, side="left"))
-        j1 = min(max(j1, j0 + 1), _SIMPSON_PANELS)
-        if (j1 - j0) < 0.2 * _SIMPSON_PANELS and (hi - lo) > 64 * _INVCDF_TOL * (hi0 - lo0):
-            lo, hi = ts[2 * j0], ts[2 * j1]
-            continue
-        break
-    if masses is None or masses.sum() <= 0.0:
-        raise WalkError("chord density mass underflowed")
-    cum = np.concatenate([[0.0], np.cumsum(masses)])
-    total = cum[-1]
-    target = rng.random() * total
-    j = int(np.searchsorted(cum, target, side="right")) - 1
-    j = min(max(j, 0), _SIMPSON_PANELS - 1)
-    t0, tm, t1 = ts[2 * j], ts[2 * j + 1], ts[2 * j + 2]
-    w0, wm, w1 = w[2 * j], w[2 * j + 1], w[2 * j + 2]
-    need = target - cum[j]
-    h2 = t1 - t0
+def _logconcave_chord(rng, alpha, tstar, d, a, b, lo, hi):
+    """t on [lo, hi] with log-density
+    phi(t) = -alpha hypot(t - t*, d) - (a/2) t^2 + b t, alpha > 0, a >= 0.
 
-    def panel_cdf(s):
-        xi = (s - t0) / h2
-        i0 = (2.0 / 3.0) * xi**3 - 1.5 * xi**2 + xi
-        i1 = -(4.0 / 3.0) * xi**3 + 2.0 * xi**2
-        i2 = (2.0 / 3.0) * xi**3 - 0.5 * xi**2
-        return h2 * (w0 * i0 + wm * i1 + w1 * i2)
+    Exact rejection from an envelope built at the mode m: flat on [l, r]
+    and, beyond l and r, the lines through (m, phi(m)) and (l, phi(l)) or
+    (r, phi(r)), where l < m < r are the points at which phi has dropped
+    by one (clipped to the chord).  A concave phi lies below those lines.
+    """
+    radial_only = a == 0.0 and b == 0.0
+    if radial_only:
+        m = min(max(tstar, lo), hi)
+    else:
+        m = _chord_mode(alpha, tstar, d, a, b, lo, hi)
+    hm = math.hypot(m - tstar, d)
 
-    s_lo, s_hi = t0, t1
-    for _ in range(200):
-        mid = 0.5 * (s_lo + s_hi)
-        if panel_cdf(mid) < need:
-            s_lo = mid
+    def rise(t):
+        """phi(t) - phi(m), factored so that nearby t and m do not cancel."""
+        ht = math.hypot(t - tstar, d)
+        radial = (t + m - 2.0 * tstar) / (ht + hm) if ht + hm > 0.0 else 0.0
+        return (t - m) * (b - 0.5 * a * (t + m) - alpha * radial)
+
+    if radial_only:
+        # phi(t) = phi(m) - 1 at t* -/+ sqrt((m - t*)^2 + 2 hm/alpha + 1/alpha^2);
+        # the width on the side of m facing t* is written as rest / (root + off)
+        # so that it does not cancel when alpha d is large
+        off = abs(m - tstar)
+        rest = (2.0 * hm + 1.0 / alpha) / alpha
+        root = math.sqrt(off * off + rest)
+        near = rest / (root + off)
+        wl, wr = (root + off, near) if m >= tstar else (near, root + off)
+        fl, lam_l = max(m - wl, lo), 1.0 / wl
+        fr, lam_r = min(m + wr, hi), 1.0 / wr
+    else:
+        fl, lam_l = _unit_drop(rise, m, lo)
+        fr, lam_r = _unit_drop(rise, m, hi)
+
+    # envelope masses relative to exp(phi(m)), laid out left tail, flat
+    # piece, right tail; a tail exists only where the flat piece stops short
+    # of the chord end.  One uniform v on [0, total) picks the point by
+    # inverting the envelope's cumulative mass.
+    cut_l = math.expm1(-lam_l * (fl - lo)) if fl > lo else 0.0
+    cut_r = math.expm1(-lam_r * (hi - fr)) if fr < hi else 0.0
+    left = -math.exp(-lam_l * (m - fl)) * cut_l / lam_l if cut_l else 0.0
+    right = -math.exp(-lam_r * (fr - m)) * cut_r / lam_r if cut_r else 0.0
+    flat = fr - fl
+    total = left + flat + right
+    for _ in range(_REJECT_CAP):
+        v = rng.random() * total
+        if v < left:
+            t = max(fl + math.log1p(cut_l * (v / left)) / lam_l, lo)
+            log_env = -lam_l * (m - t)
+        elif v < left + flat:
+            t = min(fl + (v - left), fr)
+            log_env = 0.0
         else:
-            s_hi = mid
-        if s_hi - s_lo <= _INVCDF_TOL * max(1.0, hi0 - lo0):
-            break
-    return float(np.clip(0.5 * (s_lo + s_hi), lo0, hi0))
+            w = min((v - left - flat) / right, 1.0)
+            t = min(fr - math.log1p(cut_r * w) / lam_r, hi)
+            log_env = -lam_r * (t - m)
+        if rng.random() < math.exp(min(rise(t) - log_env, 0.0)):
+            return t
+    raise WalkError("logconcave chord rejection failed to accept")
+
+
+def _chord_mode(alpha, tstar, d, a, b, lo, hi):
+    """Maximizer on [lo, hi] of phi(t) = -alpha hypot(t - t*, d) - (a/2) t^2 + b t."""
+
+    def slope(t):
+        h = math.hypot(t - tstar, d)
+        return b - a * t - (alpha * (t - tstar) / h if h > 0.0 else 0.0)
+
+    if slope(lo) <= 0.0:
+        return lo
+    if slope(hi) >= 0.0:
+        return hi
+    return _bisect(slope, lo, hi)
+
+
+def _unit_drop(rise, m, end):
+    """Flat-piece end and tail rate on the side of the mode m facing `end`.
+
+    The end is the first point past which phi has dropped by at least one
+    below phi(m), and the rate is that drop over the distance from m;
+    (end, 0.0) when phi stays within one of phi(m) all the way to `end`.
+    """
+    if rise(end) > -1.0:
+        return end, 0.0
+    t = _bisect(lambda s: rise(s) + 1.0, m, end)
+    return t, -rise(t) / abs(t - m)
+
+
+def _bisect(f, inside, outside):
+    """Boundary between `inside` (f > 0) and `outside` (f <= 0) of a
+    monotone f, to adjacent doubles; returns the outside end."""
+    for _ in range(_BISECT_CAP):
+        mid = 0.5 * (inside + outside)
+        if mid == inside or mid == outside:
+            return outside
+        if f(mid) > 0.0:
+            inside = mid
+        else:
+            outside = mid
+    raise WalkError("chord bisection did not converge")
 
 
 # ---------------------------------------------------------------------------

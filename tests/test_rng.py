@@ -50,8 +50,11 @@ def test_as_generator_accepts_stream_generator_int():
     assert np.array_equal(g1.standard_normal(4), g2.standard_normal(4))
     gen = np.random.default_rng(0)
     assert as_generator(gen) is gen
+    # None means seed 0, the same rule as as_stream
+    assert np.array_equal(as_generator(None).standard_normal(4),
+                          RngStream(0).generator().standard_normal(4))
     with pytest.raises(TypeError):
-        as_generator(None)
+        as_generator(1.5)
 
 
 def test_as_stream_accepts_stream_int_none():

@@ -111,6 +111,13 @@ def test_identity_drift_without_noise():
     assert state.t == pytest.approx(0.01)
 
 
+def test_init_without_rng_uses_seed_zero():
+    s_default = sloc_init(Uniform(AxisCube(2)), k=32)
+    s_zero = sloc_init(Uniform(AxisCube(2)), k=32, rng=0)
+    assert np.array_equal(s_default.ensemble, s_zero.ensemble)
+    assert np.array_equal(s_default.mean, s_zero.mean)
+
+
 def test_state_invariants_detect_tampering():
     state = sloc_init(Uniform(AxisCube(2)), k=64, rng=RngStream(9))
     state.check_invariants()

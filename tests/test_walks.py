@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from klslab.bodies import AxisCube, Ball, transform_body
-from klslab.densities import Boltzmann, Exponential, Gaussian, Uniform
+from klslab.densities import (Boltzmann, Exponential, Gaussian, Pushforward,
+                               Tilted, Uniform)
 from klslab.rng import RngStream
 from klslab.walks import (ChainState, WalkError, ball_walk_step, default_delta,
                           exact_sample, hit_and_run_step, make_stepper,
@@ -40,6 +43,14 @@ def test_run_chain_deterministic_and_bookkeeping():
                    rng=RngStream(4), walk_kind="ball_walk", delta=0.5)
     assert np.array_equal(X1, X2)
     assert X1.shape == (50, 2)
+
+
+def test_run_chain_without_rng_uses_seed_zero():
+    dens = Uniform(AxisCube(2))
+    stepper = make_stepper("ball_walk", delta=0.5)
+    X_default = run_chain(stepper, dens, np.zeros(2), 20)
+    X_zero = run_chain(stepper, dens, np.zeros(2), 20, rng=0)
+    assert np.array_equal(X_default, X_zero)
 
 
 def test_run_chain_rejects_bad_start():
@@ -124,23 +135,68 @@ def test_sample_chord_point_extreme_tail_window():
     assert stats.kstest(draws, ref.cdf).statistic < 0.04
 
 
-def test_generic_chord_sampler_against_quadrature_oracle():
-    # exponential density gives a non-quadratic chord profile |t| kinked
-    # at the closest point; oracle CDF by dense trapezoid quadrature
-    dens = Exponential(Ball(2, radius=2.0), alpha=2.0)
+def _chord_case(name):
+    """(density, x, u, lo, hi) for the logconcave chord sampler law tests."""
+    e1 = np.array([1.0, 0.0])
+    slant = np.array([0.8, -0.6])      # orthogonal to x: t* = 0, d = 0.5
     x = np.array([0.3, 0.4])
-    u = np.array([1.0, 0.0])
-    lo, hi = dens.body.chord(x, u)
+    if name == "mode-inside":
+        dens = Exponential(Ball(2, radius=2.0), alpha=2.0)
+        return (dens, x, e1) + dens.body.chord(x, e1)
+    if name == "mode-outside":
+        # closest point to the origin at t = -0.3, left of the window
+        return Exponential(Ball(2, radius=2.0), alpha=2.0), x, e1, 0.1, 1.2
+    if name == "laplace-kink":
+        dens = Exponential(Ball(2, radius=2.0), alpha=2.0)
+        x0 = np.array([0.5, 0.0])       # line through the origin: d = 0
+        return (dens, x0, e1) + dens.body.chord(x0, e1)
+    if name == "far-line":
+        dens = Exponential(Ball(2, radius=5.0), alpha=50.0)
+        x0 = np.array([0.0, 3.0])       # alpha d = 150
+        return (dens, x0, e1) + dens.body.chord(x0, e1)
+    if name == "near-uniform":
+        dens = Exponential(Ball(2, radius=1.0), alpha=1e-3)
+        return (dens, x, slant) + dens.body.chord(x, slant)
+    if name == "tilted":
+        dens = Tilted(Exponential(Ball(2, radius=2.0), alpha=1.5),
+                      np.array([0.8, -0.4]), np.array([[1.0, 0.3], [0.3, 0.5]]))
+        return (dens, x, slant) + dens.body.chord(x, slant)
+    if name == "pushforward":
+        M = np.array([[1.5, 0.6], [0.0, 0.8]])
+        shift = np.array([0.2, -0.1])
+        dens = Pushforward(Exponential(Ball(2, radius=2.0), alpha=2.0), M, shift)
+        y = M @ x + shift
+        return (dens, y, slant) + dens.body.chord(y, slant)
+    raise KeyError(name)
+
+
+def _quad_chord_cdf(dens, x, u, lo, hi, cells=512):
+    """CDF of the chord law from scipy quad on the density's own log_density,
+    exact at the cell nodes and linear in between."""
+    ts = np.linspace(lo, hi, cells + 1)
+
+    def logf(t):
+        return dens.log_density(x + t * u)
+
+    peak = max(logf(t) for t in ts[1:-1])
+    mass = [integrate.quad(lambda t: math.exp(logf(t) - peak), a, b)[0]
+            for a, b in zip(ts[:-1], ts[1:])]
+    cdf = np.concatenate([[0.0], np.cumsum(mass)])
+    return lambda s: np.interp(s, ts, cdf / cdf[-1])
+
+
+@pytest.mark.parametrize("case", ["mode-inside", "mode-outside", "laplace-kink",
+                                  "far-line", "near-uniform", "tilted",
+                                  "pushforward"])
+def test_logconcave_chord_sampler_against_quadrature_oracle(case):
+    # an exponential's chord profile -alpha sqrt((t - t*)^2 + d^2) has no
+    # usable CDF, so the sampler rejects; the oracle integrates log_density
+    dens, x, u, lo, hi = _chord_case(case)
     gen = RngStream(8).generator()
     draws = np.array([sample_chord_point(dens, x, u, lo, hi, gen)
                       for _ in range(3000)])
-    ts = np.linspace(lo, hi, 20001)
-    pts = x[None, :] + ts[:, None] * u[None, :]
-    dens_vals = np.exp(-2.0 * np.linalg.norm(pts, axis=1))
-    cdf = np.concatenate([[0.0], np.cumsum((dens_vals[1:] + dens_vals[:-1])
-                                           * 0.5 * np.diff(ts))])
-    cdf /= cdf[-1]
-    oracle = lambda t: np.interp(t, ts, cdf)
+    assert draws.min() >= lo and draws.max() <= hi
+    oracle = _quad_chord_cdf(dens, x, u, lo, hi)
     assert stats.kstest(draws, oracle).statistic < 0.035
 
 
