@@ -34,6 +34,7 @@ from .volume import (OracleInconsistencyError, VolumePhaseError,
 from .walks import WalkError, exact_sample, make_stepper, run_chain, warm_start
 
 ENV_PREFIX = "KLSLAB_"
+_CSV_BLOCK = 4096  # rows per write of a float array
 
 _RUNTIME_ERRORS = (WalkError, VolumePhaseError, OracleInconsistencyError,
                    SlocError, SingularCovarianceError)
@@ -80,13 +81,28 @@ class _Artifacts:
                 f"# seed={self.cfg.seed}"]
 
     def write_csv(self, columns, rows):
+        """Write the meta lines, the header and one line per row.
+
+        A float64 array (a sample cloud: millions of values) is written
+        in blocks of rows, one "%.17g" format per row over the block's
+        tolist(): no per-value isinstance test, and no copy of the whole
+        file in memory.  Its Python floats format exactly as _fmt formats
+        numpy floats, so the bytes are the same.  Short mixed-type tables
+        (bools, ints) go through _fmt value by value.
+        """
         path = os.path.join(self.dir, self.stem + ".csv")
-        lines = self._meta_lines()
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
+        head = self._meta_lines() + [",".join(columns)]
         with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("\n".join(head) + "\n")
+            if isinstance(rows, np.ndarray) and rows.dtype == np.float64 \
+                    and rows.ndim == 2:
+                line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+                for a in range(0, len(rows), _CSV_BLOCK):
+                    fh.write("".join(line % tuple(row) for row
+                                     in rows[a:a + _CSV_BLOCK].tolist()))
+            else:
+                fh.writelines(",".join(_fmt(v) for v in row) + "\n"
+                              for row in rows)
         self.paths.append(path)
         return path
 

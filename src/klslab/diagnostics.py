@@ -30,9 +30,15 @@ _N_BOOT = 16
 def silverman_bandwidth(z):
     """0.9 min(std, IQR/1.34) N^(-1/5), the rule-of-thumb width."""
     z = np.asarray(z, dtype=float)
+    return _silverman(z, z)
+
+
+def _silverman(z, zs):
+    """silverman_bandwidth(z), with the quantiles read from zs, which holds
+    the values of z in any order (a sorted copy makes them cheap)."""
     n = z.size
     std = z.std()
-    q75, q25 = np.percentile(z, [75, 25])
+    q75, q25 = np.percentile(zs, [75, 25])
     spread = min(std, (q75 - q25) / 1.34) if q75 > q25 else std
     if spread <= 0:
         spread = max(abs(z).max(), 1.0) * 1e-6
@@ -40,18 +46,27 @@ def silverman_bandwidth(z):
 
 
 def _kde_1d(z, grid_size=_KDE_GRID):
-    """Binned Gaussian KDE; returns (centers, density, empirical cdf)."""
+    """Binned Gaussian KDE; returns (centers, density, empirical cdf).
+
+    One sort of z feeds the bandwidth's quantiles, the grid's range, the
+    bin counts and the empirical CDF; only the std reads z in its own
+    order.  The counts equal np.histogram(z, edges)'s, closed last bin
+    included: each edge is searched from the left, the last from the right.
+    """
     z = np.asarray(z, dtype=float)
-    h = silverman_bandwidth(z)
-    lo, hi = z.min() - 4 * h, z.max() + 4 * h
+    zs = np.sort(z)
+    h = _silverman(z, zs)
+    lo, hi = zs[0] - 4 * h, zs[-1] + 4 * h
     edges = np.linspace(lo, hi, grid_size + 1)
     dx = edges[1] - edges[0]
-    counts, _ = np.histogram(z, bins=edges)
+    cum = np.searchsorted(zs, edges, side="left")
+    cum[-1] = np.searchsorted(zs, edges[-1], side="right")
+    counts = np.diff(cum)
     smooth = ndimage.gaussian_filter1d(counts.astype(float), sigma=h / dx,
                                        mode="constant", truncate=6.0)
     centers = 0.5 * (edges[:-1] + edges[1:])
     density = smooth / (z.size * dx)
-    cdf = np.searchsorted(np.sort(z), centers, side="right") / z.size
+    cdf = np.searchsorted(zs, centers, side="right") / z.size
     return centers, density, cdf
 
 
@@ -98,17 +113,16 @@ def _halfspace_scan(X, directions, rng, n_boot, weight, floor=_CDF_FLOOR):
     if directions is None:
         directions = direction_family(X, rng)
     directions = np.asarray(directions, dtype=float)
-    Z = X @ directions.T
-    per_dir = np.empty(directions.shape[0])
-    thresholds = np.empty(directions.shape[0])
-    for j in range(directions.shape[0]):
-        per_dir[j], thresholds[j] = _profile_min(Z[:, j], weight, floor)
+    # one contiguous row of projections per direction
+    Z = np.ascontiguousarray((X @ directions.T).T)
+    per_dir = np.empty(len(Z))
+    thresholds = np.empty(len(Z))
+    for j, row in enumerate(Z):
+        per_dir[j], thresholds[j] = _profile_min(row, weight, floor)
     boots = np.empty(n_boot)
     for b in range(n_boot):
         idx = rng.integers(0, X.shape[0], size=X.shape[0])
-        Zb = Z[idx]
-        boots[b] = min(_profile_min(Zb[:, j], weight, floor)[0]
-                       for j in range(directions.shape[0]))
+        boots[b] = min(_profile_min(row[idx], weight, floor)[0] for row in Z)
     return directions, per_dir, thresholds, float(boots.std(ddof=1))
 
 

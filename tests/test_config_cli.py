@@ -13,6 +13,7 @@ from klslab.config import (ConfigError, ExperimentConfig, make_body,
                            make_density, make_tracked_sets, parse_config,
                            parse_set_descriptor)
 from klslab.densities import Boltzmann, Exponential, Gaussian, Uniform
+from klslab.rng import RngStream
 
 
 @pytest.fixture(autouse=True)
@@ -278,12 +279,39 @@ def test_make_tracked_sets_names_and_order():
 # CLI harness
 
 
-def test_csv_float_formatting_is_full_precision():
+def test_csv_float_formatting_is_full_precision(tmp_path):
     assert cli._fmt(True) == "true" and cli._fmt(False) == "false"
     assert cli._fmt(7) == "7"
     assert cli._fmt(np.float64(0.1)) == "0.10000000000000001"
     for v in (1 / 3, 1e-300, -2.5, 6.02e23, 0.0):
         assert float(cli._fmt(v)) == v
+
+    # a float array takes write_csv's per-row path; its bytes must equal
+    # the per-value _fmt join, across more rows than one write block
+    cfg = ExperimentConfig()
+    cfg.subcommand, cfg.out = "sample", str(tmp_path)
+    art = cli._Artifacts(cfg)
+    head = "\n".join(art._meta_lines()) + "\n"
+    special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 3.0, 0.1]
+    X = np.resize(np.array(special), (cli._CSV_BLOCK + 3, 4))
+    X[-1] = RngStream(4).generator().standard_normal(4)
+    path = art.write_csv(["a", "b", "c", "d"], X)
+    want = head + "a,b,c,d\n" + "".join(
+        ",".join(cli._fmt(v) for v in row) + "\n" for row in X)
+    assert ("\n-0,nan,inf,-inf\n4.9406564584124654e-324,1.0000000000000001e+300,"
+            "3,0.10000000000000001\n") in want
+    with open(path, newline="") as fh:
+        got = fh.read()
+    # name the first differing line rather than diff two 200 kB strings
+    bad = next((i for i, (g, w) in enumerate(zip(got.split("\n"), want.split("\n")))
+                if g != w), None)
+    assert bad is None and len(got) == len(want), bad
+
+    # mixed bool/int tables keep the per-value path
+    path = art.write_csv(["i", "ok", "x"], [[1, True, 0.5], [2, np.False_, -0.0],
+                                            [np.int64(3), False, np.float64(2.0)]])
+    with open(path, newline="") as fh:
+        assert fh.read() == head + "i,ok,x\n1,true,0.5\n2,false,-0\n3,false,2\n"
 
 
 def test_volume_run_writes_artifacts_with_metadata(tmp_path, capsys):

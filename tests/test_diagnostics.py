@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import ndimage, stats
 
 from klslab.bodies import AxisCube
 from klslab.densities import Gaussian, Uniform
-from klslab.diagnostics import (BallSet, HalfspaceSet, SlabSet,
+from klslab.diagnostics import (BallSet, HalfspaceSet, SlabSet, _kde_1d,
                                 ball_walk_mixing_estimate, compute_constants,
                                 conductance_tv_bound, default_shell_width,
                                 direction_family, halfspace_isoperimetry,
                                 linear_test, lipschitz_tail_check,
                                 log_cheeger_halfspace, mixing_bounds,
                                 poincare_family_min, poincare_ratio,
-                                quadratic_test, slicing_constant,
-                                subset_isoperimetry, thin_shell)
+                                quadratic_test, silverman_bandwidth,
+                                slicing_constant, subset_isoperimetry,
+                                thin_shell)
 from klslab.estimates import Estimate, bootstrap_se, mean_estimate
 from klslab.rng import RngStream
 from klslab.walks import exact_sample
@@ -94,6 +95,96 @@ def test_halfspace_scan_needs_thresholds_above_floor(estimator):
     X = np.ones((1, 3))
     with pytest.raises(ValueError, match="CDF floor"):
         estimator(X, directions=np.eye(3), rng=RngStream(15).generator())
+
+
+# Textbook reference for the halfspace scan: np.percentile and np.histogram
+# on each column as given, np.sort for the CDF, the whole projection matrix
+# gathered per bootstrap.  The package must reproduce it bit for bit.
+
+
+def _ref_kde(z):
+    n = z.size
+    std = z.std()
+    q75, q25 = np.percentile(z, [75, 25])
+    spread = min(std, (q75 - q25) / 1.34) if q75 > q25 else std
+    if spread <= 0:
+        spread = max(abs(z).max(), 1.0) * 1e-6
+    h = 0.9 * spread * n ** (-0.2)
+    edges = np.linspace(z.min() - 4 * h, z.max() + 4 * h, 1025)
+    dx = edges[1] - edges[0]
+    counts, _ = np.histogram(z, bins=edges)
+    smooth = ndimage.gaussian_filter1d(counts.astype(float), sigma=h / dx,
+                                       mode="constant", truncate=6.0)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    cdf = np.searchsorted(np.sort(z), centers, side="right") / n
+    return centers, smooth / (n * dx), cdf
+
+
+def _ref_profile_min(z, weight):
+    centers, density, cdf = _ref_kde(z)
+    m = np.minimum(cdf, 1.0 - cdf)
+    ok = m >= 0.01
+    ratio = density[ok] / weight(m[ok])
+    i = int(np.argmin(ratio))
+    return float(ratio[i]), float(centers[ok][i])
+
+
+def _ref_scan(X, rng, n_boot, weight):
+    directions = direction_family(X, rng)
+    Z = X @ directions.T
+    cols = range(directions.shape[0])
+    per_dir, thresholds = map(np.array, zip(*(_ref_profile_min(Z[:, j], weight)
+                                              for j in cols)))
+    boots = []
+    for _ in range(n_boot):
+        idx = rng.integers(0, X.shape[0], size=X.shape[0])
+        Zb = Z[idx]
+        boots.append(min(_ref_profile_min(Zb[:, j], weight)[0] for j in cols))
+    return directions, per_dir, thresholds, float(np.std(boots, ddof=1))
+
+
+def test_halfspace_scan_matches_textbook_reference_bit_for_bit():
+    # one decimal makes ties along every axis direction
+    X = np.round(_gaussian_cloud(4, 3000, 16), 1)
+    X[:, 3] = RngStream(17).generator().uniform(-1.0, 1.0, 3000)
+
+    dirs, per_dir, thresholds, se = _ref_scan(
+        X, RngStream(18).generator(), 16, lambda m: m)
+    est, detail = halfspace_isoperimetry(X, rng=RngStream(18).generator(),
+                                         full_output=True)
+    best = int(np.argmin(per_dir))
+    assert (est.value, est.std_error) == (per_dir[best], se)
+    np.testing.assert_array_equal(detail["per_direction"], per_dir)
+    np.testing.assert_array_equal(detail["thresholds"], thresholds)
+    assert detail["direction_index"] == best
+    np.testing.assert_array_equal(detail["direction"], dirs[best])
+
+    weight = lambda m: m * np.sqrt(1.0 + np.log(1.0 / m))  # noqa: E731
+    _, per_dir, _, se = _ref_scan(X, RngStream(19).generator(), 8, weight)
+    est = log_cheeger_halfspace(X, rng=RngStream(19).generator())
+    assert (est.value, est.std_error) == (per_dir.min(), se)
+
+
+def _closed_last_bin_column():
+    # the maximum is so large that max + 4h rounds back to the maximum, so
+    # it sits exactly on the last edge, which only a closed bin counts
+    z = np.append(RngStream(20).generator().uniform(0.0, 1.0, 999), 2.0 ** 60)
+    assert z.max() + 4 * silverman_bandwidth(z) == z.max()
+    return z
+
+
+@pytest.mark.parametrize("column", [
+    lambda: RngStream(21).generator().standard_normal(2000),
+    lambda: np.round(RngStream(22).generator().standard_normal(2000), 1),
+    lambda: RngStream(23).generator().integers(0, 3, 500).astype(float),
+    lambda: np.full(300, 3.0),
+    _closed_last_bin_column,
+], ids=["normal", "ties", "three-values", "constant", "closed-last-bin"])
+def test_kde_matches_textbook_reference_bit_for_bit(column):
+    z = column()
+    got = _kde_1d(z)
+    for a, b in zip(got, _ref_kde(z)):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_subset_halfspace_matches_density():

@@ -46,4 +46,9 @@ def test_tracer_install_and_uninstall_restore_every_binding(monkeypatch):
 
     assert ("klslab.linalg", "power_opnorm") in patched
     assert ("klslab.sloc", "ObservablePool", "estimate") in patched
+    # the layer metrics cli.artifact_s and diagnostics.<estimator>.s
+    assert ("klslab.cli", "_Artifacts", "write_csv") in patched
+    for estimator in ("halfspace_isoperimetry", "thin_shell", "slicing_constant",
+                      "poincare_family_min", "log_cheeger_halfspace"):
+        assert ("klslab.diagnostics", estimator) in patched
     assert _changed(before, _bindings()) == []
