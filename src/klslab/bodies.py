@@ -10,9 +10,23 @@ exotic subclasses that only implement membership.
 The chord convention: chord(x, u) returns (t_lo, t_hi) such that
 x + t*u is in the body exactly for t in [t_lo, t_hi].  For interior x
 this interval contains 0.  Degenerate (zero-length) chords are legal.
+Every body is bounded, so a chord end that comes out infinite or NaN (a
+zero, NaN or unbounded direction, or a NaN anchor) raises BodyError.
+
+A walk asks for one chord and a few membership tests per step on vectors
+of a handful of entries, where numpy's per-call overhead outweighs the
+arithmetic.  The built-in kinds therefore compute their scalar chords
+and membership on Python floats, keeping numpy only for dot and
+matrix-vector products, whose summation order fixes the bits.  Python's
+float + - * / are the same IEEE-754 double operations as numpy's
+elementwise ones, so the results are bit for bit those of the vectorized
+form (masks, np.min/np.max, np.all), which tests/test_bodies.py keeps as
+its oracle.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -79,18 +93,31 @@ def _interval_from_rows(num, den):
     """Solve den*t <= num rowwise and intersect.
 
     Rows with den == 0 impose no constraint on t (the anchor already
-    satisfies them).  Returns (t_lo, t_hi), possibly equal.
+    satisfies them).  Returns (t_lo, t_hi), possibly equal; (-inf, inf)
+    when no row constrains t, and NaN when a row is NaN.
     """
-    t_lo, t_hi = -np.inf, np.inf
-    pos = den > 0
-    neg = den < 0
-    # denormal den can overflow the ratio to inf: still a no-op constraint
-    with np.errstate(over="ignore"):
-        if np.any(pos):
-            t_hi = float(np.min(num[pos] / den[pos]))
-        if np.any(neg):
-            t_lo = float(np.max(num[neg] / den[neg]))
-    return t_lo, min(t_hi, np.inf)
+    t_lo, t_hi = -math.inf, math.inf
+    for p, q in zip(num.tolist(), den.tolist()):
+        if q > 0.0:
+            t = p / q
+            if t <= t_hi or t != t:
+                t_hi = t
+        elif q < 0.0:
+            t = p / q
+            if t >= t_lo or t != t:
+                t_lo = t
+        elif q != 0.0:
+            return math.nan, math.nan
+    return t_lo, t_hi
+
+
+def _bounded(lo, hi):
+    """The chord (lo, hi) of a bounded body; NaN or infinite ends mean a
+    zero, NaN or unbounded direction, or a NaN anchor."""
+    if -math.inf < lo and hi < math.inf:
+        return lo, hi
+    raise BodyError(f"chord ({lo}, {hi}) is not finite: the direction is zero, "
+                    "NaN or unbounded, or the anchor is NaN")
 
 
 class Ball(Body):
@@ -103,7 +130,8 @@ class Ball(Body):
         self.center = center
 
     def contains(self, x):
-        return float(np.dot(x - self.center, x - self.center)) <= self.radius**2 * (1 + 1e-12)
+        d = x - self.center
+        return float(np.dot(d, d)) <= self.radius**2 * (1 + 1e-12)
 
     def contains_many(self, X):
         d = X - self.center
@@ -122,8 +150,8 @@ class Ball(Body):
                 disc = 0.0
             else:
                 raise BodyError("chord anchor outside ball")
-        root = np.sqrt(disc)
-        return (-beta - root, -beta + root)
+        root = math.sqrt(disc)
+        return _bounded(-beta - root, -beta + root)
 
 
 class AxisCube(Body):
@@ -140,18 +168,29 @@ class AxisCube(Body):
         self.center = center
 
     def contains(self, x):
-        return bool(np.all(np.abs(x - self.center) <= self.half_width * (1 + 1e-12)))
+        return bool(np.abs(x - self.center).max() <= self.half_width * (1 + 1e-12))
 
     def contains_many(self, X):
         return np.all(np.abs(X - self.center) <= self.half_width * (1 + 1e-12), axis=1)
 
     def chord(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        d = x - self.center
-        num = np.concatenate([self.half_width - d, self.half_width + d])
-        den = np.concatenate([u, -u])
-        return _interval_from_rows(num, den)
+        # per coordinate, the faces at +w and -w bound t by (w - d_i)/u_i
+        # and (w + d_i)/-u_i, one from above and one from below
+        w = self.half_width
+        d = (np.asarray(x, dtype=float) - self.center).tolist()
+        t_lo, t_hi = -math.inf, math.inf
+        for di, ui in zip(d, np.asarray(u, dtype=float).tolist()):
+            if ui == 0.0:
+                continue
+            up = (w - di) / ui
+            down = (w + di) / -ui
+            if ui < 0.0:
+                up, down = down, up
+            if up <= t_hi or up != up:
+                t_hi = up
+            if down >= t_lo or down != down:
+                t_lo = down
+        return _bounded(t_lo, t_hi)
 
 
 class Polytope(Body):
@@ -171,7 +210,7 @@ class Polytope(Body):
         self.b = b
 
     def contains(self, x):
-        return bool(np.all(self.A @ x <= self.b + 1e-12))
+        return bool((self.A @ x <= self.b + 1e-12).all())
 
     def contains_many(self, X):
         return np.all(X @ self.A.T <= self.b + 1e-12, axis=1)
@@ -179,7 +218,7 @@ class Polytope(Body):
     def chord(self, x, u):
         num = self.b - self.A @ np.asarray(x, dtype=float)
         den = self.A @ np.asarray(u, dtype=float)
-        return _interval_from_rows(num, den)
+        return _bounded(*_interval_from_rows(num, den))
 
 
 def simplex(n):
@@ -238,8 +277,8 @@ class Ellipsoid(Body):
         disc = bq * bq - a * c
         if disc < 0:
             disc = 0.0
-        root = np.sqrt(disc)
-        return ((-bq - root) / a, (-bq + root) / a)
+        root = math.sqrt(disc)
+        return _bounded((-bq - root) / a, (-bq + root) / a)
 
 
 class BallIntersection(Body):
@@ -298,7 +337,7 @@ class RestrictedBody(Body):
         return RestrictedBody(self.base, A, b, x0)
 
     def contains(self, x):
-        return self.base.contains(x) and bool(np.all(self.A @ x <= self.b + 1e-12))
+        return self.base.contains(x) and bool((self.A @ x <= self.b + 1e-12).all())
 
     def contains_many(self, X):
         return self.base.contains_many(X) & np.all(X @ self.A.T <= self.b + 1e-12, axis=1)

@@ -50,11 +50,21 @@ def default_delta(n: int) -> float:
 
 @dataclass
 class ChainState:
+    """A chain's position and counters.
+
+    metropolis_step caches the target's log-density at x as
+    (density, x, log f(x)).  The cache is read only while both the density
+    and the array x are the very objects it was taken with, so a step that
+    assigns a new x (every stepper does; none writes into x in place) or a
+    step against another density recomputes it.
+    """
+
     x: np.ndarray
     walk_kind: str = ""
     delta: float = 0.0
     steps_taken: int = 0
     proposals_accepted: int = 0
+    _log_f: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def acceptance_rate(self) -> float:
@@ -64,7 +74,7 @@ class ChainState:
 def _ball_point(rng, n):
     """Uniform point in the unit ball (direction times radius^(1/n))."""
     g = rng.standard_normal(n)
-    norm = np.linalg.norm(g)
+    norm = math.sqrt(g.dot(g))
     if norm == 0.0:
         g[0] = 1.0
         norm = 1.0
@@ -74,7 +84,7 @@ def _ball_point(rng, n):
 
 def unit_direction(rng, n):
     g = rng.standard_normal(n)
-    norm = np.linalg.norm(g)
+    norm = math.sqrt(g.dot(g))
     if norm == 0.0:
         g[0] = 1.0
         norm = 1.0
@@ -99,11 +109,19 @@ def metropolis_step(density: Density, state: ChainState, rng, delta=None) -> Cha
     The comparison runs in log scale.  No uniform variate is consumed when
     the ratio decides by itself (certain accept or certain reject), which
     keeps the stream aligned with the plain ball walk on uniform targets.
+    log f(x) comes from the state's cache when it is still valid, so a
+    step evaluates only log f(y).
     """
     delta = state.delta if delta is None else delta
     y = state.x + delta * _ball_point(rng, density.n)
     state.steps_taken += 1
-    log_ratio = density.log_density(y) - density.log_density(state.x)
+    cached = state._log_f
+    if cached is not None and cached[0] is density and cached[1] is state.x:
+        log_fx = cached[2]
+    else:
+        log_fx = density.log_density(state.x)
+    log_fy = density.log_density(y)
+    log_ratio = log_fy - log_fx
     if log_ratio >= 0:
         accept = True
     elif log_ratio == float("-inf"):
@@ -113,6 +131,8 @@ def metropolis_step(density: Density, state: ChainState, rng, delta=None) -> Cha
     if accept:
         state.x = y
         state.proposals_accepted += 1
+        log_fx = log_fy
+    state._log_f = (density, state.x, log_fx)
     return state
 
 
@@ -188,7 +208,7 @@ def _trunc_gauss(rng, mean, sd, lo, hi):
         z = -_std_trunc_gauss(rng, -b, -a)
     else:
         z = _std_trunc_gauss(rng, a, b)
-    return float(np.clip(mean + sd * z, lo, hi))
+    return float(min(max(mean + sd * z, lo), hi))
 
 
 def _std_trunc_gauss(rng, a, b):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from klslab.bodies import (AxisCube, Ball, BallIntersection, BodyError,
-                           Ellipsoid, Polytope, RestrictedBody, simplex,
-                           simplex_moments, transform_body)
+                           Ellipsoid, Polytope, RestrictedBody, TransformedBody,
+                           simplex, simplex_moments, transform_body)
 
 
 def test_ball_chord_oracle():
@@ -119,16 +119,58 @@ def test_chord_through_boundary_points_unbounded_error():
 @st.composite
 def _ball_point_dir(draw):
     n = draw(st.integers(min_value=1, max_value=5))
-    x = np.array([draw(st.floats(-0.5, 0.5)) for _ in range(n)])
+    # |x| <= 0.4 sqrt(5) < 1: the anchor lies inside the unit ball
+    x = np.array([draw(st.floats(-0.4, 0.4)) for _ in range(n)])
     u = np.array([draw(st.floats(-1, 1)) for _ in range(n)])
     if np.linalg.norm(u) < 1e-6:
         u[0] = 1.0
     return x, u
 
 
+def _kinds():
+    """One body of every built-in kind, keyed by a test id."""
+    gen = np.random.default_rng(2024)
+    M = np.eye(4) + 0.3 * gen.standard_normal((4, 4))
+    S = gen.standard_normal((5, 5))
+    cube = AxisCube(5, half_width=0.7, center=np.full(5, 0.25))
+    A = gen.standard_normal((3, 5))
+    return {
+        "ball": Ball(5, radius=1.3, center=np.linspace(-0.2, 0.2, 5)),
+        "cube": cube,
+        "simplex": simplex(8),
+        "restricted": RestrictedBody(cube, A, A @ cube.center + 0.3, cube.center),
+        "transformed": transform_body(simplex(4), M),
+        "ball_intersection": BallIntersection(AxisCube(4, half_width=2.0), 1.5),
+        "ellipsoid": Ellipsoid(S @ S.T + np.eye(5)),
+    }
+
+
+KINDS = _kinds()
+
+
 def test_zero_direction_rejected():
+    for body in KINDS.values():
+        with pytest.raises(BodyError):
+            body.chord(body.x0, np.zeros(body.n))
+
+
+def test_nan_anchor_or_direction_rejected():
+    for body in KINDS.values():
+        u = np.random.default_rng(3).standard_normal(body.n)
+        x = body.x0.copy()
+        x[body.n // 2] = np.nan
+        with pytest.raises(BodyError):
+            body.chord(x, u)
+        u[body.n // 2] = np.nan
+        with pytest.raises(BodyError):
+            body.chord(body.x0, u)
+
+
+def test_unbounded_polytope_direction_rejected():
+    # the halfplane x_1 <= 1 with a (false) bounded guarantee
+    p = Polytope(np.array([[1.0, 0.0]]), [1.0], r=0.5, R=2.0, x0=np.zeros(2))
     with pytest.raises(BodyError):
-        Ball(2).chord(np.zeros(2), np.zeros(2))
+        p.chord(np.zeros(2), np.array([0.0, 1.0]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -157,3 +199,189 @@ def test_cube_chord_membership_consistency(n, salt):
     inside = x + np.linspace(lo + 1e-9, hi - 1e-9, 5)[:, None] * u
     assert c.contains_many(inside).all()
     assert not c.contains(x + (hi + 1e-6 * max(1, abs(hi))) * u)
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit oracle: the vectorized numpy forms of every chord and
+# membership test, which the scalar implementations must reproduce exactly
+
+
+def _ref_interval(num, den):
+    t_lo, t_hi = -np.inf, np.inf
+    pos = den > 0
+    neg = den < 0
+    with np.errstate(over="ignore"):
+        if np.any(pos):
+            t_hi = float(np.min(num[pos] / den[pos]))
+        if np.any(neg):
+            t_lo = float(np.max(num[neg] / den[neg]))
+    return t_lo, t_hi
+
+
+def _ref_chord(body, x, u):
+    if isinstance(body, AxisCube):
+        d = x - body.center
+        return _ref_interval(np.concatenate([body.half_width - d, body.half_width + d]),
+                             np.concatenate([u, -u]))
+    if isinstance(body, Ball):
+        d = x - body.center
+        uu = float(np.dot(u, u))
+        beta = float(np.dot(u, d)) / uu
+        disc = beta * beta - (float(np.dot(d, d)) - body.radius ** 2) / uu
+        root = np.sqrt(max(disc, 0.0))
+        return -beta - root, -beta + root
+    if isinstance(body, Polytope):
+        return _ref_interval(body.b - body.A @ x, body.A @ u)
+    if isinstance(body, Ellipsoid):
+        a = float(u @ body.E @ u)
+        bq = float(x @ body.E @ u)
+        c = float(x @ body.E @ x) - 1.0
+        root = np.sqrt(max(bq * bq - a * c, 0.0))
+        return (-bq - root) / a, (-bq + root) / a
+    if isinstance(body, BallIntersection):
+        lo1, hi1 = _ref_chord(body.base, x, u)
+        lo2, hi2 = _ref_chord(body.ball, x, u)
+        return max(lo1, lo2), min(hi1, hi2)
+    if isinstance(body, RestrictedBody):
+        lo1, hi1 = _ref_chord(body.base, x, u)
+        lo2, hi2 = _ref_interval(body.b - body.A @ x, body.A @ u)
+        return max(lo1, lo2), min(hi1, hi2)
+    if isinstance(body, TransformedBody):
+        return _ref_chord(body.base, body._Minv @ (x - body.shift), body._Minv @ u)
+    raise TypeError(type(body).__name__)
+
+
+def _ref_contains(body, x):
+    if isinstance(body, AxisCube):
+        return bool(np.all(np.abs(x - body.center) <= body.half_width * (1 + 1e-12)))
+    if isinstance(body, Ball):
+        return float(np.dot(x - body.center, x - body.center)) <= body.radius ** 2 * (1 + 1e-12)
+    if isinstance(body, Polytope):
+        return bool(np.all(body.A @ x <= body.b + 1e-12))
+    if isinstance(body, Ellipsoid):
+        return float(x @ body.E @ x) <= 1 + 1e-12
+    if isinstance(body, BallIntersection):
+        return _ref_contains(body.ball, x) and _ref_contains(body.base, x)
+    if isinstance(body, RestrictedBody):
+        return _ref_contains(body.base, x) and bool(np.all(body.A @ x <= body.b + 1e-12))
+    if isinstance(body, TransformedBody):
+        return _ref_contains(body.base, body._Minv @ (x - body.shift))
+    raise TypeError(type(body).__name__)
+
+
+def _bits(pair):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return tuple(float(t).hex() for t in pair)
+
+
+def _facet_anchor(body, gen):
+    """A point on the boundary: the chord end along a random direction."""
+    u = gen.standard_normal(body.n)
+    _, hi = body.chord(body.x0, u)
+    return body.x0 + hi * u
+
+
+def _oracle_cases(body, gen):
+    """(body, anchor, direction) triples: random, with zero components, with
+    a denormal component (its ratio overflows to inf), and anchored on the
+    boundary."""
+    n = body.n
+    out = []
+    for _ in range(40):
+        x = body.x0 + 0.5 * body.r * gen.uniform(-1, 1, n) / np.sqrt(n)
+        out.append((body, x, gen.standard_normal(n)))
+    for _ in range(10):
+        x = body.x0 + 0.5 * body.r * gen.uniform(-1, 1, n) / np.sqrt(n)
+        u = gen.standard_normal(n)
+        u[gen.permutation(n)[: max(1, n // 2)]] = 0.0
+        out.append((body, x, u))
+        u = gen.standard_normal(n)
+        u[gen.integers(n)] = 5e-324
+        out.append((body, x, u))
+    for _ in range(10):
+        out.append((body, _facet_anchor(body, gen), gen.standard_normal(n)))
+    return out
+
+
+def _exact_facet_cases(kind, body):
+    """(body, anchor) pairs whose face rows have a numerator of exactly
+    +0.0, or -0.0 for a cut with offset -0.0."""
+    if kind == "cube":
+        x = body.center.copy()
+        x[0] += body.half_width
+        x[-1] -= body.half_width
+        return [(body, x)]
+    if kind == "simplex":
+        x = body.x0.copy()
+        x[0] = 0.0
+        return [(body, x)]
+    if kind == "restricted":
+        x0 = body.base.center.copy()
+        x0[0] = -0.2
+        cut = RestrictedBody(body.base, np.eye(body.n)[:1], [-0.0], x0)
+        x0[0] = 0.0
+        return [(cut, x0)]
+    return []
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_chords_and_membership_match_vectorized_oracle_bit_for_bit(kind):
+    body = KINDS[kind]
+    gen = np.random.default_rng(sorted(KINDS).index(kind))
+    cases = _oracle_cases(body, gen)
+    facet = _exact_facet_cases(kind, body)
+    cases += [(b, x, u) for b, x in facet for u in gen.standard_normal((10, body.n))]
+    zeros = 0
+    for b, x, u in cases:
+        got = b.chord(x, u)
+        assert _bits(got) == _bits(_ref_chord(b, x, u))
+        assert all(type(t) is float for t in got)
+        zeros += 0.0 in got
+        # membership inside, on the chord ends and beyond them
+        lo, hi = got
+        for t in (0.0, lo, hi, 0.5 * (lo + hi), hi + 1e-9 * (1 + abs(hi)),
+                  lo - 1e-3 * (1 + abs(lo))):
+            y = x + t * u
+            assert b.contains(y) == _ref_contains(b, y)
+    assert zeros >= 10 * len(facet)     # every exact-facet chord ends at +-0.0
+    y = body.x0.copy()
+    y[0] = np.nan
+    assert body.contains(y) is _ref_contains(body, y) is False
+
+
+def test_interval_from_rows_matches_vectorized_oracle():
+    from klslab.bodies import _interval_from_rows
+    gen = np.random.default_rng(12)
+    for m in (1, 3, 8, 9, 40):
+        for _ in range(50):
+            num = gen.uniform(-0.1, 2.0, m)
+            den = gen.standard_normal(m)
+            den[gen.random(m) < 0.2] = 0.0
+            num[gen.random(m) < 0.2] = 0.0
+            den[gen.random(m) < 0.1] = 5e-324
+            got = _interval_from_rows(num, den)
+            assert _bits(got) == _bits(_ref_interval(num, den))
+            num[gen.integers(m)] = np.nan
+            got = _interval_from_rows(num, den)
+            assert _bits(got) == _bits(_ref_interval(num, den))
+    # no row constrains t: the whole line, for the caller to judge
+    assert _interval_from_rows(np.zeros(0), np.zeros(0)) == (-np.inf, np.inf)
+    assert _interval_from_rows(np.ones(2), np.zeros(2)) == (-np.inf, np.inf)
+    # a NaN slope poisons both ends
+    lo, hi = _interval_from_rows(np.ones(3), np.array([1.0, np.nan, -1.0]))
+    assert np.isnan(lo) and np.isnan(hi)
+
+
+def test_walk_norms_match_linalg_norm_bit_for_bit():
+    from klslab.walks import _ball_point, unit_direction
+    for n in (1, 2, 5, 8, 20):
+        g1 = np.random.default_rng(n)
+        g2 = np.random.default_rng(n)
+        for _ in range(50):
+            v = unit_direction(g1, n)
+            g = g2.standard_normal(n)
+            assert v.tobytes() == (g / np.linalg.norm(g)).tobytes()
+            p = _ball_point(g1, n)
+            g = g2.standard_normal(n)
+            rad = g2.random() ** (1.0 / n)
+            assert p.tobytes() == (g * (rad / np.linalg.norm(g))).tobytes()

@@ -51,4 +51,11 @@ def test_tracer_install_and_uninstall_restore_every_binding(monkeypatch):
     for estimator in ("halfspace_isoperimetry", "thin_shell", "slicing_constant",
                       "poincare_family_min", "log_cheeger_halfspace"):
         assert ("klslab.diagnostics", estimator) in patched
+    # the per-layer metrics walks.steps.*, bodies.chord.<kind>.us and
+    # densities.log_density.calls
+    for step in ("metropolis_step", "hit_and_run_step", "ball_walk_step"):
+        assert ("klslab.walks", step) in patched
+    for cls in ("AxisCube", "Polytope", "RestrictedBody"):
+        assert ("klslab.bodies", cls, "chord") in patched
+    assert ("klslab.densities", "Density", "log_density") in patched
     assert _changed(before, _bindings()) == []

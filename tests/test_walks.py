@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from klslab.bodies import AxisCube, Ball, transform_body
+from klslab.bodies import AxisCube, Ball, simplex, transform_body
 from klslab.densities import (Boltzmann, Exponential, Gaussian, Pushforward,
                                Tilted, Uniform)
 from klslab.rng import RngStream
-from klslab.walks import (ChainState, WalkError, ball_walk_step, default_delta,
-                          exact_sample, hit_and_run_step, make_stepper,
-                          metropolis_step, run_chain, sample_chord_point,
-                          warm_start)
+from klslab.walks import (ChainState, WalkError, _ball_point, ball_walk_step,
+                          default_delta, exact_sample, hit_and_run_step,
+                          make_stepper, metropolis_step, run_chain,
+                          sample_chord_point, warm_start)
 
 
 def _chain_state(x, kind="ball_walk", delta=None):
@@ -32,6 +32,50 @@ def test_ball_walk_and_metropolis_identical_on_uniform():
         metropolis_step(dens, s2, g2, delta=0.4)
         assert np.array_equal(s1.x, s2.x)
     assert s1.proposals_accepted == s2.proposals_accepted
+
+
+def _reference_metropolis_step(density, state, rng, delta):
+    """metropolis_step with both log-densities evaluated on every step."""
+    y = state.x + delta * _ball_point(rng, density.n)
+    state.steps_taken += 1
+    log_ratio = density.log_density(y) - density.log_density(state.x)
+    if log_ratio >= 0:
+        accept = True
+    elif log_ratio == float("-inf"):
+        accept = False
+    else:
+        accept = np.log(rng.random()) < log_ratio
+    if accept:
+        state.x = y
+        state.proposals_accepted += 1
+    return state
+
+
+def test_metropolis_cached_log_density_matches_reference():
+    # Gaussian over an affine image of simplex(8), the isotropy loop's case.
+    # The cached log f(x) must never go stale: not over 600 plain steps, and
+    # not when steps against a second density (a = 2) or hit-and-run steps
+    # that move x are interleaved with them
+    M = 3.0 * (np.eye(8) + 0.2 * np.random.default_rng(5).standard_normal((8, 8)))
+    body = transform_body(simplex(8), M)
+    dens = Gaussian(body, a=1.0, center=body.x0)
+    other = Gaussian(body, a=2.0, center=body.x0)
+    g1, g2 = RngStream(31).generator(), RngStream(31).generator()
+    s1, s2 = _chain_state(body.x0), _chain_state(body.x0)
+    delta = 0.15
+    schedule = [dens] * 600 + [dens, other, "hit_and_run", other] * 100
+    for target in schedule:
+        if target == "hit_and_run":
+            hit_and_run_step(dens, s1, g1)
+            hit_and_run_step(dens, s2, g2)
+        else:
+            metropolis_step(target, s1, g1, delta)
+            _reference_metropolis_step(target, s2, g2, delta)
+        assert s1.x.tobytes() == s2.x.tobytes()
+        assert s1.proposals_accepted == s2.proposals_accepted
+    assert s1.steps_taken == s2.steps_taken == 1000
+    # the filter both accepted and rejected
+    assert 100 < s1.proposals_accepted - 100 < 800
 
 
 def test_run_chain_deterministic_and_bookkeeping():
