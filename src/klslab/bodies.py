@@ -181,6 +181,9 @@ class AxisCube(Body):
         t_lo, t_hi = -math.inf, math.inf
         for di, ui in zip(d, np.asarray(u, dtype=float).tolist()):
             if ui == 0.0:
+                # no face bounds t here, but a NaN anchor must still raise
+                if di != di:
+                    return _bounded(di, di)
                 continue
             up = (w - di) / ui
             down = (w + di) / -ui

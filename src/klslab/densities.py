@@ -29,6 +29,7 @@ import math
 import numpy as np
 
 from .bodies import Body, transform_body
+from .linalg import quad_rows
 
 _NEG_INF = float("-inf")
 
@@ -179,8 +180,7 @@ class Tilted(Density):
         return self.base._log_inside(x) + float(self.c @ x) - 0.5 * float(x @ self.B @ x)
 
     def _log_inside_many(self, X):
-        quad = np.einsum("ij,jk,ik->i", X, self.B, X)
-        return self.base._log_inside_many(X) + X @ self.c - 0.5 * quad
+        return self.base._log_inside_many(X) + X @ self.c - 0.5 * quad_rows(X, self.B)
 
     def _chord_coeffs(self, x, u):
         alpha, tstar, d2, a, b = self.base._chord_coeffs(x, u)

@@ -77,6 +77,11 @@ class CovMatrix:
         return f"CovMatrix(n={self.n}, trace={self.trace:.6g}, opnorm={self.opnorm:.6g})"
 
 
+def quad_rows(X, B):
+    """x_i.B x_i for every row x_i of X, as one GEMM and one row-wise dot."""
+    return np.einsum("ij,ij->i", X @ B, X)
+
+
 def sym_inv_sqrt(A, rel_floor=1e-10):
     """A^{-1/2} via symmetric eigendecomposition.
 

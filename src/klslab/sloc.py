@@ -22,7 +22,8 @@ from scipy.stats import ncx2
 from .bodies import BallIntersection
 from .densities import Density, Gaussian, Tilted, WithBody
 from .diagnostics import BallSet, HalfspaceSet
-from .linalg import CovMatrix, SingularCovarianceError, stieltjes_u, sym_inv_sqrt
+from .linalg import (CovMatrix, SingularCovarianceError, quad_rows, stieltjes_u,
+                     sym_inv_sqrt)
 from .parallel import parallel_map
 from .rng import as_generator, as_stream
 from .walks import WalkError, _ball_cloud, default_delta, exact_sample, warm_start
@@ -63,72 +64,60 @@ class ObservablePool:
     """Sliding window of ensemble snapshots reweighted to the current tilt.
 
     A snapshot drawn under tilt (c_s, B_s) is reused under (c, B) with
-    self-normalized weights exp((c - c_s).x - x.(B - B_s)x/2).  Snapshots
-    combine in insertion order, each weighted by its effective sample
-    size, and are skipped once the ESS falls under min_ess_frac of the
-    snapshot size.  The freshest snapshot has unit weights, so the pool
-    never goes empty.
+    weights exp((c - c_s).x - x.(B - B_s)x/2), self-normalized within the
+    snapshot.  push() keeps each snapshot's own log-tilt c_s.x - x.B_s x/2;
+    estimate() evaluates the current tilt on every pooled row at once and
+    reduces per snapshot (max shift, normalization, ESS).  The snapshots
+    then enter one weighted mean and second moment, each weighted by its
+    effective sample size; a snapshot whose ESS falls under min_ess_frac of
+    its size is skipped.  The freshest snapshot has unit weights and is the
+    fallback when every snapshot is skipped.
     """
 
     def __init__(self, window=16, min_ess_frac=0.05):
+        if int(window) < 1:
+            raise ValueError(f"pool window must be >= 1, got {window}")
+        if not 0.0 <= float(min_ess_frac) <= 1.0:
+            raise ValueError(f"min_ess_frac must be in [0, 1], got {min_ess_frac}")
         self.window = int(window)
         self.min_ess_frac = float(min_ess_frac)
-        self.groups = []
+        self.groups = []        # (X_s, log-tilt of each row under (c_s, B_s))
 
     def push(self, c, B, X):
-        self.groups.append((np.array(c, dtype=float),
-                            np.array(B, dtype=float),
-                            np.array(X, dtype=float)))
+        X = np.array(X, dtype=float)
+        if X.ndim != 2 or len(X) == 0:
+            raise ValueError("a pool snapshot must be a nonempty (m, n) array")
+        self.groups.append((X, X @ np.asarray(c, dtype=float)
+                            - 0.5 * quad_rows(X, np.asarray(B, dtype=float))))
         if len(self.groups) > self.window:
             self.groups.pop(0)
 
     def estimate(self, c, B, tracked=()):
         """Pooled mean, covariance and tracked-set measures at tilt (c, B)."""
-        n = len(c)
-        mu = np.zeros(n)
-        second = np.zeros((n, n))
-        g_acc = dict.fromkeys((name for name, _ in tracked), 0.0)
-        total = 0.0
-        ess_total = 0.0
-        def group_weights(c_s, B_s, X):
-            logw = X @ (c - c_s)
-            dB = B - B_s
-            if np.any(dB):
-                logw -= 0.5 * np.einsum("ij,jk,ik->i", X, dB, X)
-            logw -= logw.max()
-            w = np.exp(logw)
-            w /= w.sum()
-            return w, 1.0 / float(w @ w)
-
-        kept = []
-        for c_s, B_s, X in self.groups:
-            w, ess = group_weights(c_s, B_s, X)
-            if ess < self.min_ess_frac * len(X):
-                continue
-            kept.append((X, w, ess))
-        if not kept:
-            # degenerate query far from every snapshot: fall back to the
-            # freshest one so the pool never returns an empty estimate
-            c_s, B_s, X = self.groups[-1]
-            w, ess = group_weights(c_s, B_s, X)
-            kept = [(X, w, ess)]
-        for X, w, ess in kept:
-            mu += ess * (w @ X)
-            second += ess * (X.T @ (X * w[:, None]))
-            for name, E in tracked:
-                inside = E.signed_distance(X) >= 0.0
-                g_acc[name] += ess * float(w @ inside)
-            total += ess
-            ess_total += ess
-        mu /= total
-        second /= total
-        cov = CovMatrix(second - np.outer(mu, mu))
+        if not self.groups:
+            raise ValueError("estimate on an empty pool: push a snapshot first")
+        X = np.concatenate([X_s for X_s, _ in self.groups])
+        sizes = np.array([len(X_s) for X_s, _ in self.groups])
+        starts = np.cumsum(sizes) - sizes
+        logw = X @ c - 0.5 * quad_rows(X, B)
+        logw -= np.concatenate([lt for _, lt in self.groups])
+        logw -= np.repeat(np.maximum.reduceat(logw, starts), sizes)
+        w = np.exp(logw)
+        w /= np.repeat(np.add.reduceat(w, starts), sizes)
+        ess = 1.0 / np.add.reduceat(w * w, starts)
+        keep = ess >= self.min_ess_frac * sizes
+        if not keep.any():
+            keep[-1] = True
+        ess = np.where(keep, ess, 0.0)
+        total = float(ess.sum())
+        W = w * np.repeat(ess / total, sizes)
+        mu = W @ X
+        cov = CovMatrix(X.T @ (X * W[:, None]) - np.outer(mu, mu))
         g = {}
-        for name, acc in g_acc.items():
-            val = acc / total
-            se = math.sqrt(max(val * (1.0 - val), 0.0) / ess_total)
-            g[name] = (val, se)
-        return mu, cov, g, ess_total
+        for name, E in tracked:
+            val = float(W @ (E.signed_distance(X) >= 0.0))
+            g[name] = (val, math.sqrt(max(val * (1.0 - val), 0.0) / total))
+        return mu, cov, g, total
 
 
 def _advance_ensemble(density, X, logf, steps, delta, gen):

@@ -161,6 +161,11 @@ def test_nan_anchor_or_direction_rejected():
         x[body.n // 2] = np.nan
         with pytest.raises(BodyError):
             body.chord(x, u)
+        # the NaN coordinate is one the direction does not move along
+        u_flat = u.copy()
+        u_flat[body.n // 2] = 0.0
+        with pytest.raises(BodyError):
+            body.chord(x, u_flat)
         u[body.n // 2] = np.nan
         with pytest.raises(BodyError):
             body.chord(body.x0, u)

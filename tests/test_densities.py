@@ -51,6 +51,16 @@ def test_tilted_scalar_vs_matrix():
     assert t1.log_density(x) == pytest.approx(expected)
 
 
+def test_tilted_many_matches_rowwise():
+    gen = np.random.default_rng(5)
+    L = gen.standard_normal((4, 4))
+    base = Gaussian(Ball(4, radius=6.0), a=0.7, center=np.array([0.5, -1.0, 0.2, 0.0]))
+    til = Tilted(base, gen.standard_normal(4), L @ L.T)
+    X = gen.uniform(-1.5, 1.5, size=(300, 4))
+    rowwise = np.array([til._log_inside(x) for x in X])
+    np.testing.assert_allclose(til._log_inside_many(X), rowwise, rtol=1e-12)
+
+
 def test_tilted_chord_profile():
     base = Gaussian(Ball(2, radius=4.0), a=1.0)
     til = Tilted(base, np.array([0.0, 1.0]), 2.0)

@@ -174,7 +174,97 @@ def test_pool_window_eviction():
     for i in range(5):
         pool.push(np.zeros(1), np.zeros((1, 1)), np.full((3, 1), float(i)))
     assert len(pool.groups) == 2
-    assert pool.groups[0][2][0, 0] == 3.0
+    assert pool.groups[0][0][0, 0] == 3.0
+    # only the two newest snapshots (values 3 and 4) enter the estimate
+    mu, _, _, ess = pool.estimate(np.zeros(1), np.zeros((1, 1)))
+    assert mu[0] == pytest.approx(3.5)
+    assert ess == pytest.approx(6.0)
+
+
+def test_pool_validation():
+    with pytest.raises(ValueError, match="window"):
+        ObservablePool(window=0)
+    for frac in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="min_ess_frac"):
+            ObservablePool(min_ess_frac=frac)
+    with pytest.raises(ValueError, match="empty pool"):
+        ObservablePool().estimate(np.zeros(2), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="nonempty"):
+        ObservablePool().push(np.zeros(2), np.zeros((2, 2)), np.zeros((0, 2)))
+
+
+def _pool_oracle(groups, c, B, tracked, min_ess_frac):
+    """Snapshot-by-snapshot reference estimate: three-operand einsum and
+    sums in insertion order.  Returns the estimate and how many snapshots
+    it kept (0 when it fell back to the freshest one)."""
+    def group_weights(c_s, B_s, X):
+        logw = X @ (c - c_s) - 0.5 * np.einsum("ij,jk,ik->i", X, B - B_s, X)
+        w = np.exp(logw - logw.max())
+        w /= w.sum()
+        return w, 1.0 / float(w @ w)
+
+    kept = []
+    for c_s, B_s, X in groups:
+        w, ess = group_weights(c_s, B_s, X)
+        if ess >= min_ess_frac * len(X):
+            kept.append((X, w, ess))
+    n_kept = len(kept)
+    if not kept:
+        c_s, B_s, X = groups[-1]
+        kept = [(X, *group_weights(c_s, B_s, X))]
+    n = len(c)
+    mu, second, total = np.zeros(n), np.zeros((n, n)), 0.0
+    acc = dict.fromkeys((name for name, _ in tracked), 0.0)
+    for X, w, ess in kept:
+        mu += ess * (w @ X)
+        second += ess * (X.T @ (X * w[:, None]))
+        for name, E in tracked:
+            acc[name] += ess * float(w @ (E.signed_distance(X) >= 0.0))
+        total += ess
+    mu /= total
+    cov = second / total - np.outer(mu, mu)
+    g = {}
+    for name, a in acc.items():
+        val = a / total
+        g[name] = (val, math.sqrt(max(val * (1.0 - val), 0.0) / total))
+    return (mu, cov, g, total), n_kept
+
+
+def test_pool_matches_per_snapshot_oracle():
+    gen = np.random.default_rng(77)
+    n = 4
+
+    def psd(scale):
+        L = gen.standard_normal((n, n))
+        return scale * (L @ L.T)
+
+    c = gen.standard_normal(n)
+    B = psd(0.3)
+    direction = np.ones(n) / 2.0
+    groups = []
+    # snapshots drawn at tilts ever further from the query, so the far
+    # ones fall under min_ess_frac and are skipped
+    for offset in (3.0, 2.0, 0.0, 1.5, 0.5, 1.0, 0.25):
+        c_s = c + offset * direction
+        B_s = B + psd(0.05)
+        groups.append((c_s, B_s, gen.standard_normal((int(gen.integers(60, 140)), n))))
+    tracked = [("H", HalfspaceSet(np.array([1.0, 0.0, 0.0, 0.0]), 0.1)),
+               ("S", BallSet(np.zeros(n), 2.0))]
+    pool = ObservablePool(window=len(groups), min_ess_frac=0.3)
+    for c_s, B_s, X in groups:
+        pool.push(c_s, B_s, X)
+
+    # the near query keeps some snapshots and skips others; the far one
+    # skips all and falls back to the freshest
+    for query, near in ((c, True), (c + 40.0 * direction, False)):
+        (mu, cov, g, ess), n_kept = _pool_oracle(groups, query, B, tracked, 0.3)
+        assert (0 < n_kept < len(groups)) if near else n_kept == 0
+        got_mu, got_cov, got_g, got_ess = pool.estimate(query, B, tracked)
+        np.testing.assert_allclose(got_mu, mu, rtol=1e-10)
+        np.testing.assert_allclose(got_cov.matrix, cov, rtol=1e-10)
+        assert got_ess == pytest.approx(ess, rel=1e-10)
+        for name in g:
+            np.testing.assert_allclose(got_g[name], g[name], rtol=1e-10)
 
 
 def test_singular_covariance_raises_sloc_error():
