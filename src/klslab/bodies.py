@@ -387,11 +387,15 @@ def transform_body(body, M, shift=None):
     """Affine image of a body, preserving the kind where that is exact.
 
     Ellipsoids stay ellipsoids under any invertible linear map; balls and
-    cubes stay themselves under scalings (plus translation).  Everything
-    else is wrapped.
+    cubes stay themselves under scalings (plus translation).  A transformed
+    body composes into one map over its base, M2 (M1 x + s1) + s2, so
+    repeated transforms cost one matvec per oracle call, not one per level.
+    Everything else is wrapped.
     """
     M = np.asarray(M, dtype=float)
     shift = np.zeros(body.n) if shift is None else np.asarray(shift, dtype=float)
+    if isinstance(body, TransformedBody):
+        return transform_body(body.base, M @ body.M, M @ body.shift + shift)
     if isinstance(body, Ellipsoid):
         Minv = np.linalg.inv(M)
         E_new = Minv.T @ body.E @ Minv

@@ -12,6 +12,7 @@ bandwidth; CDFs are empirical.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -30,19 +31,36 @@ _N_BOOT = 16
 def silverman_bandwidth(z):
     """0.9 min(std, IQR/1.34) N^(-1/5), the rule-of-thumb width."""
     z = np.asarray(z, dtype=float)
-    return _silverman(z, z)
+    return _silverman(z, np.sort(z))
 
 
 def _silverman(z, zs):
-    """silverman_bandwidth(z), with the quantiles read from zs, which holds
-    the values of z in any order (a sorted copy makes them cheap)."""
+    """silverman_bandwidth(z), with the quantiles read from zs = sorted z."""
     n = z.size
     std = z.std()
-    q75, q25 = np.percentile(zs, [75, 25])
+    q75, q25 = _sorted_quantile(zs, 0.75), _sorted_quantile(zs, 0.25)
     spread = min(std, (q75 - q25) / 1.34) if q75 > q25 else std
     if spread <= 0:
         spread = max(abs(z).max(), 1.0) * 1e-6
     return 0.9 * spread * n ** (-0.2)
+
+
+def _sorted_quantile(zs, q):
+    """np.quantile(zs, q) for a sorted 1-D zs, without its partition pass.
+
+    The same linear interpolation, operation for operation: index
+    v = (N - 1) q, gamma = v - floor(v), then a + (b - a) gamma, or
+    b - (b - a)(1 - gamma) when gamma >= 1/2.  Python's float arithmetic
+    is numpy's float64 arithmetic, so the bits are the same.
+    """
+    v = (zs.size - 1) * q
+    i = math.floor(v)
+    if i >= zs.size - 1:
+        return float(zs[-1])
+    a, b = float(zs[i]), float(zs[i + 1])
+    gamma = v - i
+    d = b - a
+    return b - d * (1.0 - gamma) if gamma >= 0.5 else a + d * gamma
 
 
 def _kde_1d(z, grid_size=_KDE_GRID):

@@ -26,7 +26,8 @@ from .linalg import (CovMatrix, SingularCovarianceError, quad_rows, stieltjes_u,
                      sym_inv_sqrt)
 from .parallel import parallel_map
 from .rng import as_generator, as_stream
-from .walks import WalkError, _ball_cloud, default_delta, exact_sample, warm_start
+from .walks import (WalkError, advance_ensemble, default_delta, exact_sample,
+                    warm_start)
 
 __all__ = [
     "SlocError", "LocalizationState", "TrajectoryRecord", "ObservablePool",
@@ -120,22 +121,6 @@ class ObservablePool:
         return mu, cov, g, total
 
 
-def _advance_ensemble(density, X, logf, steps, delta, gen):
-    """Batched Metropolis ball-walk steps on every chain of the ensemble."""
-    m, n = X.shape
-    accepted = 0
-    for _ in range(steps):
-        Y = _ball_cloud(gen, m, n, X, delta)
-        logf_y = density.log_density_many(Y)
-        with np.errstate(divide="ignore"):
-            take = np.log(gen.random(m)) < (logf_y - logf)
-        if take.any():
-            X[take] = Y[take]
-            logf[take] = logf_y[take]
-        accepted += int(take.sum())
-    return accepted / float(steps * m)
-
-
 def _tune_inner_delta(state, gen, rounds=12, target=(0.25, 0.5)):
     """Grow or shrink the inner proposal radius until the Metropolis
     acceptance rate is useful.
@@ -146,8 +131,8 @@ def _tune_inner_delta(state, gen, rounds=12, target=(0.25, 0.5)):
     """
     lo, hi = target
     for _ in range(rounds):
-        rate = _advance_ensemble(state.density, state.ensemble,
-                                 state.log_ensemble, 4, state.delta, gen)
+        rate = advance_ensemble(state.density, state.ensemble,
+                                state.log_ensemble, 4, state.delta, gen)
         if rate > hi:
             state.delta *= 1.5
         elif rate < lo:
@@ -263,8 +248,8 @@ def _truncate_support(density, radius):
 def _refresh_estimates(state, gen):
     # proposal radius tracks the shrinking target so acceptance stays useful
     delta = state.delta * math.sqrt(min(1.0, max(state.cov.opnorm, 1e-12)))
-    rate = _advance_ensemble(state.density, state.ensemble, state.log_ensemble,
-                             state.inner_steps, delta, gen)
+    rate = advance_ensemble(state.density, state.ensemble, state.log_ensemble,
+                            state.inner_steps, delta, gen)
     state.pool.push(state.c, state.B, state.ensemble)
     _assign_estimates(state, rate)
 
@@ -361,9 +346,9 @@ def sloc_init(density, control="identity", tracked_sets=None, q=None, k=None,
     if delta is None:
         _tune_inner_delta(state, gen)
     for _ in range(max(1, int(init_refreshes))):
-        rate = _advance_ensemble(state.density, state.ensemble,
-                                 state.log_ensemble, state.inner_steps,
-                                 state.delta, gen)
+        rate = advance_ensemble(state.density, state.ensemble,
+                                state.log_ensemble, state.inner_steps,
+                                state.delta, gen)
         state.pool.push(state.c, state.B, state.ensemble)
     _assign_estimates(state, rate)
     _validate_measures(state)

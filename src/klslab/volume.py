@@ -39,10 +39,12 @@ from .densities import Uniform, Exponential, Gaussian, Boltzmann
 from .estimates import Estimate
 from .rng import as_generator
 from .walks import (make_stepper, run_chain, exact_sample, default_delta,
-                    hit_and_run_step, ChainState, WalkError)
+                    advance_ensemble, hit_and_run_step, ChainState, WalkError)
 
 TRUNCATION_TOL = 1e-6
 REL_VARIANCE_ABORT = 10.0
+# lockstep chains per dfk phase
+DFK_CHAINS = 64
 
 
 class VolumePhaseError(RuntimeError):
@@ -134,38 +136,47 @@ def ball_schedule(body) -> AnnealSchedule:
                           meta={"m": m, "r": r, "R": R})
 
 
-def dfk_volume(body, rng, k=1000, delta=None, thin=None, burn_in=None,
-               walk="ball_walk") -> VolumeResult:
+def dfk_volume(body, rng, k=1000, delta=None, thin=None,
+               burn_in=None) -> VolumeResult:
     """Volume by the ball sequence: sample each K_i uniformly with the
-    ball walk and count the fraction landing in K_{i-1}."""
+    ball walk and count the fraction landing in K_{i-1}.
+
+    K = min(k, DFK_CHAINS) chains walk in lockstep (walks.advance_ensemble).
+    They start from K exact draws in K_1 and carry their states from each
+    phase into the next.  In every phase each chain first takes burn_in
+    steps (default 50 n), then ceil(k / K) samples thin steps (default n)
+    apart; the first k samples give the phase ratio.
+    """
     sched = ball_schedule(body)
     radii = sched.params
     n = body.n
     rng = as_generator(rng)
     x0 = body.x0
-    thin = n if thin is None else int(thin)
+    thin = n if thin is None else max(1, int(thin))
     burn_in = 50 * n if burn_in is None else int(burn_in)
     delta = default_delta(n) if delta is None else float(delta)
+    chains = min(int(k), DFK_CHAINS)
+    per_chain = -(-int(k) // chains)
     log_v = log_ball_volume(n) + n * np.log(radii[0])
     var_log = 0.0
     phases = []
-    stepper = make_stepper(walk, delta)
-    x_start = None
+    X = None
     for i in range(1, len(radii)):
-        body_i = BallIntersection(body, radii[i], x0)
-        density_i = Uniform(body_i)
-        if x_start is None:
+        density_i = Uniform(BallIntersection(body, radii[i], x0))
+        if X is None:
             # exact start: K_1 fills at least half of its bounding ball
-            x_start = exact_sample(Uniform(Ball(n, radii[i], x0)), 64, rng)
-            inside = body_i.contains_many(x_start)
-            if not inside.any():
-                raise WalkError("could not seed the first annealing phase")
-            x_start = x_start[inside][0]
-        X, state = run_chain(stepper, density_i, x_start, n_samples=k,
-                             burn_in=burn_in, thin=thin, rng=rng,
-                             walk_kind=walk, delta=delta, return_state=True)
-        x_start = state.x.copy()
-        q = float(np.mean(np.linalg.norm(X - x0, axis=1) <= radii[i - 1]))
+            X = exact_sample(density_i, chains, rng)
+        logf = density_i.log_density_many(X)
+        accepted = 0.0
+        if burn_in:
+            accepted = burn_in * advance_ensemble(density_i, X, logf, burn_in,
+                                                  delta, rng)
+        samples = np.empty((per_chain, chains, n))
+        for j in range(per_chain):
+            accepted += thin * advance_ensemble(density_i, X, logf, thin, delta, rng)
+            samples[j] = X
+        samples = samples.reshape(-1, n)[:k]
+        q = float(np.mean(np.linalg.norm(samples - x0, axis=1) <= radii[i - 1]))
         if q <= 0.0:
             raise VolumePhaseError(i, float("inf"))
         if q < 0.4:
@@ -175,12 +186,13 @@ def dfk_volume(body, rng, k=1000, delta=None, thin=None, burn_in=None,
         log_v -= np.log(q)
         var_log += (se_q / q) ** 2
         phases.append({"phase": i, "param": float(radii[i]), "ratio": q,
-                       "se": float(se_q), "acceptance": state.acceptance_rate,
+                       "se": float(se_q),
+                       "acceptance": accepted / (burn_in + per_chain * thin),
                        "n_samples": k})
     value = float(np.exp(log_v))
     return VolumeResult(value, value * float(np.sqrt(var_log)), float(log_v),
                         len(radii) - 1, "ball_sequence", phases,
-                        meta={"factor": sched.factor, "k": k})
+                        meta={"factor": sched.factor, "k": k, "chains": chains})
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ Metropolis ball walk consume identical randomness for identical proposals,
 so with a uniform target they produce the same trajectory from the same
 stream; the tests pin that equivalence down.
 
+advance_ensemble is the one batched stepper: Metropolis ball-walk steps
+on K chains in lockstep, stored as the rows of a (K, n) array.  The
+sloc ensemble and the dfk volume phases run on it.
+
 Hit-and-run resamples the target restricted to a random chord, and the
 1-D restriction is always drawn exactly.  When it is truncated Gaussian,
 exponential, or uniform in the line parameter the draw is by inverse CDF.
@@ -37,6 +41,8 @@ _BISECT_CAP = 2200
 # the envelope accepts with probability >= 1/(1+e), so 1000 straight
 # rejections happen with probability below 1e-130
 _REJECT_CAP = 1000
+# rows per proposal batch of the exact rejection samplers
+_REJECT_BATCH = 256
 
 
 class WalkError(RuntimeError):
@@ -134,6 +140,27 @@ def metropolis_step(density: Density, state: ChainState, rng, delta=None) -> Cha
         log_fx = log_fy
     state._log_f = (density, state.x, log_fx)
     return state
+
+
+def advance_ensemble(density, X, logf, steps, delta, gen):
+    """Batched Metropolis ball-walk steps on every chain of the ensemble.
+
+    X holds one chain per row and logf their log-densities; both are
+    updated in place.  Every step draws one proposal per chain and one
+    uniform per chain, accept or not.  Returns the acceptance rate.
+    """
+    m, n = X.shape
+    accepted = 0
+    for _ in range(steps):
+        Y = _ball_cloud(gen, m, n, X, delta)
+        logf_y = density.log_density_many(Y)
+        with np.errstate(divide="ignore"):
+            take = np.log(gen.random(m)) < (logf_y - logf)
+        if take.any():
+            X[take] = Y[take]
+            logf[take] = logf_y[take]
+        accepted += int(take.sum())
+    return accepted / float(steps * m)
 
 
 def hit_and_run_step(density: Density, state: ChainState, rng) -> ChainState:
@@ -440,7 +467,7 @@ def _rejection(propose, accept_mask, count, max_batches):
     out = []
     got = 0
     for _ in range(max_batches):
-        batch = propose(max(count, 256))
+        batch = propose(max(count, _REJECT_BATCH))
         keep = batch[accept_mask(batch)]
         if keep.shape[0]:
             out.append(keep)
@@ -453,23 +480,25 @@ def _rejection(propose, accept_mask, count, max_batches):
 
 
 def warm_start(density, rng, burn_in=None):
-    """A start point roughly distributed as the target.
+    """A start point distributed as the target, or roughly so.
 
-    Low dimension (n <= 6) with an exact envelope: one rejection draw.
-    Otherwise: hit-and-run from the body's interior point with a long
-    burn-in (default 100 n^2 steps).
+    First one exact rejection draw, with a budget of as many proposals as
+    the fallback takes steps.  When the density has no exact sampler or
+    the budget runs out: hit-and-run from the body's interior point with
+    a long burn-in (default 100 n^2 steps).  The proposals are tested in
+    batches, so a spent budget costs 1-2% of the fallback's time.
     """
     rng = as_generator(rng)
     n = density.n
-    if n <= 6:
-        try:
-            return exact_sample(density, 1, rng)[0]
-        except ValueError:
-            pass
-    burn_in = 100 * n * n if burn_in is None else burn_in
+    burn_in = 100 * n * n if burn_in is None else int(burn_in)
+    try:
+        return exact_sample(density, 1, rng,
+                            max_batches=-(-burn_in // _REJECT_BATCH))[0]
+    except (ValueError, WalkError):
+        pass
     state = ChainState(x=density.body.x0.copy(), walk_kind="hit_and_run")
     if density.log_density(state.x) == float("-inf"):
         raise WalkError("body interior point has zero density; cannot warm start")
-    for _ in range(int(burn_in)):
+    for _ in range(burn_in):
         hit_and_run_step(density, state, rng)
     return state.x

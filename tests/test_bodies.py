@@ -108,6 +108,43 @@ def test_transform_body_kinds():
     assert not sheared.contains(np.array([1.6, 1.0]))
 
 
+def test_transform_of_transformed_body_composes():
+    # one wrapper over the original base with map M2 M1 and shift
+    # M2 s1 + s2, whose membership is the nested wrapper's off the boundary
+    gen = np.random.default_rng(41)
+    base = simplex(5)
+    M1, M2 = (np.eye(5) + 0.3 * gen.standard_normal((5, 5)) for _ in range(2))
+    s1, s2 = gen.standard_normal(5), gen.standard_normal(5)
+    once = transform_body(base, M1, s1)
+    nested = TransformedBody(once, M2, s2)
+    composed = transform_body(once, M2, s2)
+    assert type(composed) is TransformedBody and composed.base is base
+    np.testing.assert_array_equal(composed.M, M2 @ M1)
+    np.testing.assert_array_equal(composed.shift, M2 @ s1 + s2)
+    np.testing.assert_allclose(composed.x0, nested.x0, atol=1e-12)
+    assert transform_body(composed, M1, s1).base is base
+
+    # base points with every facet slack at least 1e-6 away from zero
+    XB = base.x0 + 0.25 * gen.uniform(-1.0, 1.0, (4000, 5))
+    slack = base.b - XB @ base.A.T
+    XB = XB[np.all(np.abs(slack) > 1e-6, axis=1)]
+    truth = base.contains_many(XB)
+    assert 100 < truth.sum() < len(XB) - 100
+    Y = (XB @ M1.T + s1) @ M2.T + s2
+    np.testing.assert_array_equal(composed.contains_many(Y), truth)
+    np.testing.assert_array_equal(nested.contains_many(Y), truth)
+    assert [composed.contains(y) for y in Y] == truth.tolist()
+
+    # r and R still hold around x0: the r-ball inside, every chord end
+    # within R
+    U = gen.standard_normal((500, 5))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    assert composed.contains_many(composed.x0 + (1 - 1e-9) * composed.r * U).all()
+    for u in U:
+        lo, hi = composed.chord(composed.x0, u)
+        assert max(-lo, hi) <= composed.R * (1 + 1e-9)
+
+
 def test_chord_through_boundary_points_unbounded_error():
     # direction with no exit would mean an unbounded body; the halfplane
     # x <= 1 alone is rejected at construction by the radius contract

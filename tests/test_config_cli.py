@@ -1,12 +1,14 @@
 """Config grammar, schema validation, and the command-line harness."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import klslab
 from klslab import __version__, cli
 from klslab.bodies import AxisCube, Ball
 from klslab.config import (ConfigError, ExperimentConfig, make_body,
@@ -519,10 +521,14 @@ def test_run_experiment_requires_subcommand(capsys):
 def test_module_entry_point(tmp_path):
     cfg_file = tmp_path / "v.cfg"
     cfg_file.write_text(VOLUME_CFG)
+    # the child imports the klslab this test imported, installed or not
+    src = os.path.dirname(os.path.dirname(klslab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "klslab.cli", "volume",
          "--config", str(cfg_file), "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("volume[dfk]:")
     assert (tmp_path / "o" / "volume_seed0.csv").exists()

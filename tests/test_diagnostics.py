@@ -5,6 +5,7 @@ from scipy import ndimage, stats
 from klslab.bodies import AxisCube
 from klslab.densities import Gaussian, Uniform
 from klslab.diagnostics import (BallSet, HalfspaceSet, SlabSet, _kde_1d,
+                                _sorted_quantile,
                                 ball_walk_mixing_estimate, compute_constants,
                                 conductance_tv_bound, default_shell_width,
                                 direction_family, halfspace_isoperimetry,
@@ -102,14 +103,18 @@ def test_halfspace_scan_needs_thresholds_above_floor(estimator):
 # gathered per bootstrap.  The package must reproduce it bit for bit.
 
 
-def _ref_kde(z):
-    n = z.size
+def _ref_silverman(z):
     std = z.std()
     q75, q25 = np.percentile(z, [75, 25])
     spread = min(std, (q75 - q25) / 1.34) if q75 > q25 else std
     if spread <= 0:
         spread = max(abs(z).max(), 1.0) * 1e-6
-    h = 0.9 * spread * n ** (-0.2)
+    return 0.9 * spread * z.size ** (-0.2)
+
+
+def _ref_kde(z):
+    n = z.size
+    h = _ref_silverman(z)
     edges = np.linspace(z.min() - 4 * h, z.max() + 4 * h, 1025)
     dx = edges[1] - edges[0]
     counts, _ = np.histogram(z, bins=edges)
@@ -185,6 +190,29 @@ def test_kde_matches_textbook_reference_bit_for_bit(column):
     got = _kde_1d(z)
     for a, b in zip(got, _ref_kde(z)):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("column", [
+    lambda: RngStream(24).generator().standard_normal(1001),
+    lambda: RngStream(25).generator().standard_normal(1000),
+    lambda: np.round(RngStream(26).generator().standard_normal(998), 1),
+    lambda: RngStream(27).generator().integers(0, 3, 11).astype(float),
+    lambda: np.full(6, -2.5),
+    lambda: np.array([4.0]),
+    # numpy's two interpolation forms differ in the last bit on these:
+    # q75 at gamma 3/4, and q25 at gamma exactly 1/2
+    lambda: np.array([0.87, 0.29]),
+    lambda: np.array([0.64, 0.04, 0.27]),
+], ids=["odd", "even", "ties", "three-values", "constant", "one", "two",
+        "three"])
+def test_sorted_quantile_matches_percentile_bit_for_bit(column):
+    z = column()
+    zs = np.sort(z)
+    q75, q25 = np.percentile(zs, [75, 25])
+    assert float(_sorted_quantile(zs, 0.75)).hex() == float(q75).hex()
+    assert float(_sorted_quantile(zs, 0.25)).hex() == float(q25).hex()
+    # the public bandwidth sorts its own copy; z stays in its order
+    assert float(silverman_bandwidth(z)).hex() == float(_ref_silverman(z)).hex()
 
 
 def test_subset_halfspace_matches_density():

@@ -5,8 +5,8 @@ from scipy.special import gammainccinv
 from klslab.bodies import AxisCube, Ball, Ellipsoid, simplex
 from klslab.densities import Boltzmann, Exponential, Uniform
 from klslab.rng import RngStream
-from klslab.volume import (OracleInconsistencyError, VolumePhaseError,
-                           anneal_optimize, ball_schedule,
+from klslab.volume import (DFK_CHAINS, OracleInconsistencyError,
+                           VolumePhaseError, anneal_optimize, ball_schedule,
                            cutting_plane_feasibility, dfk_volume,
                            exponential_schedule, gaussian_cooling_schedule,
                            gaussian_cooling_volume, log_ball_volume,
@@ -99,6 +99,26 @@ def test_dfk_volume_square():
     assert res.n_phases == len(res.phases)
     for row in res.phases:
         assert 0.4 <= row["ratio"] <= 1.0
+
+
+def test_dfk_cube3_unbiased_over_seeds():
+    # 64 lockstep chains per phase; the log error averages out to 0
+    errs = []
+    for seed in range(24):
+        res = dfk_volume(AxisCube(3), RngStream(100 + seed), k=2000)
+        assert res.meta["chains"] == DFK_CHAINS
+        errs.append(np.log(res.value / 8.0))
+    errs = np.array(errs)
+    se = errs.std(ddof=1) / np.sqrt(errs.size)
+    assert abs(errs.mean()) <= 3 * se
+
+
+def test_dfk_fewer_samples_than_chains():
+    res = dfk_volume(AxisCube(2), RngStream(8), k=10)
+    assert res.meta["chains"] == 10
+    assert all(row["n_samples"] == 10 for row in res.phases)
+    again = dfk_volume(AxisCube(2), RngStream(8), k=10)
+    assert again.value == res.value
 
 
 def test_lv_annealing_interval():

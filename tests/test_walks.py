@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from klslab.bodies import AxisCube, Ball, simplex, transform_body
+from klslab.bodies import (AxisCube, Ball, simplex, simplex_moments,
+                           transform_body)
 from klslab.densities import (Boltzmann, Exponential, Gaussian, Pushforward,
                                Tilted, Uniform)
+from klslab.isotropy import apply_to_body, rounding_transform
 from klslab.rng import RngStream
-from klslab.walks import (ChainState, WalkError, _ball_point, ball_walk_step,
-                          default_delta, exact_sample, hit_and_run_step,
-                          make_stepper, metropolis_step, run_chain,
-                          sample_chord_point, warm_start)
+from klslab.walks import (ChainState, WalkError, _ball_point, advance_ensemble,
+                          ball_walk_step, default_delta, exact_sample,
+                          hit_and_run_step, make_stepper, metropolis_step,
+                          run_chain, sample_chord_point, warm_start)
 
 
 def _chain_state(x, kind="ball_walk", delta=None):
@@ -261,6 +263,20 @@ def test_one_step_stationarity_uniform_cube():
     assert np.allclose(moved.var(axis=0), 1 / 3, atol=0.03)
 
 
+def test_one_step_stationarity_uniform_cube_batched():
+    # the same check for the lockstep stepper: one step of every chain
+    body = AxisCube(3)
+    dens = Uniform(body)
+    gen = RngStream(11).generator()
+    X = exact_sample(dens, 4000, gen)
+    logf = dens.log_density_many(X)
+    rate = advance_ensemble(dens, X, logf, 1, 0.6, gen)
+    assert 0.3 < rate < 0.9
+    assert np.all(body.contains_many(X)) and np.all(logf == 0.0)
+    assert np.all(np.abs(X.mean(axis=0)) < 4 * np.sqrt(1 / 3 / 4000))
+    assert np.allclose(X.var(axis=0), 1 / 3, atol=0.03)
+
+
 def test_coordinate_hit_and_run_rotated_square():
     # CHR must still mix to the right covariance on a rotated body
     theta = np.pi / 6
@@ -316,3 +332,33 @@ def test_warm_start_inside_support():
         dens = Uniform(AxisCube(n))
         x0 = warm_start(dens, RngStream(20 + n).generator())
         assert dens.log_density(x0) > -np.inf
+
+
+def _simplex8_gaussian(rounded):
+    body = simplex(8)
+    if rounded:
+        mean, cov = simplex_moments(8)
+        body = apply_to_body(body, rounding_transform(mean, cov))
+    return Gaussian(body, a=1.0)
+
+
+def test_warm_start_is_one_exact_draw_when_rejection_accepts():
+    dens = _simplex8_gaussian(rounded=True)
+    x0 = warm_start(dens, RngStream(40).generator())
+    exact = exact_sample(dens, 1, RngStream(40).generator())[0]
+    assert x0.tobytes() == exact.tobytes()
+
+
+def test_warm_start_falls_back_to_hit_and_run_after_budget():
+    # a standard Gaussian almost never lands in the unrounded simplex, so
+    # the 100 n^2 = 6400 proposals run out and hit-and-run takes over
+    dens = _simplex8_gaussian(rounded=False)
+    x0 = warm_start(dens, RngStream(41).generator())
+    assert dens.log_density(x0) > -np.inf
+    gen = RngStream(41).generator()
+    with pytest.raises(WalkError):
+        exact_sample(dens, 1, gen, max_batches=25)
+    state = ChainState(dens.body.x0.copy(), "hit_and_run")
+    for _ in range(6400):
+        hit_and_run_step(dens, state, gen)
+    assert x0.tobytes() == state.x.tobytes()
