@@ -39,8 +39,8 @@ from .volume import (AnnealSchedule, CutPlaneResult, OptimizeResult,
                      gaussian_cooling_volume, log_ball_volume,
                      lv_annealing_volume, optimize_schedule, ratio_estimator,
                      separation_oracle_for)
-from .walks import (ChainState, WalkError, advance_ensemble, ball_walk_step,
-                    coordinate_hit_and_run_step, default_delta, exact_sample,
-                    hit_and_run_step, make_stepper, metropolis_step, run_chain,
+from .walks import (ChainState, NoExactSampler, WalkError, advance_ensemble,
+                    ball_walk_step, coordinate_hit_and_run_step, default_delta,
+                    exact_sample, hit_and_run_step, metropolis_step, run_chain,
                     sample_chord_point, warm_start)
 from .config import ConfigError, ExperimentConfig, parse_config

@@ -3,9 +3,7 @@
 A body exposes membership, line-chord computation, and the rounding
 guarantees (r, R, x0): the body contains the ball of radius r around the
 interior point x0 and is contained in the ball of radius R around x0.
-Chords are computed in closed form for every built-in kind; a bisection
-fallback (relative tolerance 1e-9, at most 200 iterations) exists for
-exotic subclasses that only implement membership.
+Chords are computed in closed form for every built-in kind.
 
 The chord convention: chord(x, u) returns (t_lo, t_hi) such that
 x + t*u is in the body exactly for t in [t_lo, t_hi].  For interior x
@@ -29,9 +27,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-_CHORD_REL_TOL = 1e-9
-_CHORD_MAX_ITERS = 200
 
 
 class BodyError(ValueError):
@@ -62,31 +57,7 @@ class Body:
         return np.array([self.contains(row) for row in X], dtype=bool)
 
     def chord(self, x, u):
-        """Fallback chord by doubling + bisection; subclasses are analytic."""
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if not self.contains(x):
-            raise BodyError("chord anchor must lie in the body")
-        return (self._bisect_boundary(x, u, -1.0), self._bisect_boundary(x, u, 1.0))
-
-    def _bisect_boundary(self, x, u, sign):
-        unorm = float(np.linalg.norm(u))
-        if unorm == 0.0:
-            raise BodyError("chord direction must be nonzero")
-        # An interior anchor is within 2R of every boundary point.
-        t_out = sign * 4.0 * self.R / unorm + sign
-        if self.contains(x + t_out * u):
-            raise BodyError("direction appears unbounded; body guarantees violated")
-        t_in = 0.0
-        for _ in range(_CHORD_MAX_ITERS):
-            mid = 0.5 * (t_in + t_out)
-            if self.contains(x + mid * u):
-                t_in = mid
-            else:
-                t_out = mid
-            if abs(t_out - t_in) <= _CHORD_REL_TOL * max(1.0, abs(t_in)):
-                break
-        return t_in
+        raise NotImplementedError
 
 
 def _interval_from_rows(num, den):

@@ -31,7 +31,7 @@ from .volume import (OracleInconsistencyError, VolumePhaseError,
                      anneal_optimize, cutting_plane_feasibility, dfk_volume,
                      gaussian_cooling_volume, lv_annealing_volume,
                      separation_oracle_for)
-from .walks import WalkError, exact_sample, make_stepper, run_chain, warm_start
+from .walks import WalkError, exact_sample, run_chain, warm_start
 
 ENV_PREFIX = "KLSLAB_"
 _CSV_BLOCK = 4096  # rows per write of a float array
@@ -124,13 +124,10 @@ def _draw_samples(cfg, density, gen):
     count = walk.get("n_samples", 1000)
     if walk.get("exact", False):
         return exact_sample(density, count, gen)
-    kind = walk.get("kind", "hit_and_run")
-    stepper = make_stepper(kind, delta=walk.get("delta"))
     x0 = warm_start(density, gen)
-    return run_chain(stepper, density, x0, count,
-                     burn_in=walk.get("burn_in", 0),
-                     thin=walk.get("thin"), rng=gen, walk_kind=kind,
-                     delta=walk.get("delta"))
+    return run_chain(density, x0, count, walk=walk.get("kind", "hit_and_run"),
+                     burn_in=walk.get("burn_in", 0), thin=walk.get("thin"),
+                     rng=gen, delta=walk.get("delta"))
 
 
 # ---------------------------------------------------------------------------

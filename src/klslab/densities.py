@@ -222,9 +222,9 @@ class WithBody(Density):
 
     The unnormalized log-density inside the new body is unchanged, so
     chord profiles carry over; only membership changes.  Used for support
-    truncation and for conditioning on a cell of a partition.  Analytic
-    parameters (and the kind tag) are copied through so direct samplers
-    that reject against the body keep working.
+    truncation and for conditioning on a cell of a partition.  The kind
+    tag is the base's; walks.exact_sample unwraps to the base for its
+    analytic parameters.
     """
 
     def __init__(self, base: Density, body):
@@ -233,9 +233,6 @@ class WithBody(Density):
         super().__init__(body)
         self.base = base
         self.kind = base.kind
-        for attr in ("a", "center", "alpha", "c"):
-            if hasattr(base, attr):
-                setattr(self, attr, getattr(base, attr))
 
     def _log_inside(self, x):
         return self.base._log_inside(x)

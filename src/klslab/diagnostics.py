@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 from scipy import ndimage
 
-from .estimates import Estimate
+from .estimates import Estimate, bootstrap_se
 from .rng import as_generator
 
 _CDF_FLOOR = 0.01
@@ -321,16 +321,12 @@ def slicing_constant(samples, rng=None, n_boot=_N_BOOT, isotropy_tol=0.2):
         return (peak + np.log(s) - np.log(Zm.shape[0])
                 - 0.5 * n * np.log(2 * np.pi) - n * np.log(h))
 
-    def value_of(Zm, sd_):
-        logp = point_log_density(Zm) - np.log(sd_).sum()
+    def value_of(Zm):
+        logp = point_log_density(Zm) - np.log(sd).sum()
         return np.exp(logp / n) * np.sqrt(1.0 + h * h)
 
-    value = value_of(Z, sd)
-    boots = np.empty(n_boot)
-    for b in range(n_boot):
-        idx = rng.integers(0, N, size=N)
-        boots[b] = value_of(Z[idx], sd)
-    return Estimate(float(value), float(boots.std(ddof=1)), N, "kde_at_mean_root")
+    return Estimate(float(value_of(Z)), bootstrap_se(Z, value_of, rng, n_boot), N,
+                    "kde_at_mean_root")
 
 
 @dataclass

@@ -19,7 +19,7 @@ from .bodies import transform_body
 from .densities import Gaussian
 from .linalg import CovMatrix, sym_inv_sqrt
 from .rng import as_generator
-from .walks import make_stepper, run_chain, warm_start
+from .walks import run_chain, warm_start
 
 EIG_WINDOW = (0.5, 2.0)
 
@@ -99,12 +99,10 @@ def iterated_gaussian_isotropy(body, rng, max_iters=20, k=None, thin=None,
     total = AffineMap(np.eye(n), np.zeros(n))
     log = []
     current = body
-    stepper = make_stepper("metropolis")
     for it in range(int(max_iters)):
         density = Gaussian(current, a=1.0)
         x0 = warm_start(density, rng, burn_in=burn_in)
-        X = run_chain(stepper, density, x0, n_samples=k, burn_in=0,
-                      thin=thin, rng=rng, walk_kind="metropolis")
+        X = run_chain(density, x0, k, walk="metropolis", thin=thin, rng=rng)
         mean, cov = estimate_mean_cov(X)
         evals = cov.eigvals
         log.append({"iteration": it, "min_eig": float(evals[0]),

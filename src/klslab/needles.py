@@ -21,7 +21,7 @@ import numpy as np
 from .bodies import RestrictedBody
 from .densities import WithBody, body_of
 from .rng import as_stream
-from .walks import WalkError, exact_sample, make_stepper, run_chain, warm_start
+from .walks import run_chain, warm_start
 
 __all__ = ["NeedleCell", "NeedleResult", "needle_decompose", "balanced_split"]
 
@@ -99,12 +99,6 @@ def balanced_split(X, inside, i, j, n_steps=40):
     return theta, side, fstar, se
 
 
-def _cell_samples(density, x0, k, burn_in, thin, gen):
-    stepper = make_stepper("hit_and_run")
-    return run_chain(stepper, density, x0, k, burn_in=burn_in, thin=thin,
-                     rng=gen, walk_kind="hit_and_run")
-
-
 def _cut_body(body, normal, beta, x0):
     if isinstance(body, RestrictedBody):
         return body.with_cut(normal, beta, x0)
@@ -139,11 +133,8 @@ def needle_decompose(density, E, eps, max_depth, k=256, rng=None,
         gen = stream.substream(counter).generator()
         counter += 1
         if x0 is None:
-            try:
-                x0 = exact_sample(cell_density, 1, gen)[0]
-            except (WalkError, ValueError):
-                x0 = warm_start(cell_density, gen)
-        X = _cell_samples(cell_density, x0, k, burn_in, thin, gen)
+            x0 = warm_start(cell_density, gen)
+        X = run_chain(cell_density, x0, k, burn_in=burn_in, thin=thin, rng=gen)
         inside = E.signed_distance(X) >= 0.0
         a = float(inside.mean())
         if depth == 0 and not (0.25 <= a <= 0.75):

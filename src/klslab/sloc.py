@@ -26,8 +26,8 @@ from .linalg import (CovMatrix, SingularCovarianceError, quad_rows, stieltjes_u,
                      sym_inv_sqrt)
 from .parallel import parallel_map
 from .rng import as_generator, as_stream
-from .walks import (WalkError, advance_ensemble, default_delta, exact_sample,
-                    warm_start)
+from .walks import (NoExactSampler, WalkError, advance_ensemble, default_delta,
+                    exact_sample, warm_start)
 
 __all__ = [
     "SlocError", "LocalizationState", "TrajectoryRecord", "ObservablePool",
@@ -324,7 +324,7 @@ def sloc_init(density, control="identity", tracked_sets=None, q=None, k=None,
 
     try:
         X = exact_sample(work, k, gen)
-    except (WalkError, ValueError):
+    except (NoExactSampler, WalkError):
         x0 = warm_start(work, gen)
         X = np.tile(x0, (k, 1))
     X = np.array(X, dtype=float)

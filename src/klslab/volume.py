@@ -38,8 +38,8 @@ from .bodies import (Ball, BallIntersection, BodyError, RestrictedBody,
 from .densities import Uniform, Exponential, Gaussian, Boltzmann
 from .estimates import Estimate
 from .rng import as_generator
-from .walks import (make_stepper, run_chain, exact_sample, default_delta,
-                    advance_ensemble, hit_and_run_step, ChainState, WalkError)
+from .walks import (run_chain, exact_sample, default_delta, advance_ensemble,
+                    hit_and_run_step, ChainState, WalkError)
 
 TRUNCATION_TOL = 1e-6
 REL_VARIANCE_ABORT = 10.0
@@ -260,7 +260,6 @@ def _annealed_volume(body, rng, schedule, make_density, log_f0_integral,
     thin = max(1, n // 2) if thin is None else int(thin)
     burn_in = 50 * n if burn_in is None else int(burn_in)
     params = schedule.params
-    stepper = make_stepper("hit_and_run")
     log_v = log_f0_integral
     var_log = 0.0
     phases = []
@@ -270,10 +269,8 @@ def _annealed_volume(body, rng, schedule, make_density, log_f0_integral,
     labels = list(params) + [0.0]
     for i in range(len(densities) - 1):
         f_cur, f_next = densities[i], densities[i + 1]
-        X, state = run_chain(stepper, f_cur, x_start, n_samples=k,
-                             burn_in=burn_in, thin=thin, rng=rng,
-                             walk_kind="hit_and_run", return_state=True)
-        x_start = state.x.copy()
+        X = run_chain(f_cur, x_start, k, burn_in=burn_in, thin=thin, rng=rng)
+        x_start = X[-1].copy()
         est = ratio_estimator(X, f_next, f_cur)
         rel_var = (est.std_error * np.sqrt(k) / est.value) ** 2 if est.value > 0 else float("inf")
         if rel_var > REL_VARIANCE_ABORT:
@@ -282,7 +279,8 @@ def _annealed_volume(body, rng, schedule, make_density, log_f0_integral,
         var_log += (est.std_error / est.value) ** 2
         phases.append({"phase": i, "param": float(labels[i]),
                        "ratio": est.value, "se": est.std_error,
-                       "acceptance": state.acceptance_rate, "n_samples": k})
+                       # hit-and-run moves on every step
+                       "acceptance": 1.0, "n_samples": k})
     value = float(np.exp(log_v))
     return VolumeResult(value, value * float(np.sqrt(var_log)), float(log_v),
                         len(densities) - 1, method, phases,
@@ -356,16 +354,13 @@ def anneal_optimize(body, c, eps, rng, k=500, thin=None, burn_in=None,
     burn_in = 50 * n if burn_in is None else int(burn_in)
     alphas, a0, a_f = optimize_schedule(n, body.R, float(np.linalg.norm(c)),
                                         eps, alpha0)
-    stepper = make_stepper("hit_and_run")
     x_start = body.x0.copy()
     best_x, best_val = x_start.copy(), float(c @ x_start)
     trace = []
     for j, alpha in enumerate(alphas):
         density = Boltzmann(body, alpha, c)
-        X, state = run_chain(stepper, density, x_start, n_samples=k,
-                             burn_in=burn_in, thin=thin, rng=rng,
-                             walk_kind="hit_and_run", return_state=True)
-        x_start = state.x.copy()
+        X = run_chain(density, x_start, k, burn_in=burn_in, thin=thin, rng=rng)
+        x_start = X[-1].copy()
         vals = X @ c
         i_best = int(np.argmin(vals))
         if vals[i_best] < best_val:
@@ -442,16 +437,13 @@ def cutting_plane_feasibility(oracle, n, R, r, rng, m_per_iter=None,
     trace = []
     yes_points = []
     for it in range(max_iters):
-        density = Uniform(outer)
-        stepper = make_stepper("hit_and_run")
-        X, state = run_chain(stepper, density, x_interior, n_samples=m_per_iter,
-                             burn_in=50 * n, thin=2, rng=rng,
-                             walk_kind="hit_and_run", return_state=True)
+        X = run_chain(Uniform(outer), x_interior, m_per_iter, burn_in=50 * n,
+                      thin=2, rng=rng)
         x_bar = X.mean(axis=0)
         if not outer.contains(x_bar):
             # convexity guarantees this; numerical slack can break it at the
             # boundary, in which case fall back to the chain's end point
-            x_bar = state.x.copy()
+            x_bar = X[-1].copy()
         answer = oracle(x_bar)
         if answer is None:
             if target_body is not None and not target_body.contains(x_bar):
@@ -505,7 +497,7 @@ def _interior_after_cut(outer, retained, X, x_bar, a, b, rng):
         if hi > s_need:
             return p + 0.5 * (s_need + hi) * d
     # last resort: random steps until one lands on the kept side
-    state = ChainState(x=x_bar.copy(), walk_kind="hit_and_run")
+    state = ChainState(x=x_bar.copy())
     for _ in range(200):
         hit_and_run_step(Uniform(outer), state, rng)
         if float(a @ state.x) < b:

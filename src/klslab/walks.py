@@ -1,5 +1,13 @@
 """Geometric random walks over logconcave densities.
 
+run_chain(density, x0, n_samples, walk=...) is the one way to run a
+chain; walk names the step: "ball_walk" (uniform targets only),
+"metropolis", "hit_and_run" or "coordinate_hit_and_run".  warm_start is
+the one way to start it: an exact draw when the density has one
+(exact_sample), else a long hit-and-run burn-in.  exact_sample raises
+NoExactSampler for a density with no exact law, and only that and
+WalkError send a caller to its fallback.
+
 Steppers share one convention: they mutate and return a ChainState, they
 draw randomness only from the generator they are handed, and a rejected
 proposal leaves the state at x (the walk stays).  The ball walk and the
@@ -49,6 +57,10 @@ class WalkError(RuntimeError):
     pass
 
 
+class NoExactSampler(ValueError):
+    """The density has no exact law for exact_sample to draw from."""
+
+
 def default_delta(n: int) -> float:
     """Default ball-walk step size delta = 1/sqrt(n)."""
     return 1.0 / np.sqrt(n)
@@ -66,7 +78,6 @@ class ChainState:
     """
 
     x: np.ndarray
-    walk_kind: str = ""
     delta: float = 0.0
     steps_taken: int = 0
     proposals_accepted: int = 0
@@ -370,27 +381,32 @@ def _bisect(f, inside, outside):
 # drivers
 
 
-def make_stepper(walk_kind, delta=None):
-    """Bind a walk kind ('ball_walk', 'metropolis', 'hit_and_run',
-    'coordinate_hit_and_run') into a (density, state, rng) stepper."""
-    if walk_kind == "ball_walk":
-        return lambda density, state, rng: ball_walk_step(density.body, state, rng, delta)
-    if walk_kind == "metropolis":
-        return lambda density, state, rng: metropolis_step(density, state, rng, delta)
-    if walk_kind == "hit_and_run":
-        return lambda density, state, rng: hit_and_run_step(density, state, rng)
-    if walk_kind == "coordinate_hit_and_run":
-        return lambda density, state, rng: coordinate_hit_and_run_step(density, state, rng)
-    raise ValueError(f"unknown walk kind {walk_kind!r}")
+def run_chain(density, x0, n_samples, walk="hit_and_run", burn_in=0, thin=None,
+              rng=None, delta=None):
+    """Run one chain of the named walk and collect n_samples thinned states.
 
-
-def run_chain(stepper, density, x0, n_samples, burn_in=0, thin=None, rng=None,
-              walk_kind="", delta=None, return_state=False):
-    """Run one chain and collect n_samples thinned states.
-
-    thin defaults to the dimension.  The chain is deterministic given the
-    generator: identical streams reproduce identical trajectories.
+    thin defaults to the dimension and delta, the ball-walk step size of
+    "ball_walk" and "metropolis", to default_delta(n).  The ball walk
+    tests membership only, so it takes uniform targets alone.  The chain
+    is deterministic given the generator: identical streams reproduce
+    identical trajectories.
     """
+    # the steppers are looked up by name on every call, so a rebinding of
+    # walks.<kind>_step (perfbench's tracer) sees every step
+    target = density
+    if walk == "ball_walk":
+        if density.kind != "uniform":
+            raise ValueError(f"walk 'ball_walk' tests membership only and would "
+                             f"ignore the {density.kind!r} density; use 'metropolis'")
+        step, target = ball_walk_step, density.body
+    elif walk == "metropolis":
+        step = metropolis_step
+    elif walk == "hit_and_run":
+        step = hit_and_run_step
+    elif walk == "coordinate_hit_and_run":
+        step = coordinate_hit_and_run_step
+    else:
+        raise ValueError(f"unknown walk kind {walk!r}")
     x0 = np.asarray(x0, dtype=float).copy()
     if density.log_density(x0) == float("-inf"):
         raise WalkError("chain start point has zero target density")
@@ -398,16 +414,14 @@ def run_chain(stepper, density, x0, n_samples, burn_in=0, thin=None, rng=None,
     n = density.n
     thin = n if thin is None else max(1, int(thin))
     delta = default_delta(n) if delta is None else delta
-    state = ChainState(x=x0, walk_kind=walk_kind, delta=delta)
+    state = ChainState(x=x0, delta=delta)
     for _ in range(int(burn_in)):
-        stepper(density, state, rng)
+        step(target, state, rng)
     out = np.empty((int(n_samples), n))
     for i in range(int(n_samples)):
         for _ in range(thin):
-            stepper(density, state, rng)
+            step(target, state, rng)
         out[i] = state.x
-    if return_state:
-        return out, state
     return out
 
 
@@ -416,7 +430,8 @@ def exact_sample(density, count, rng, max_batches=10000):
 
     Uniform on balls and axis cubes is direct; Gaussian, exponential and
     uniform on general bodies use exact rejection against their
-    unrestricted laws.  Raises for kinds with no safe envelope.
+    unrestricted laws.  Raises NoExactSampler for kinds with no safe
+    envelope.
     """
     count = int(count)
     rng = as_generator(rng)
@@ -432,7 +447,7 @@ def exact_sample(density, count, rng, max_batches=10000):
         return body.center + body.half_width * (2.0 * rng.random((count, n)) - 1.0)
     if isinstance(density, Gaussian):
         if density.a <= 0:
-            raise ValueError("gaussian with a=0 has no proper unrestricted law")
+            raise NoExactSampler("gaussian with a=0 has no proper unrestricted law")
         sd = 1.0 / np.sqrt(density.a)
 
         def propose(m):
@@ -451,7 +466,7 @@ def exact_sample(density, count, rng, max_batches=10000):
     if isinstance(density, Uniform):
         return _rejection(lambda m: _ball_cloud(rng, m, n, body.x0, body.R),
                           body.contains_many, count, max_batches)
-    raise ValueError(f"no exact sampler for density kind {density.kind!r}")
+    raise NoExactSampler(f"no exact sampler for density kind {density.kind!r}")
 
 
 def _ball_cloud(rng, count, n, center, radius):
@@ -494,9 +509,9 @@ def warm_start(density, rng, burn_in=None):
     try:
         return exact_sample(density, 1, rng,
                             max_batches=-(-burn_in // _REJECT_BATCH))[0]
-    except (ValueError, WalkError):
+    except (NoExactSampler, WalkError):
         pass
-    state = ChainState(x=density.body.x0.copy(), walk_kind="hit_and_run")
+    state = ChainState(x=density.body.x0.copy())
     if density.log_density(state.x) == float("-inf"):
         raise WalkError("body interior point has zero density; cannot warm start")
     for _ in range(burn_in):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from klslab.bodies import (AxisCube, Ball, BallIntersection, BodyError,
+from klslab import bodies
+from klslab.bodies import (AxisCube, Ball, BallIntersection, Body, BodyError,
                            Ellipsoid, Polytope, RestrictedBody, TransformedBody,
                            simplex, simplex_moments, transform_body)
 
@@ -183,6 +184,17 @@ def _kinds():
 
 
 KINDS = _kinds()
+
+
+def test_every_body_kind_has_its_own_chord():
+    # the base class has no generic chord: a kind must give its own
+    kinds = [cls for cls in vars(bodies).values()
+             if isinstance(cls, type) and issubclass(cls, Body) and cls is not Body]
+    assert len(kinds) == 7
+    for cls in kinds:
+        assert "chord" in cls.__dict__ and "contains" in cls.__dict__, cls.__name__
+    with pytest.raises(NotImplementedError):
+        Body(2, 1.0, 1.0, np.zeros(2)).chord(np.zeros(2), np.ones(2))
 
 
 def test_zero_direction_rejected():

@@ -489,6 +489,32 @@ def test_unbalanced_needle_root_exits_one(tmp_path, capsys):
     assert err.startswith("error:") and "root measure" in err
 
 
+def test_ball_walk_on_gaussian_exits_one(tmp_path, capsys):
+    # the ball walk ignores the density; on a Gaussian it would write
+    # uniform points, so the sample command refuses and names metropolis
+    cfg_file = tmp_path / "bw.cfg"
+    cfg_file.write_text('[body]\nkind = "cube"\nn = 2\nhalf_width = 5.0\n'
+                        '[density]\nkind = "gaussian"\na = 4.0\n'
+                        '[walk]\nkind = "ball_walk"\nn_samples = 50\n')
+    rc = cli.main(["sample", "--config", str(cfg_file), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'metropolis'" in err
+    assert not (tmp_path / "sample_seed0.csv").exists()
+
+
+def test_exact_sample_without_exact_law_exits_one(tmp_path, capsys):
+    # a = 0 leaves a flat Gaussian with no exact sampler: NoExactSampler
+    # is a ValueError, so exact = true on it is an input error
+    cfg_file = tmp_path / "ex.cfg"
+    cfg_file.write_text('[body]\nkind = "cube"\nn = 2\n'
+                        '[density]\nkind = "gaussian"\na = 0\n'
+                        '[walk]\nexact = true\nn_samples = 10\n')
+    rc = cli.main(["sample", "--config", str(cfg_file), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "no proper unrestricted law" in capsys.readouterr().err
+
+
 def test_runtime_estimation_failure_exits_two(tmp_path, capsys):
     # 2 ensemble points in 4 dimensions: the covariance estimate is rank
     # deficient, so inverse_sqrt_cov control must fail at the first step

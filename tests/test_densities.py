@@ -80,7 +80,7 @@ def test_with_body_restricts_support_only():
     assert small.log_density(inside) == pytest.approx(base.log_density(inside))
     assert small.log_density(outside) == -np.inf
     assert base.log_density(outside) > -np.inf
-    assert small.kind == "gaussian" and small.a == 1.0
+    assert small.kind == "gaussian" and small.base is base
     with pytest.raises(ValueError):
         WithBody(base, Ball(3))
 

@@ -59,3 +59,32 @@ def test_tracer_install_and_uninstall_restore_every_binding(monkeypatch):
         assert ("klslab.bodies", cls, "chord") in patched
     assert ("klslab.densities", "Density", "log_density") in patched
     assert _changed(before, _bindings()) == []
+
+
+def test_tracer_counts_every_run_chain_step(monkeypatch):
+    # walks.steps.<kind> counts calls of walks.<kind>_step; run_chain must
+    # reach the steppers through walks' module bindings on every call, or
+    # a traced run reads 0 steps
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    import numpy as np
+
+    from klslab import walks
+    from klslab.bodies import AxisCube
+    from klslab.densities import Gaussian, Uniform
+
+    cube = AxisCube(3)
+    targets = {"hit_and_run": Gaussian(cube, a=1.0),
+               "metropolis": Gaussian(cube, a=1.0),
+               "ball_walk": Uniform(cube)}
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for walk, density in targets.items():
+            label = f"walks.step.{walk}"
+            before = tracer.calls[label]
+            walks.run_chain(density, np.zeros(3), 7, walk=walk, burn_in=5,
+                            thin=2, rng=0)
+            assert tracer.calls[label] - before == 5 + 7 * 2, walk
+    finally:
+        tracer.uninstall()

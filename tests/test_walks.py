@@ -7,17 +7,19 @@ from scipy import integrate, stats
 from klslab.bodies import (AxisCube, Ball, simplex, simplex_moments,
                            transform_body)
 from klslab.densities import (Boltzmann, Exponential, Gaussian, Pushforward,
-                               Tilted, Uniform)
+                               Tilted, Uniform, WithBody)
 from klslab.isotropy import apply_to_body, rounding_transform
 from klslab.rng import RngStream
-from klslab.walks import (ChainState, WalkError, _ball_point, advance_ensemble,
-                          ball_walk_step, default_delta, exact_sample,
-                          hit_and_run_step, make_stepper, metropolis_step,
+from klslab.walks import (ChainState, NoExactSampler, WalkError, _ball_point,
+                          advance_ensemble, ball_walk_step, default_delta,
+                          exact_sample, hit_and_run_step, metropolis_step,
                           run_chain, sample_chord_point, warm_start)
 
+WALKS = ("ball_walk", "metropolis", "hit_and_run", "coordinate_hit_and_run")
 
-def _chain_state(x, kind="ball_walk", delta=None):
-    return ChainState(np.asarray(x, dtype=float), kind, delta, 0, 0)
+
+def _chain_state(x, delta=None):
+    return ChainState(np.asarray(x, dtype=float), delta, 0, 0)
 
 
 def test_ball_walk_and_metropolis_identical_on_uniform():
@@ -82,38 +84,83 @@ def test_metropolis_cached_log_density_matches_reference():
 
 def test_run_chain_deterministic_and_bookkeeping():
     dens = Uniform(AxisCube(2))
-    stepper = make_stepper("ball_walk", delta=0.5)
-    X1 = run_chain(stepper, dens, np.zeros(2), 50, burn_in=20, thin=3,
-                   rng=RngStream(4), walk_kind="ball_walk", delta=0.5)
-    X2 = run_chain(stepper, dens, np.zeros(2), 50, burn_in=20, thin=3,
-                   rng=RngStream(4), walk_kind="ball_walk", delta=0.5)
+    X1 = run_chain(dens, np.zeros(2), 50, walk="ball_walk", burn_in=20, thin=3,
+                   rng=RngStream(4), delta=0.5)
+    X2 = run_chain(dens, np.zeros(2), 50, walk="ball_walk", burn_in=20, thin=3,
+                   rng=RngStream(4), delta=0.5)
     assert np.array_equal(X1, X2)
     assert X1.shape == (50, 2)
 
 
+@pytest.mark.parametrize("walk", WALKS)
+def test_run_chain_replays_every_walk_from_one_stream(walk):
+    # the chain is a function of (density, x0, walk, stream): a rerun from
+    # the same RngStream gives the same bits, another seed other states
+    dens = Uniform(transform_body(AxisCube(3), np.diag([1.0, 2.0, 0.5])))
+
+    def chain(seed):
+        return run_chain(dens, np.zeros(3), 40, walk=walk, burn_in=10, thin=2,
+                         rng=RngStream(seed))
+
+    X = chain(6)
+    assert X.shape == (40, 3)
+    assert np.all(dens.body.contains_many(X))
+    assert X.tobytes() == chain(6).tobytes()
+    assert X.tobytes() != chain(7).tobytes()
+
+
+def test_run_chain_matches_hand_driven_steps():
+    # run_chain's walk="metropolis" is burn_in + n_samples * thin calls of
+    # metropolis_step at delta, on one generator, recording every thin-th x
+    dens = Gaussian(AxisCube(2, half_width=3.0), a=1.5)
+    X = run_chain(dens, np.zeros(2), 30, walk="metropolis", burn_in=7, thin=3,
+                  rng=RngStream(8), delta=0.7)
+    gen = RngStream(8).generator()
+    state = _chain_state(np.zeros(2), delta=0.7)
+    for _ in range(7):
+        metropolis_step(dens, state, gen)
+    for row in X:
+        for _ in range(3):
+            metropolis_step(dens, state, gen)
+        assert row.tobytes() == state.x.tobytes()
+
+
+def test_run_chain_unknown_walk_raises():
+    with pytest.raises(ValueError, match="unknown walk kind 'gibbs'"):
+        run_chain(Uniform(AxisCube(2)), np.zeros(2), 5, walk="gibbs")
+
+
+def test_run_chain_ball_walk_needs_uniform_target():
+    # the ball walk tests membership only: on a Gaussian it would return
+    # uniform points, so it refuses and names the walk that filters
+    dens = Gaussian(AxisCube(2, half_width=5.0), a=4.0)
+    with pytest.raises(ValueError, match="metropolis"):
+        run_chain(dens, np.zeros(2), 10, walk="ball_walk", rng=RngStream(1))
+    # a support restriction of a uniform density is still uniform
+    small = WithBody(Uniform(AxisCube(2)), Ball(2, radius=0.5))
+    X = run_chain(small, np.zeros(2), 10, walk="ball_walk", rng=RngStream(1))
+    assert np.all(np.linalg.norm(X, axis=1) <= 0.5)
+
+
 def test_run_chain_without_rng_uses_seed_zero():
     dens = Uniform(AxisCube(2))
-    stepper = make_stepper("ball_walk", delta=0.5)
-    X_default = run_chain(stepper, dens, np.zeros(2), 20)
-    X_zero = run_chain(stepper, dens, np.zeros(2), 20, rng=0)
+    X_default = run_chain(dens, np.zeros(2), 20, walk="ball_walk", delta=0.5)
+    X_zero = run_chain(dens, np.zeros(2), 20, walk="ball_walk", rng=0, delta=0.5)
     assert np.array_equal(X_default, X_zero)
 
 
 def test_run_chain_rejects_bad_start():
     dens = Uniform(AxisCube(2))
-    stepper = make_stepper("ball_walk")
     with pytest.raises(WalkError):
-        run_chain(stepper, dens, np.array([5.0, 0.0]), 10, rng=RngStream(0),
-                  walk_kind="ball_walk")
+        run_chain(dens, np.array([5.0, 0.0]), 10, walk="ball_walk", rng=RngStream(0))
 
 
 def test_metropolis_1d_gaussian_law():
     # standard normal restricted to [-8, 8]; KS against the normal CDF
     body = AxisCube(1, half_width=8.0)
     dens = Gaussian(body, a=1.0)
-    stepper = make_stepper("metropolis", delta=1.2)
-    X = run_chain(stepper, dens, np.zeros(1), 12000, burn_in=500, thin=5,
-                  rng=RngStream(17), walk_kind="metropolis", delta=1.2)
+    X = run_chain(dens, np.zeros(1), 12000, walk="metropolis", burn_in=500,
+                  thin=5, rng=RngStream(17), delta=1.2)
     stat = stats.kstest(X[:, 0], stats.norm.cdf).statistic
     assert stat < 0.02
 
@@ -121,9 +168,7 @@ def test_metropolis_1d_gaussian_law():
 def test_hit_and_run_gaussian_two_dim():
     body = AxisCube(2, half_width=8.0)
     dens = Gaussian(body, a=1.0)
-    stepper = make_stepper("hit_and_run")
-    X = run_chain(stepper, dens, np.zeros(2), 6000, burn_in=200, thin=3,
-                  rng=RngStream(21), walk_kind="hit_and_run")
+    X = run_chain(dens, np.zeros(2), 6000, burn_in=200, thin=3, rng=RngStream(21))
     stat = stats.kstest(X[:, 0], stats.norm.cdf).statistic
     assert stat < 0.03
     # orthogonal coordinates decorrelate
@@ -284,9 +329,8 @@ def test_coordinate_hit_and_run_rotated_square():
                   [np.sin(theta), np.cos(theta)]])
     body = transform_body(AxisCube(2), Q, np.zeros(2))
     dens = Uniform(body)
-    stepper = make_stepper("coordinate_hit_and_run")
-    X = run_chain(stepper, dens, np.zeros(2), 6000, burn_in=200, thin=4,
-                  rng=RngStream(13), walk_kind="coordinate_hit_and_run")
+    X = run_chain(dens, np.zeros(2), 6000, walk="coordinate_hit_and_run",
+                  burn_in=200, thin=4, rng=RngStream(13))
     cov = np.cov(X.T)
     expected = Q @ np.diag([1 / 3, 1 / 3]) @ Q.T
     assert np.allclose(cov, expected, atol=0.035)
@@ -298,10 +342,10 @@ def test_acceptance_rate_window_default_delta():
         dens = Uniform(body)
         delta = default_delta(n)
         assert delta == pytest.approx(1 / np.sqrt(n))
-        stepper = make_stepper("ball_walk", delta=delta)
-        _, state = run_chain(stepper, dens, np.zeros(n), 2000, rng=RngStream(n),
-                             walk_kind="ball_walk", delta=delta,
-                             return_state=True)
+        gen = RngStream(n).generator()
+        state = _chain_state(np.zeros(n), delta=delta)
+        for _ in range(2000 * n):
+            ball_walk_step(body, state, gen)
         assert 0.1 < state.acceptance_rate < 0.9
 
 
@@ -358,7 +402,30 @@ def test_warm_start_falls_back_to_hit_and_run_after_budget():
     gen = RngStream(41).generator()
     with pytest.raises(WalkError):
         exact_sample(dens, 1, gen, max_batches=25)
-    state = ChainState(dens.body.x0.copy(), "hit_and_run")
+    state = ChainState(dens.body.x0.copy())
     for _ in range(6400):
         hit_and_run_step(dens, state, gen)
     assert x0.tobytes() == state.x.tobytes()
+
+
+def test_warm_start_lets_a_library_value_error_through(monkeypatch):
+    # only NoExactSampler and WalkError send warm_start to its fallback; a
+    # builtin ValueError from inside exact_sample is a bug and surfaces
+    dens = _simplex8_gaussian(rounded=True)
+
+    def broken(X):
+        raise ValueError("broken membership")
+
+    monkeypatch.setattr(dens.body, "contains_many", broken)
+    with pytest.raises(ValueError, match="broken membership"):
+        warm_start(dens, RngStream(42).generator())
+
+
+def test_no_exact_sampler_is_typed_and_warm_start_falls_back():
+    flat = Gaussian(AxisCube(3), a=0.0)
+    tilted = Tilted(Uniform(AxisCube(3)), np.ones(3), 0.5)
+    for dens in (flat, tilted):
+        with pytest.raises(NoExactSampler):
+            exact_sample(dens, 1, RngStream(43).generator())
+        x0 = warm_start(dens, RngStream(43).generator(), burn_in=50)
+        assert dens.log_density(x0) > -np.inf
