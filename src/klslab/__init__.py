@@ -31,7 +31,7 @@ from .parallel import parallel_map
 from .rng import RngStream, as_generator, as_stream
 from .sloc import (LocalizationState, ObservablePool, SlocError,
                    TrajectoryRecord, moment_inequality_check, sloc_closed_form,
-                   sloc_init, sloc_run, sloc_step, stieltjes_potential)
+                   sloc_init, sloc_run, sloc_step)
 from .volume import (AnnealSchedule, CutPlaneResult, OptimizeResult,
                      OracleInconsistencyError, VolumePhaseError, VolumeResult,
                      anneal_optimize, ball_schedule, cutting_plane_feasibility,

@@ -31,7 +31,7 @@ from .volume import (OracleInconsistencyError, VolumePhaseError,
                      anneal_optimize, cutting_plane_feasibility, dfk_volume,
                      gaussian_cooling_volume, lv_annealing_volume,
                      separation_oracle_for)
-from .walks import WalkError, exact_sample, run_chain, warm_start
+from .walks import WalkError, exact_sample, run_chain
 
 ENV_PREFIX = "KLSLAB_"
 _CSV_BLOCK = 4096  # rows per write of a float array
@@ -124,8 +124,7 @@ def _draw_samples(cfg, density, gen):
     count = walk.get("n_samples", 1000)
     if walk.get("exact", False):
         return exact_sample(density, count, gen)
-    x0 = warm_start(density, gen)
-    return run_chain(density, x0, count, walk=walk.get("kind", "hit_and_run"),
+    return run_chain(density, None, count, walk=walk.get("kind", "hit_and_run"),
                      burn_in=walk.get("burn_in", 0), thin=walk.get("thin"),
                      rng=gen, delta=walk.get("delta"))
 
@@ -182,7 +181,8 @@ def _cmd_optimize(cfg, art):
     eps = cfg.schedule.get("eps", 0.1)
     k = cfg.schedule.get("k", 500)
     gen = RngStream(cfg.seed).generator()
-    result = anneal_optimize(body, np.asarray(c, float), eps, gen, k=k)
+    result = anneal_optimize(body, np.asarray(c, float), eps, gen, k=k,
+                             alpha0=cfg.schedule.get("alpha0"))
     art.write_csv(["phase", "alpha", "mean_objective", "se_objective",
                    "best_so_far", "n_samples"],
                   [[t["phase"], t["alpha"], t["mean_objective"],

@@ -63,8 +63,9 @@ def _sorted_quantile(zs, q):
     return b - d * (1.0 - gamma) if gamma >= 0.5 else a + d * gamma
 
 
-def _kde_1d(z, grid_size=_KDE_GRID):
-    """Binned Gaussian KDE; returns (centers, density, empirical cdf).
+def _kde_1d(z):
+    """Binned Gaussian KDE on _KDE_GRID bins; returns (centers, density,
+    empirical cdf).
 
     One sort of z feeds the bandwidth's quantiles, the grid's range, the
     bin counts and the empirical CDF; only the std reads z in its own
@@ -75,7 +76,7 @@ def _kde_1d(z, grid_size=_KDE_GRID):
     zs = np.sort(z)
     h = _silverman(z, zs)
     lo, hi = zs[0] - 4 * h, zs[-1] + 4 * h
-    edges = np.linspace(lo, hi, grid_size + 1)
+    edges = np.linspace(lo, hi, _KDE_GRID + 1)
     dx = edges[1] - edges[0]
     cum = np.searchsorted(zs, edges, side="left")
     cum[-1] = np.searchsorted(zs, edges[-1], side="right")
@@ -88,12 +89,12 @@ def _kde_1d(z, grid_size=_KDE_GRID):
     return centers, density, cdf
 
 
-def _profile_min(z, weight, floor=_CDF_FLOOR):
+def _profile_min(z, weight):
     """min over thresholds of f(s)/weight(m(s)), m = min(F(s), 1-F(s)),
-    and its argmin; thresholds with m below floor are skipped."""
+    and its argmin; thresholds with m below _CDF_FLOOR are skipped."""
     centers, density, cdf = _kde_1d(z)
     m = np.minimum(cdf, 1.0 - cdf)
-    ok = m >= floor
+    ok = m >= _CDF_FLOOR
     if not np.any(ok):
         raise ValueError("all thresholds below the CDF floor; too few samples")
     ratio = density[ok] / weight(m[ok])
@@ -121,31 +122,28 @@ def direction_family(samples, rng, n_random=None, n_eig=3):
     return np.vstack(dirs)
 
 
-def _halfspace_scan(X, directions, rng, n_boot, weight, floor=_CDF_FLOOR):
-    """Profile minima of every scan direction plus a bootstrap standard
-    error of their minimum over the directions.
+def _halfspace_scan(X, rng, n_boot, weight):
+    """Profile minima of every direction_family direction plus a bootstrap
+    standard error of their minimum over the directions.
 
     Returns (directions, per-direction minima, their thresholds, se).
     """
     rng = as_generator(rng)
-    if directions is None:
-        directions = direction_family(X, rng)
-    directions = np.asarray(directions, dtype=float)
+    directions = direction_family(X, rng)
     # one contiguous row of projections per direction
     Z = np.ascontiguousarray((X @ directions.T).T)
     per_dir = np.empty(len(Z))
     thresholds = np.empty(len(Z))
     for j, row in enumerate(Z):
-        per_dir[j], thresholds[j] = _profile_min(row, weight, floor)
+        per_dir[j], thresholds[j] = _profile_min(row, weight)
     boots = np.empty(n_boot)
     for b in range(n_boot):
         idx = rng.integers(0, X.shape[0], size=X.shape[0])
-        boots[b] = min(_profile_min(row[idx], weight, floor)[0] for row in Z)
+        boots[b] = min(_profile_min(row[idx], weight)[0] for row in Z)
     return directions, per_dir, thresholds, float(boots.std(ddof=1))
 
 
-def halfspace_isoperimetry(samples, directions=None, rng=None,
-                           n_boot=_N_BOOT, full_output=False):
+def halfspace_isoperimetry(samples, rng=None, full_output=False):
     """Best halfspace cut coefficient over a family of directions.
 
     Returns the minimum of the per-direction profiles as an Estimate with
@@ -154,7 +152,7 @@ def halfspace_isoperimetry(samples, directions=None, rng=None,
     """
     X = np.asarray(samples, dtype=float)
     directions, per_dir, thresholds, se = _halfspace_scan(
-        X, directions, rng, n_boot, lambda m: m)
+        X, rng, _N_BOOT, lambda m: m)
     best = int(np.argmin(per_dir))
     est = Estimate(float(per_dir[best]), se, X.shape[0], "halfspace_kde_min")
     if full_output:
@@ -163,14 +161,12 @@ def halfspace_isoperimetry(samples, directions=None, rng=None,
     return est
 
 
-def log_cheeger_halfspace(samples, directions=None, rng=None, floor=_CDF_FLOOR,
-                          n_boot=8):
+def log_cheeger_halfspace(samples, rng=None):
     """Halfspace scan with the Gaussian-isoperimetry weight:
     min f(s) / (m(s) sqrt(ln(e/m(s)))), m = min(F, 1-F)."""
     X = np.asarray(samples, dtype=float)
     _, per_dir, _, se = _halfspace_scan(
-        X, directions, rng, n_boot,
-        lambda m: m * np.sqrt(1.0 + np.log(1.0 / m)), floor)
+        X, rng, 8, lambda m: m * np.sqrt(1.0 + np.log(1.0 / m)))
     return Estimate(float(per_dir.min()), se, X.shape[0], "log_cheeger_halfspace")
 
 
@@ -291,13 +287,13 @@ def thin_shell(samples, full_output=False):
     return est
 
 
-def slicing_constant(samples, rng=None, n_boot=_N_BOOT, isotropy_tol=0.2):
+def slicing_constant(samples, rng=None):
     """(density at the mean)^(1/n) via a product-Gaussian KDE.
 
     The kernel inflates each marginal variance by h^2; the reported value
     multiplies by sqrt(1 + h^2) to undo that inflation (exact for Gaussian
     data, a controlled approximation otherwise).  Warns when the input is
-    visibly non-isotropic.
+    visibly non-isotropic: a covariance eigenvalue more than 0.2 from 1.
     """
     X = np.asarray(samples, dtype=float)
     rng = as_generator(rng)
@@ -306,7 +302,7 @@ def slicing_constant(samples, rng=None, n_boot=_N_BOOT, isotropy_tol=0.2):
     xc = X - mu
     cov = xc.T @ xc / N
     dev = np.abs(np.linalg.eigvalsh(cov) - 1.0).max()
-    if dev > isotropy_tol:
+    if dev > 0.2:
         warnings.warn(f"samples deviate from isotropic position by {dev:.3f} "
                       "in operator norm; slicing estimate may be biased")
     sd = np.sqrt(np.maximum(np.diag(cov), 1e-300))
@@ -325,7 +321,7 @@ def slicing_constant(samples, rng=None, n_boot=_N_BOOT, isotropy_tol=0.2):
         logp = point_log_density(Zm) - np.log(sd).sum()
         return np.exp(logp / n) * np.sqrt(1.0 + h * h)
 
-    return Estimate(float(value_of(Z)), bootstrap_se(Z, value_of, rng, n_boot), N,
+    return Estimate(float(value_of(Z)), bootstrap_se(Z, value_of, rng, _N_BOOT), N,
                     "kde_at_mean_root")
 
 
@@ -429,10 +425,11 @@ def ball_walk_mixing_estimate(n, psi):
     return float(n * n / (psi * psi))
 
 
-def lipschitz_tail_check(samples, test_fn: TestFunction, ts=None):
+def lipschitz_tail_check(samples, test_fn: TestFunction):
     """Tail table for a 1-Lipschitz statistic against exp(-t^2/(t+sqrt(n))).
 
-    Returns rows (t, empirical tail, envelope, flag); flag marks an
+    Returns rows (t, empirical tail, envelope, flag) at 13 even steps of t
+    from 0 to 3 sqrt(n); flag marks an
     empirical tail exceeding the envelope by more than 3 binomial se.
     The envelope carries no leading constant, so flags are advisory.
     """
@@ -440,10 +437,8 @@ def lipschitz_tail_check(samples, test_fn: TestFunction, ts=None):
     N, n = X.shape
     vals = test_fn.value(X)
     dev = np.abs(vals - np.median(vals))
-    if ts is None:
-        ts = np.linspace(0.0, 3.0 * np.sqrt(n), 13)
     rows = []
-    for t in ts:
+    for t in np.linspace(0.0, 3.0 * np.sqrt(n), 13):
         tail = float(np.mean(dev >= t))
         env = float(np.exp(-t * t / (t + np.sqrt(n))))
         se = np.sqrt(max(tail * (1 - tail), 1.0 / N) / N)

@@ -19,7 +19,7 @@ from .bodies import transform_body
 from .densities import Gaussian
 from .linalg import CovMatrix, sym_inv_sqrt
 from .rng import as_generator
-from .walks import run_chain, warm_start
+from .walks import run_chain
 
 EIG_WINDOW = (0.5, 2.0)
 
@@ -82,27 +82,26 @@ def apply_to_body(body, T: AffineMap):
     return transform_body(body, M, s)
 
 
-def iterated_gaussian_isotropy(body, rng, max_iters=20, k=None, thin=None,
-                               burn_in=None, window=EIG_WINDOW):
+def iterated_gaussian_isotropy(body, rng, max_iters=20, k=None):
     """Round a body by repeated Gaussian-restricted covariance estimation.
 
     Each iteration samples exp(-|x|^2/2) restricted to the current body
-    with the Metropolis ball walk, estimates the covariance, and whitens
-    when the smallest eigenvalue falls below the window.  Returns the
+    with the Metropolis ball walk (k = 64 n samples by default, n steps
+    apart, from a fresh warm start), estimates the covariance, and whitens
+    when the smallest eigenvalue falls below EIG_WINDOW.  Returns the
     accumulated map, the final body, and the per-iteration log.
     """
     n = body.n
     # normalize once so successive iterations advance one shared stream
     rng = as_generator(rng)
     k = 64 * n if k is None else int(k)
-    lo, hi = window
+    lo, hi = EIG_WINDOW
     total = AffineMap(np.eye(n), np.zeros(n))
     log = []
     current = body
     for it in range(int(max_iters)):
         density = Gaussian(current, a=1.0)
-        x0 = warm_start(density, rng, burn_in=burn_in)
-        X = run_chain(density, x0, k, walk="metropolis", thin=thin, rng=rng)
+        X = run_chain(density, None, k, walk="metropolis", rng=rng)
         mean, cov = estimate_mean_cov(X)
         evals = cov.eigvals
         log.append({"iteration": it, "min_eig": float(evals[0]),

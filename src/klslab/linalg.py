@@ -82,16 +82,16 @@ def quad_rows(X, B):
     return np.einsum("ij,ij->i", X @ B, X)
 
 
-def sym_inv_sqrt(A, rel_floor=1e-10):
+def sym_inv_sqrt(A):
     """A^{-1/2} via symmetric eigendecomposition.
 
     Raises SingularCovarianceError naming the null direction when the
-    smallest eigenvalue falls below rel_floor times the largest.
+    smallest eigenvalue falls below 1e-10 times the largest.
     """
     A = np.asarray(A, dtype=float)
     evals, evecs = np.linalg.eigh(0.5 * (A + A.T))
     top = float(evals[-1])
-    if top <= 0 or evals[0] <= rel_floor * top:
+    if top <= 0 or evals[0] <= 1e-10 * top:
         direction = np.array2string(evecs[:, 0], precision=4, suppress_small=True)
         raise SingularCovarianceError(
             f"covariance nearly singular: min eigenvalue {evals[0]:.3e} "
@@ -107,12 +107,12 @@ def sym_sqrt(A):
     return (evecs * np.sqrt(evals)) @ evecs.T
 
 
-def stieltjes_u(A, tol=1e-10):
+def stieltjes_u(A):
     """The barrier value u with tr((uI - A)^{-2}) = n and A <= uI.
 
     The left side decreases from +inf to 0 on (lambda_max, inf), so the
     root is unique.  Bisection on (lambda_max, lambda_max + 2] brackets
-    it, then Newton polishes to |step| <= tol.
+    it, then Newton polishes to a relative step of at most 1e-10.
     """
     if isinstance(A, CovMatrix):
         lam = A.eigvals
@@ -156,7 +156,7 @@ def stieltjes_u(A, tol=1e-10):
         u_new = u - gu / gprime(u)
         if not (lo < u_new < hi):
             u_new = 0.5 * (lo + hi)
-        converged = abs(u_new - u) <= tol * max(1.0, abs(u_new))
+        converged = abs(u_new - u) <= 1e-10 * max(1.0, abs(u_new))
         u = u_new
         if converged:
             break

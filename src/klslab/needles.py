@@ -21,7 +21,7 @@ import numpy as np
 from .bodies import RestrictedBody
 from .densities import WithBody, body_of
 from .rng import as_stream
-from .walks import run_chain, warm_start
+from .walks import run_chain
 
 __all__ = ["NeedleCell", "NeedleResult", "needle_decompose", "balanced_split"]
 
@@ -58,14 +58,14 @@ class NeedleResult:
         return kept / total
 
 
-def balanced_split(X, inside, i, j, n_steps=40):
+def balanced_split(X, inside, i, j):
     """Angle of a halfspace through the sample mean preserving E's measure.
 
     The halfspace normal is cos(t) e_i + sin(t) e_j; F(t) is the sample
     mean of (1_E - a) over the halfspace.  F(pi) = -F(0) by construction
     (a is the same-sample mean of 1_E), so a sign change is bracketed.
-    Returns (theta, side_mask, fhat, se); ties in the bisection move
-    toward the smaller angle.
+    Returns (theta, side_mask, fhat, se) after 40 bisection steps; ties
+    in the bisection move toward the smaller angle.
     """
     X = np.asarray(X, dtype=float)
     inside = np.asarray(inside, dtype=bool)
@@ -86,7 +86,7 @@ def balanced_split(X, inside, i, j, n_steps=40):
         return 0.0, side0, 0.0, se
     s0 = math.copysign(1.0, f0)
     lo, hi = 0.0, math.pi
-    for _ in range(n_steps):
+    for _ in range(40):
         mid = 0.5 * (lo + hi)
         fm, _ = fhat(mid)
         if fm == 0.0 or math.copysign(1.0, fm) != s0:
@@ -105,11 +105,13 @@ def _cut_body(body, normal, beta, x0):
     return RestrictedBody(body, normal[None, :], [beta], x0)
 
 
-def needle_decompose(density, E, eps, max_depth, k=256, rng=None,
-                     burn_in=None, thin=2):
+def needle_decompose(density, E, eps, max_depth, k=256, rng=None):
     """Partition the support into near-needle cells preserving E's measure.
 
-    E is a set descriptor with signed_distance (nonnegative inside).
+    E is a set descriptor with signed_distance (nonnegative inside).  Each
+    cell draws k hit-and-run samples 2 steps apart after a burn-in of 30 n
+    steps; the root cell warm-starts, every other cell starts from the
+    parent's sample deepest inside it.
     Returns a NeedleResult with per-cell statistics and the mass-fraction
     versus variance-threshold curve.
     """
@@ -118,8 +120,6 @@ def needle_decompose(density, E, eps, max_depth, k=256, rng=None,
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     n = density.n
-    if burn_in is None:
-        burn_in = 30 * n
     stream = as_stream(rng)
 
     root_body = body_of(density)
@@ -132,9 +132,7 @@ def needle_decompose(density, E, eps, max_depth, k=256, rng=None,
         cell_id, depth, weight, body, cell_density, x0 = queue.pop(0)
         gen = stream.substream(counter).generator()
         counter += 1
-        if x0 is None:
-            x0 = warm_start(cell_density, gen)
-        X = run_chain(cell_density, x0, k, burn_in=burn_in, thin=thin, rng=gen)
+        X = run_chain(cell_density, x0, k, burn_in=30 * n, thin=2, rng=gen)
         inside = E.signed_distance(X) >= 0.0
         a = float(inside.mean())
         if depth == 0 and not (0.25 <= a <= 0.75):

@@ -32,15 +32,13 @@ from .walks import (NoExactSampler, WalkError, advance_ensemble, default_delta,
 __all__ = [
     "SlocError", "LocalizationState", "TrajectoryRecord", "ObservablePool",
     "sloc_init", "sloc_step", "sloc_run", "sloc_closed_form",
-    "stieltjes_potential", "moment_inequality_check",
+    "moment_inequality_check",
     "default_q", "default_h",
 ]
 
 TRUNCATION_FACTOR = 10.0
 MEASURE_WINDOW = (0.25, 0.75)
 BALANCE_WINDOW = (0.25, 0.75)
-
-stieltjes_potential = stieltjes_u
 
 
 class SlocError(RuntimeError):
@@ -121,21 +119,20 @@ class ObservablePool:
         return mu, cov, g, total
 
 
-def _tune_inner_delta(state, gen, rounds=12, target=(0.25, 0.5)):
-    """Grow or shrink the inner proposal radius until the Metropolis
-    acceptance rate is useful.
+def _tune_inner_delta(state, gen):
+    """Grow or shrink the inner proposal radius, for at most 12 rounds of
+    4 steps, until the Metropolis acceptance rate lies in [1/4, 1/2].
 
     The conservative chain default 1/sqrt(n) mixes far too slowly on
     smooth targets: successive pool snapshots stay nearly identical and
     the pooled covariance never beats single-ensemble noise.
     """
-    lo, hi = target
-    for _ in range(rounds):
+    for _ in range(12):
         rate = advance_ensemble(state.density, state.ensemble,
                                 state.log_ensemble, 4, state.delta, gen)
-        if rate > hi:
+        if rate > 0.5:
             state.delta *= 1.5
-        elif rate < lo:
+        elif rate < 0.25:
             state.delta *= 0.7
         else:
             break
@@ -284,7 +281,7 @@ def _refresh_closed_form(state):
 
 def sloc_init(density, control="identity", tracked_sets=None, q=None, k=None,
               rng=None, inner_steps=8, window=16, init_refreshes=8,
-              delta=None, truncation_radius=None, closed_form=False):
+              closed_form=False):
     """State at t=0: zero tilt, observables estimated from the base density.
 
     closed_form=True requires a standard-Gaussian base with identity
@@ -318,9 +315,7 @@ def sloc_init(density, control="identity", tracked_sets=None, q=None, k=None,
         return state
 
     gen = as_generator(rng)
-    radius = TRUNCATION_FACTOR * math.sqrt(n) if truncation_radius is None \
-        else float(truncation_radius)
-    work, truncation = _truncate_support(density, radius)
+    work, truncation = _truncate_support(density, TRUNCATION_FACTOR * math.sqrt(n))
 
     try:
         X = exact_sample(work, k, gen)
@@ -341,10 +336,8 @@ def sloc_init(density, control="identity", tracked_sets=None, q=None, k=None,
         density=work, pool=ObservablePool(window=window),
         ensemble=X, log_ensemble=logf,
         inner_steps=int(inner_steps),
-        delta=default_delta(n) if delta is None else float(delta),
-        truncation=truncation)
-    if delta is None:
-        _tune_inner_delta(state, gen)
+        delta=default_delta(n), truncation=truncation)
+    _tune_inner_delta(state, gen)
     for _ in range(max(1, int(init_refreshes))):
         rate = advance_ensemble(state.density, state.ensemble,
                                 state.log_ensemble, state.inner_steps,
@@ -490,7 +483,7 @@ def _single_run(density, run_idx, stream, T, h, n_steps, record_every,
 def sloc_run(density, T, h=None, k=None, n_runs=1, tracked_sets=None,
              control="identity", q=None, rng=None, record_every=None,
              inner_steps=8, window=16, init_refreshes=8, closed_form=False,
-             truncation_radius=None, threads=1, keep_cov=False):
+             threads=1, keep_cov=False):
     """n_runs independent trajectories plus an across-run summary.
 
     The summary reports, per tracked set, the martingale check
@@ -505,9 +498,7 @@ def sloc_run(density, T, h=None, k=None, n_runs=1, tracked_sets=None,
     stream = as_stream(rng)
     init_kwargs = dict(control=control, tracked_sets=tracked_sets, q=q, k=k,
                        inner_steps=inner_steps, window=window,
-                       init_refreshes=init_refreshes,
-                       truncation_radius=truncation_radius,
-                       closed_form=closed_form)
+                       init_refreshes=init_refreshes, closed_form=closed_form)
 
     if h is None:
         probe = sloc_init(density, rng=stream.substream(n_runs).generator(),

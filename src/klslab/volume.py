@@ -83,15 +83,9 @@ def ratio_estimator(samples, f_next, f_cur) -> Estimate:
 
 @dataclass
 class AnnealSchedule:
-    kind: str
     params: np.ndarray         # radii for the ball sequence, rates otherwise
     factor: float = 1.0
     meta: dict = field(default_factory=dict)
-
-    @property
-    def n_phases(self):
-        return len(self.params) - 1 if self.kind == "ball_sequence" \
-            else len(self.params)
 
 
 @dataclass
@@ -132,19 +126,18 @@ def ball_schedule(body) -> AnnealSchedule:
         raise ValueError("body needs a positive inscribed radius")
     m = int(np.ceil(n * np.log2(R / r))) if R > r else 0
     radii = r * np.exp2(np.arange(m + 1) / n)
-    return AnnealSchedule("ball_sequence", radii, factor=2.0 ** (1.0 / n),
+    return AnnealSchedule(radii, factor=2.0 ** (1.0 / n),
                           meta={"m": m, "r": r, "R": R})
 
 
-def dfk_volume(body, rng, k=1000, delta=None, thin=None,
-               burn_in=None) -> VolumeResult:
+def dfk_volume(body, rng, k=1000) -> VolumeResult:
     """Volume by the ball sequence: sample each K_i uniformly with the
     ball walk and count the fraction landing in K_{i-1}.
 
     K = min(k, DFK_CHAINS) chains walk in lockstep (walks.advance_ensemble).
     They start from K exact draws in K_1 and carry their states from each
-    phase into the next.  In every phase each chain first takes burn_in
-    steps (default 50 n), then ceil(k / K) samples thin steps (default n)
+    phase into the next.  In every phase each chain first takes 50 n ball
+    walk steps of size default_delta(n), then ceil(k / K) samples n steps
     apart; the first k samples give the phase ratio.
     """
     sched = ball_schedule(body)
@@ -152,9 +145,9 @@ def dfk_volume(body, rng, k=1000, delta=None, thin=None,
     n = body.n
     rng = as_generator(rng)
     x0 = body.x0
-    thin = n if thin is None else max(1, int(thin))
-    burn_in = 50 * n if burn_in is None else int(burn_in)
-    delta = default_delta(n) if delta is None else float(delta)
+    thin = n
+    burn_in = 50 * n
+    delta = default_delta(n)
     chains = min(int(k), DFK_CHAINS)
     per_chain = -(-int(k) // chains)
     log_v = log_ball_volume(n) + n * np.log(radii[0])
@@ -167,10 +160,8 @@ def dfk_volume(body, rng, k=1000, delta=None, thin=None,
             # exact start: K_1 fills at least half of its bounding ball
             X = exact_sample(density_i, chains, rng)
         logf = density_i.log_density_many(X)
-        accepted = 0.0
-        if burn_in:
-            accepted = burn_in * advance_ensemble(density_i, X, logf, burn_in,
-                                                  delta, rng)
+        accepted = burn_in * advance_ensemble(density_i, X, logf, burn_in,
+                                              delta, rng)
         samples = np.empty((per_chain, chains, n))
         for j in range(per_chain):
             accepted += thin * advance_ensemble(density_i, X, logf, thin, delta, rng)
@@ -199,66 +190,70 @@ def dfk_volume(body, rng, k=1000, delta=None, thin=None,
 # exponential annealing (cooled rates) and Gaussian cooling
 
 
-def exponential_schedule(body, truncation_tol=TRUNCATION_TOL) -> AnnealSchedule:
+def _cooling(v0, span, end, n):
+    """Values v0 f^-i, i = 0..m, for the cooling factor f = 1 + 1/sqrt(n).
+
+    m starts at ceil(log(span) / log(f)), at least 1, and grows until the
+    last value is at most end.  Returns (values, f).
+    """
+    factor = 1.0 + 1.0 / np.sqrt(n)
+    m = max(int(np.ceil(np.log(span) / np.log(factor))), 1)
+    while True:
+        vals = v0 * factor ** (-np.arange(m + 1, dtype=float))
+        if vals[-1] <= end:
+            return vals, factor
+        m += 1
+
+
+def exponential_schedule(body) -> AnnealSchedule:
     """Rates alpha_0 > ... > alpha_m with alpha_0 ~ 2n/r and alpha_m <= 1/R.
 
-    alpha_0 is raised when 2n/r leaves more than truncation_tol of the
+    alpha_0 is raised when 2n/r leaves more than TRUNCATION_TOL of the
     unrestricted exp(-alpha_0 |x|) mass outside the inscribed ball, so the
     analytic phase-0 integral is valid to that tolerance.
     """
     n, r, R = body.n, body.r, body.R
     if r <= 0:
         raise ValueError("body needs a positive inscribed radius")
-    alpha0 = max(2.0 * n / r, float(gammainccinv(n, truncation_tol)) / r)
-    factor = 1.0 + 1.0 / np.sqrt(n)
-    m = int(np.ceil(np.log(alpha0 * R) / np.log(factor)))
-    m = max(m, 1)
-    alphas = alpha0 * factor ** (-np.arange(m + 1, dtype=float))
-    while alphas[-1] > 1.0 / R:
-        m += 1
-        alphas = alpha0 * factor ** (-np.arange(m + 1, dtype=float))
+    alpha0 = max(2.0 * n / r, float(gammainccinv(n, TRUNCATION_TOL)) / r)
+    alphas, factor = _cooling(alpha0, alpha0 * R, 1.0 / R, n)
     truncation = float(gammaincc(n, alpha0 * r))
-    return AnnealSchedule("exponential_rates", alphas, factor=factor,
+    return AnnealSchedule(alphas, factor=factor,
                           meta={"alpha0": alpha0, "truncation_bound": truncation,
-                                "m": m})
+                                "m": len(alphas) - 1})
 
 
-def gaussian_cooling_schedule(body, truncation_tol=TRUNCATION_TOL,
-                              roundness_c=4.0) -> AnnealSchedule:
+def gaussian_cooling_schedule(body) -> AnnealSchedule:
     """Gaussian coefficients a_0 ~ 4n/r^2 cooled to a_m <= 1/R^2.
 
     Reuses the exponential schedule's cooling factor; metadata records
     that this is a stand-in schedule rather than an accelerated one.
-    Requires a well-rounded body (R/r <= roundness_c * sqrt(n)).
+    Requires a well-rounded body (R/r <= 4 sqrt(n)).
     """
     n, r, R = body.n, body.r, body.R
     if r <= 0:
         raise ValueError("body needs a positive inscribed radius")
-    if R / r > roundness_c * np.sqrt(n):
+    if R / r > 4.0 * np.sqrt(n):
         raise ValueError(f"body not well-rounded: R/r = {R / r:.2f} exceeds "
-                         f"{roundness_c} sqrt(n) = {roundness_c * np.sqrt(n):.2f}")
-    a0 = max(4.0 * n / (r * r), 2.0 * float(gammainccinv(0.5 * n, truncation_tol)) / (r * r))
-    factor = 1.0 + 1.0 / np.sqrt(n)
-    m = max(int(np.ceil(np.log(a0 * R * R) / np.log(factor))), 1)
-    avals = a0 * factor ** (-np.arange(m + 1, dtype=float))
-    while avals[-1] > 1.0 / (R * R):
-        m += 1
-        avals = a0 * factor ** (-np.arange(m + 1, dtype=float))
+                         f"4.0 sqrt(n) = {4.0 * np.sqrt(n):.2f}")
+    a0 = max(4.0 * n / (r * r), 2.0 * float(gammainccinv(0.5 * n, TRUNCATION_TOL)) / (r * r))
+    avals, factor = _cooling(a0, a0 * R * R, 1.0 / (R * R), n)
     truncation = float(gammaincc(0.5 * n, 0.5 * a0 * r * r))
-    return AnnealSchedule("gaussian_cooling", avals, factor=factor,
+    return AnnealSchedule(avals, factor=factor,
                           meta={"a0": a0, "truncation_bound": truncation,
-                                "m": m, "schedule": "reused cooling factor"})
+                                "m": len(avals) - 1,
+                                "schedule": "reused cooling factor"})
 
 
 def _annealed_volume(body, rng, schedule, make_density, log_f0_integral,
-                     k, thin, burn_in, method):
+                     k, thin, method):
     """Common driver: telescope E[f_{i+1}/f_i] along the schedule, then a
     final phase from the last annealed density to the uniform one."""
     centered = _centered(body)
     n = centered.n
     rng = as_generator(rng)
     thin = max(1, n // 2) if thin is None else int(thin)
-    burn_in = 50 * n if burn_in is None else int(burn_in)
+    burn_in = 50 * n
     params = schedule.params
     log_v = log_f0_integral
     var_log = 0.0
@@ -287,7 +282,7 @@ def _annealed_volume(body, rng, schedule, make_density, log_f0_integral,
                         meta=dict(schedule.meta, factor=schedule.factor, k=k))
 
 
-def lv_annealing_volume(body, rng, k=1000, thin=None, burn_in=None) -> VolumeResult:
+def lv_annealing_volume(body, rng, k=1000, thin=None) -> VolumeResult:
     """Volume by exponential-rate annealing with hit-and-run sampling."""
     sched = exponential_schedule(body)
     n = body.n
@@ -295,10 +290,10 @@ def lv_annealing_volume(body, rng, k=1000, thin=None, burn_in=None) -> VolumeRes
     log_f0 = gammaln(n + 1.0) + log_ball_volume(n) - n * np.log(alpha0)
     return _annealed_volume(body, rng, sched,
                             lambda b, a: Exponential(b, a), log_f0,
-                            k, thin, burn_in, "exponential_annealing")
+                            k, thin, "exponential_annealing")
 
 
-def gaussian_cooling_volume(body, rng, k=1000, thin=None, burn_in=None) -> VolumeResult:
+def gaussian_cooling_volume(body, rng, k=1000) -> VolumeResult:
     """Volume by Gaussian cooling with hit-and-run sampling."""
     sched = gaussian_cooling_schedule(body)
     n = body.n
@@ -306,7 +301,7 @@ def gaussian_cooling_volume(body, rng, k=1000, thin=None, burn_in=None) -> Volum
     log_f0 = 0.5 * n * np.log(2.0 * np.pi / a0)
     return _annealed_volume(body, rng, sched,
                             lambda b, a: Gaussian(b, a), log_f0,
-                            k, thin, burn_in, "gaussian_cooling")
+                            k, None, "gaussian_cooling")
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +333,7 @@ def optimize_schedule(n, R, c_norm, eps, alpha0=None):
     return alphas, alpha0, alpha_f
 
 
-def anneal_optimize(body, c, eps, rng, k=500, thin=None, burn_in=None,
-                    alpha0=None) -> OptimizeResult:
+def anneal_optimize(body, c, eps, rng, k=500, alpha0=None) -> OptimizeResult:
     """Minimize c.x over the body by annealed Boltzmann sampling.
 
     Rates rise by e^{1/sqrt(n)} per phase until alpha >= n/eps; at the
@@ -350,8 +344,8 @@ def anneal_optimize(body, c, eps, rng, k=500, thin=None, burn_in=None,
     c = np.asarray(c, dtype=float).reshape(body.n)
     n = body.n
     rng = as_generator(rng)
-    thin = max(1, n // 2) if thin is None else int(thin)
-    burn_in = 50 * n if burn_in is None else int(burn_in)
+    thin = max(1, n // 2)
+    burn_in = 50 * n
     alphas, a0, a_f = optimize_schedule(n, body.R, float(np.linalg.norm(c)),
                                         eps, alpha0)
     x_start = body.x0.copy()
@@ -393,13 +387,13 @@ class CutPlaneResult:
     meta: dict = field(default_factory=dict)
 
 
-def separation_oracle_for(body, tol=0.0):
+def separation_oracle_for(body):
     """Membership/separation oracle for bodies with analytic separators."""
     if isinstance(body, Ball):
         def oracle(x):
             d = x - body.center
             dist = float(np.linalg.norm(d))
-            if dist <= body.radius + tol:
+            if dist <= body.radius:
                 return None
             a = d / dist
             return a, float(a @ body.center) + body.radius
@@ -408,7 +402,7 @@ def separation_oracle_for(body, tol=0.0):
         def oracle(x):
             slack = body.A @ x - body.b
             i = int(np.argmax(slack))
-            if slack[i] <= tol:
+            if slack[i] <= 0.0:
                 return None
             a = body.A[i]
             norm = np.linalg.norm(a)
@@ -418,8 +412,7 @@ def separation_oracle_for(body, tol=0.0):
 
 
 def cutting_plane_feasibility(oracle, n, R, r, rng, m_per_iter=None,
-                              max_iters=None, center=None,
-                              target_body=None) -> CutPlaneResult:
+                              max_iters=None, target_body=None) -> CutPlaneResult:
     """Find a point of a convex set K given only a separation oracle.
 
     Maintains an outer localizer (ball of radius R cut by the returned
@@ -428,7 +421,7 @@ def cutting_plane_feasibility(oracle, n, R, r, rng, m_per_iter=None,
     iterations.  Works whenever K contains a ball of radius r inside the
     initial ball.
     """
-    center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
+    center = np.zeros(n)
     rng = as_generator(rng)
     m_per_iter = 10 * n if m_per_iter is None else int(m_per_iter)
     max_iters = int(np.ceil(3.0 * n * np.log(R / r))) if max_iters is None else int(max_iters)

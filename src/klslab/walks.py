@@ -385,7 +385,9 @@ def run_chain(density, x0, n_samples, walk="hit_and_run", burn_in=0, thin=None,
               rng=None, delta=None):
     """Run one chain of the named walk and collect n_samples thinned states.
 
-    thin defaults to the dimension and delta, the ball-walk step size of
+    x0 = None starts the chain from warm_start(density, rng), drawn after
+    the walk is checked against the density.  thin defaults to the
+    dimension and delta, the ball-walk step size of
     "ball_walk" and "metropolis", to default_delta(n).  The ball walk
     tests membership only, so it takes uniform targets alone.  The chain
     is deterministic given the generator: identical streams reproduce
@@ -407,10 +409,12 @@ def run_chain(density, x0, n_samples, walk="hit_and_run", burn_in=0, thin=None,
         step = coordinate_hit_and_run_step
     else:
         raise ValueError(f"unknown walk kind {walk!r}")
+    rng = as_generator(rng)
+    if x0 is None:
+        x0 = warm_start(density, rng)
     x0 = np.asarray(x0, dtype=float).copy()
     if density.log_density(x0) == float("-inf"):
         raise WalkError("chain start point has zero target density")
-    rng = as_generator(rng)
     n = density.n
     thin = n if thin is None else max(1, int(thin))
     delta = default_delta(n) if delta is None else delta

@@ -1,6 +1,8 @@
 """Config grammar, schema validation, and the command-line harness."""
 
+import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import klslab
-from klslab import __version__, cli
+from klslab import __version__, cli, config, walks
 from klslab.bodies import AxisCube, Ball
 from klslab.config import (ConfigError, ExperimentConfig, make_body,
                            make_density, make_tracked_sets, parse_config,
@@ -355,16 +357,53 @@ def test_sample_chain_run_row_count_and_roundtrip(tmp_path):
         assert cli._fmt(float(cell)) == cell  # full round-trip precision
 
 
-def test_rerun_is_byte_identical(tmp_path):
-    cfg_file = tmp_path / "s.cfg"
-    cfg_file.write_text(SAMPLE_CFG)
+# one tiny config per subcommand, each volume method on its own
+RERUN_CFGS = {
+    "sample": SAMPLE_CFG,
+    "volume-dfk": '[body]\nkind = "cube"\nn = 3\n[schedule]\nmethod = "dfk"\nk = 200\n',
+    "volume-lv": '[body]\nkind = "cube"\nn = 2\n[schedule]\nmethod = "lv"\nk = 200\n',
+    "volume-cooling": ('[body]\nkind = "cube"\nn = 2\n[schedule]\n'
+                       'method = "cooling"\nk = 200\n'),
+    "optimize": ('[body]\nkind = "cube"\nn = 3\n[schedule]\nc = [1.0, 0.0, 0.0]\n'
+                 'eps = 0.5\nk = 100\n'),
+    "needles": '[body]\nkind = "cube"\nn = 3\n[needles]\nk = 128\nmax_depth = 2\n',
+    "cutplane": ('[body]\nkind = "ball"\nn = 3\n[cutplane]\ntarget_radius = 0.3\n'
+                 'target_offset = [0.4, 0.0, 0.0]\n'),
+    "isotropy": ('[body]\nkind = "cube"\nn = 2\nhalf_width = 0.5\n[isotropy]\n'
+                 'max_iters = 3\nk = 200\n'),
+    "constants": ('[body]\nkind = "cube"\nn = 2\nhalf_width = 1.7320508075688772\n'
+                  '[walk]\nn_samples = 200\n'),
+}
+
+
+@pytest.mark.parametrize("job", sorted(RERUN_CFGS))
+def test_rerun_is_byte_identical(tmp_path, job):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(RERUN_CFGS[job])
     blobs = []
     for d in ("a", "b"):
         out = tmp_path / d
-        assert cli.main(["sample", "--config", str(cfg_file),
+        assert cli.main([job.split("-")[0], "--config", str(cfg_file),
                          "--out", str(out)]) == 0
-        blobs.append((out / "sample_seed1.csv").read_bytes())
-    assert blobs[0] == blobs[1]
+        blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert blobs[0] and blobs[0] == blobs[1]
+
+
+def test_optimize_starts_at_config_alpha0(tmp_path):
+    # cube n = 4, eps = 0.1: the target rate is 40, so alpha0 = 30 leaves
+    # ceil(sqrt(4) ln(40/30)) = 1 phase; the default start 1/(2 R |c|)
+    # = 1/4 needs ceil(2 ln 160) = 11
+    base = ('[experiment]\nseed = 3\n[body]\nkind = "cube"\nn = 4\n[schedule]\n'
+            'c = [1.0, 0.0, 0.0, 0.0]\neps = 0.1\nk = 50\n')
+    phases = {}
+    for label, extra in (("default", ""), ("alpha0", "alpha0 = 30.0\n")):
+        cfg_file = tmp_path / f"{label}.cfg"
+        cfg_file.write_text(base + extra)
+        out = tmp_path / label
+        assert cli.main(["optimize", "--config", str(cfg_file), "--out", str(out)]) == 0
+        phases[label] = json.loads((out / "optimize_seed3.json").read_text())[
+            "optimize"]["n_phases"]
+    assert phases == {"default": 11, "alpha0": math.ceil(2 * math.log(40 / 30))}
 
 
 def test_thread_count_does_not_change_output(tmp_path):
@@ -489,15 +528,22 @@ def test_unbalanced_needle_root_exits_one(tmp_path, capsys):
     assert err.startswith("error:") and "root measure" in err
 
 
-def test_ball_walk_on_gaussian_exits_one(tmp_path, capsys):
+def test_ball_walk_on_gaussian_exits_one(tmp_path, capsys, monkeypatch):
     # the ball walk ignores the density; on a Gaussian it would write
-    # uniform points, so the sample command refuses and names metropolis
+    # uniform points, so the sample command refuses and names metropolis,
+    # before it spends a warm start under any module's binding
+    warm_starts = []
+    for mod in (walks, cli):
+        monkeypatch.setattr(mod, "warm_start",
+                            lambda *args, **kwargs: warm_starts.append(args),
+                            raising=False)
     cfg_file = tmp_path / "bw.cfg"
     cfg_file.write_text('[body]\nkind = "cube"\nn = 2\nhalf_width = 5.0\n'
                         '[density]\nkind = "gaussian"\na = 4.0\n'
                         '[walk]\nkind = "ball_walk"\nn_samples = 50\n')
     rc = cli.main(["sample", "--config", str(cfg_file), "--out", str(tmp_path)])
     assert rc == 1
+    assert warm_starts == []
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'metropolis'" in err
     assert not (tmp_path / "sample_seed0.csv").exists()
@@ -537,6 +583,24 @@ def test_library_bug_is_not_an_estimation_failure(tmp_path, monkeypatch):
     monkeypatch.setitem(cli._HANDLERS, "sample", broken)
     with pytest.raises(NotImplementedError, match="unfinished handler"):
         cli.main(["sample", "--out", str(tmp_path)])
+
+
+def test_every_config_key_reaches_the_code():
+    # a key the schema accepts but no make_* function or handler reads
+    # would be parsed and then silently ignored
+    readers = [f for name, f in vars(config).items() if name.startswith("make_")]
+    for name, handler in vars(cli).items():
+        if name.startswith("_cmd_"):
+            # the handler and the cli helpers it calls, such as _draw_samples
+            readers.append(handler)
+            readers += [getattr(cli, g) for g in handler.__code__.co_names
+                        if g.startswith("_")
+                        and inspect.isfunction(getattr(cli, g, None))]
+    source = "".join(inspect.getsource(f) for f in readers)
+    unread = [f"[{section}] {key}" for section, keys in config._SCHEMA.items()
+              if section != "experiment" for key in keys
+              if f'get("{key}"' not in source and f'["{key}"]' not in source]
+    assert unread == []
 
 
 def test_run_experiment_requires_subcommand(capsys):

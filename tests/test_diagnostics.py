@@ -95,7 +95,7 @@ def test_halfspace_scan_needs_thresholds_above_floor(estimator):
     # one sample: the empirical CDF is 0 or 1 at every threshold
     X = np.ones((1, 3))
     with pytest.raises(ValueError, match="CDF floor"):
-        estimator(X, directions=np.eye(3), rng=RngStream(15).generator())
+        estimator(X, rng=RngStream(15).generator())
 
 
 # Textbook reference for the halfspace scan: np.percentile and np.histogram

@@ -429,3 +429,12 @@ def test_no_exact_sampler_is_typed_and_warm_start_falls_back():
             exact_sample(dens, 1, RngStream(43).generator())
         x0 = warm_start(dens, RngStream(43).generator(), burn_in=50)
         assert dens.log_density(x0) > -np.inf
+
+
+def test_run_chain_without_start_point_warm_starts_on_its_stream():
+    # x0 = None is warm_start then run_chain on the same generator
+    dens = Gaussian(simplex(3), a=2.0)
+    g1, g2 = RngStream(44).generator(), RngStream(44).generator()
+    X = run_chain(dens, None, 20, walk="metropolis", rng=g1)
+    ref = run_chain(dens, warm_start(dens, g2), 20, walk="metropolis", rng=g2)
+    np.testing.assert_array_equal(X, ref)
