@@ -10,6 +10,14 @@ Estimation runs on an ensemble of k inner Metropolis chains advanced a
 few steps per time step; recent ensemble snapshots are pooled with
 importance reweighting to the current tilt, which cuts the observable
 noise well below what one snapshot of size k could give.
+
+At t=0 the tilt is zero and the target is the base itself.  Where the
+base has an exact law (walks.exact_sample) the t=0 pool is filled with
+independent exact snapshots and the chains start from the last one;
+otherwise the chains start from one warm-start point, or from the first
+exact snapshot when the rest would cost more rejection proposals than
+the Metropolis refreshes they replace, and the pool is filled by those
+refreshes.
 """
 
 import math
@@ -26,8 +34,8 @@ from .linalg import (CovMatrix, SingularCovarianceError, quad_rows, stieltjes_u,
                      sym_inv_sqrt)
 from .parallel import parallel_map
 from .rng import as_generator, as_stream
-from .walks import (NoExactSampler, WalkError, advance_ensemble, default_delta,
-                    exact_sample, warm_start)
+from .walks import (_REJECT_BATCH, NoExactSampler, WalkError, advance_ensemble,
+                    default_delta, exact_sample, warm_start)
 
 __all__ = [
     "SlocError", "LocalizationState", "TrajectoryRecord", "ObservablePool",
@@ -121,7 +129,8 @@ class ObservablePool:
 
 def _tune_inner_delta(state, gen):
     """Grow or shrink the inner proposal radius, for at most 12 rounds of
-    4 steps, until the Metropolis acceptance rate lies in [1/4, 1/2].
+    4 steps, until the Metropolis acceptance rate lies in [1/4, 1/2];
+    returns the last round's acceptance rate.
 
     The conservative chain default 1/sqrt(n) mixes far too slowly on
     smooth targets: successive pool snapshots stay nearly identical and
@@ -136,6 +145,7 @@ def _tune_inner_delta(state, gen):
             state.delta *= 0.7
         else:
             break
+    return rate
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +294,17 @@ def sloc_init(density, control="identity", tracked_sets=None, q=None, k=None,
               closed_form=False):
     """State at t=0: zero tilt, observables estimated from the base density.
 
+    The t=0 pool holds init_refreshes snapshots of k points.  The first
+    snapshot is k exact draws; when the base has no exact law, the k
+    chains all start at one warm-start point instead.  The other
+    snapshots are exact draws too, on a budget of the
+    init_refreshes * inner_steps * k rejection proposals that the
+    refreshes they replace would have spent; the chains then continue
+    from the last snapshot and only tune their proposal radius.  Without
+    an exact first snapshot, or when that budget runs out, every snapshot
+    comes from inner_steps Metropolis steps of the chains.  meta["t0_pool"]
+    records which path ran ("exact" or "chain").
+
     closed_form=True requires a standard-Gaussian base with identity
     control; mean and covariance are then supplied analytically and no
     inner sampler runs (this mode is the discretization oracle).
@@ -309,19 +330,25 @@ def sloc_init(density, control="identity", tracked_sets=None, q=None, k=None,
             mean=np.zeros(n), cov=CovMatrix(np.eye(n)),
             phi=float(n), phi_q=float(n), u=2.0,
             tracked=tracked, g={}, g_se={}, accept_rate=1.0,
-            density=density, closed_form=True)
+            density=density, closed_form=True, meta={"t0_pool": "closed_form"})
         _refresh_closed_form(state)
         _validate_measures(state)
         return state
 
     gen = as_generator(rng)
     work, truncation = _truncate_support(density, TRUNCATION_FACTOR * math.sqrt(n))
+    refreshes = max(1, int(init_refreshes))
+    inner_steps = int(inner_steps)
 
     try:
         X = exact_sample(work, k, gen)
     except (NoExactSampler, WalkError):
-        x0 = warm_start(work, gen)
-        X = np.tile(x0, (k, 1))
+        X = np.tile(warm_start(work, gen), (k, 1))
+        snapshots = []
+    else:
+        snapshots = _exact_snapshots(work, X, refreshes, inner_steps, gen)
+    if snapshots:
+        X = snapshots[-1]
     X = np.array(X, dtype=float)
     logf = work.log_density_many(X)
     if not np.all(np.isfinite(logf)):
@@ -335,17 +362,38 @@ def sloc_init(density, control="identity", tracked_sets=None, q=None, k=None,
         tracked=tracked, g={}, g_se={}, accept_rate=1.0,
         density=work, pool=ObservablePool(window=window),
         ensemble=X, log_ensemble=logf,
-        inner_steps=int(inner_steps),
-        delta=default_delta(n), truncation=truncation)
-    _tune_inner_delta(state, gen)
-    for _ in range(max(1, int(init_refreshes))):
-        rate = advance_ensemble(state.density, state.ensemble,
-                                state.log_ensemble, state.inner_steps,
-                                state.delta, gen)
-        state.pool.push(state.c, state.B, state.ensemble)
+        inner_steps=inner_steps,
+        delta=default_delta(n), truncation=truncation,
+        meta={"t0_pool": "exact" if snapshots else "chain"})
+    for S in snapshots:
+        state.pool.push(state.c, state.B, S)
+    rate = _tune_inner_delta(state, gen)
+    if not snapshots:
+        for _ in range(refreshes):
+            rate = advance_ensemble(state.density, state.ensemble,
+                                    state.log_ensemble, inner_steps,
+                                    state.delta, gen)
+            state.pool.push(state.c, state.B, state.ensemble)
     _assign_estimates(state, rate)
     _validate_measures(state)
     return state
+
+
+def _exact_snapshots(work, first, refreshes, inner_steps, gen):
+    """first and refreshes - 1 more snapshots of exact draws of its size,
+    on a budget of the refreshes * inner_steps * k rejection proposals that
+    Metropolis refreshes of its k chains would spend; [] when it runs out."""
+    k = len(first)
+    rest = (refreshes - 1) * k
+    if not rest:
+        return [first]
+    budget = refreshes * inner_steps * k
+    try:
+        X = exact_sample(work, rest, gen,
+                         max_batches=budget // max(rest, _REJECT_BATCH))
+    except WalkError:
+        return []
+    return [first] + np.split(X, refreshes - 1)
 
 
 def _validate_measures(state):
@@ -427,6 +475,7 @@ class TrajectoryRecord:
     accept_rate: np.ndarray
     g_se: dict = None
     cov_list: list = None
+    t0_pool: str = None
 
     def columns(self):
         return (["run", "t", "phi", "phi_q", "opnorm", "u"]
@@ -477,7 +526,7 @@ def _single_run(density, run_idx, stream, T, h, n_steps, record_every,
         g={name: np.array(vals) for name, vals in g_rows.items()},
         accept_rate=np.array(rows["acc"]),
         g_se={name: np.array(vals) for name, vals in g_se_rows.items()},
-        cov_list=covs)
+        cov_list=covs, t0_pool=state.meta["t0_pool"])
 
 
 def sloc_run(density, T, h=None, k=None, n_runs=1, tracked_sets=None,
@@ -486,7 +535,8 @@ def sloc_run(density, T, h=None, k=None, n_runs=1, tracked_sets=None,
              threads=1, keep_cov=False):
     """n_runs independent trajectories plus an across-run summary.
 
-    The summary reports, per tracked set, the martingale check
+    The summary reports the t=0 pool path of the runs (see sloc_init;
+    "mixed" when runs differ), per tracked set the martingale check
     (mean g_T vs g_0 in combined-se units) and the balance frequency
     (fraction of runs with g in [1/4, 3/4] at every recorded time),
     and the empirical quantiles of the potential ratios.
@@ -525,9 +575,11 @@ def sloc_run(density, T, h=None, k=None, n_runs=1, tracked_sets=None,
 def _summarize_runs(records, T, h, record_every, control):
     n_runs = len(records)
     names = records[0].set_names
+    pools = {r.t0_pool for r in records}
     summary = {
         "n_runs": n_runs, "T": T, "h": h, "record_every": record_every,
         "control": control,
+        "t0_pool": pools.pop() if len(pools) == 1 else "mixed",
         "phi0_mean": float(np.mean([r.phi[0] for r in records])),
         "phiT_mean": float(np.mean([r.phi[-1] for r in records])),
         "sets": {},

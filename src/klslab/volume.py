@@ -327,7 +327,8 @@ def optimize_schedule(n, R, c_norm, eps, alpha0=None):
     if alpha0 is None:
         alpha0 = 1.0 / (2.0 * R * c_norm)
     if alpha0 >= alpha_f:
-        raise ValueError("alpha0 already beyond the target rate; lower it")
+        raise ValueError(f"alpha0 = {alpha0:g} is not below the target rate "
+                         f"n/eps = {alpha_f:g}")
     m = int(np.ceil(np.sqrt(n) * np.log(alpha_f / alpha0)))
     alphas = alpha0 * np.exp(np.arange(1, m + 1, dtype=float) / np.sqrt(n))
     return alphas, alpha0, alpha_f

@@ -406,6 +406,17 @@ def test_optimize_starts_at_config_alpha0(tmp_path):
     assert phases == {"default": 11, "alpha0": math.ceil(2 * math.log(40 / 30))}
 
 
+def test_optimize_alpha0_at_target_rate_names_both(tmp_path, capsys):
+    cfg_file = tmp_path / "o.cfg"
+    cfg_file.write_text('[body]\nkind = "cube"\nn = 4\n[schedule]\n'
+                        'c = [1.0, 0.0, 0.0, 0.0]\neps = 0.1\nalpha0 = 100.0\n')
+    rc = cli.main(["optimize", "--config", str(cfg_file),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert ("alpha0 = 100 is not below the target rate n/eps = 40"
+            in capsys.readouterr().err)
+
+
 def test_thread_count_does_not_change_output(tmp_path):
     cfg_file = tmp_path / "v.cfg"
     cfg_file.write_text(VOLUME_CFG)

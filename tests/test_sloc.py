@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 from scipy.special import ndtr
+from scipy.stats import chi2
 
-from klslab.bodies import AxisCube, Ball
-from klslab.densities import Gaussian, Uniform, WithBody
+from klslab import sloc, walks
+from klslab.bodies import AxisCube, Ball, simplex
+from klslab.densities import Boltzmann, Gaussian, Uniform, WithBody
 from klslab.diagnostics import BallSet, HalfspaceSet
 from klslab.rng import RngStream
 from klslab.sloc import (LocalizationState, ObservablePool, SlocError,
                          default_h, default_q, moment_inequality_check,
                          sloc_closed_form, sloc_init, sloc_run, sloc_step)
-from klslab.walks import exact_sample
+from klslab.walks import advance_ensemble, exact_sample
 
 ABS3_GAUSS = 1.5957691216057308  # E|x|^3 for x ~ N(0,1)
 
@@ -48,6 +50,7 @@ def test_closed_form_run_matches_analytic():
     assert state.phi == pytest.approx(4.0)
     assert state.u == pytest.approx(2.0)
     assert state.g["E0"] == pytest.approx(0.5)
+    assert state.meta["t0_pool"] == "closed_form"
     gen = RngStream(5).generator()
     for _ in range(10):
         sloc_step(state, 0.1, gen)
@@ -116,6 +119,68 @@ def test_init_without_rng_uses_seed_zero():
     s_zero = sloc_init(Uniform(AxisCube(2)), k=32, rng=0)
     assert np.array_equal(s_default.ensemble, s_zero.ensemble)
     assert np.array_equal(s_default.mean, s_zero.mean)
+
+
+def test_t0_g_se_matches_across_init_spread():
+    # 40 independent inits on the isotropic 8-cube: the across-init sd of
+    # g_0 over the mean reported g_se lies in the chi^2_39 99.9% band
+    dens = Uniform(AxisCube(8, half_width=np.sqrt(3.0)))
+    sets = {"E0": HalfspaceSet(np.eye(8)[0], 0.0)}
+    states = [sloc_init(dens, tracked_sets=sets, rng=RngStream(3000 + i))
+              for i in range(40)]
+    g = np.array([s.g["E0"] for s in states])
+    ratio = np.std(g, ddof=1) / np.mean([s.g_se["E0"] for s in states])
+    lo, hi = np.sqrt(chi2.ppf([0.0005, 0.9995], 39) / 39)
+    assert lo <= ratio <= hi
+
+
+def _count_init_work(monkeypatch, dens, **kwargs):
+    """sloc_init with its work counted: (state, tuning calls, refresh
+    calls, rejection proposals per exact draw).  Tuning rounds take 4
+    ensemble steps, refreshes inner_steps = 8."""
+    steps, proposals = [], []
+    rejection = walks._rejection
+
+    def counted_steps(density, X, logf, n_steps, delta, gen):
+        steps.append(n_steps)
+        return advance_ensemble(density, X, logf, n_steps, delta, gen)
+
+    def counted_rejection(propose, accept_mask, count, max_batches):
+        proposals.append(0)
+
+        def counted_propose(m):
+            proposals[-1] += m
+            return propose(m)
+
+        return rejection(counted_propose, accept_mask, count, max_batches)
+
+    monkeypatch.setattr(sloc, "advance_ensemble", counted_steps)
+    monkeypatch.setattr(walks, "_rejection", counted_rejection)
+    state = sloc_init(dens, rng=RngStream(21), **kwargs)
+    return state, steps.count(4), steps.count(8), proposals
+
+
+def test_init_work_counts(monkeypatch):
+    # exact law: the pool is exact snapshots, the chains only tune
+    state, tune, refresh, _ = _count_init_work(
+        monkeypatch, Uniform(AxisCube(8, half_width=np.sqrt(3.0))))
+    assert state.meta["t0_pool"] == "exact"
+    assert 1 <= tune <= 12 and refresh == 0
+    assert len(state.pool.groups) == 8
+    # no exact law: tuning plus init_refreshes refreshes
+    state, tune, refresh, _ = _count_init_work(
+        monkeypatch, Boltzmann(AxisCube(3), 1.0, np.ones(3)))
+    assert state.meta["t0_pool"] == "chain"
+    assert 1 <= tune <= 12 and refresh == 8
+    # rejection accepts about 1% on simplex(4) (k = 256): the other 4
+    # snapshots spend at most the refreshes' 5 * 8 * 256 proposals, run
+    # out, and the refreshes fill the pool
+    state, tune, refresh, proposals = _count_init_work(
+        monkeypatch, Uniform(simplex(4)), init_refreshes=5)
+    assert state.meta["t0_pool"] == "chain"
+    assert 1 <= tune <= 12 and refresh == 5
+    assert len(state.pool.groups) == 5
+    assert len(proposals) == 2 and proposals[1] <= 5 * 8 * 256
 
 
 def test_state_invariants_detect_tampering():
@@ -298,6 +363,7 @@ def test_sloc_run_record_grid_and_determinism():
                            "g_E0", "accept_rate"]
     assert len(list(r.rows())) == len(r.t)
     assert summary["n_runs"] == 3
+    assert summary["t0_pool"] == "exact"
     assert set(summary["sets"]["E0"]) >= {
         "g0_mean", "gT_mean", "combined_se", "martingale_dev",
         "martingale_ok", "max_dev_sigma", "balance_frequency"}
