@@ -10,22 +10,20 @@ __version__ = "0.1.0"
 
 from .bodies import (AxisCube, Ball, BallIntersection, Body, BodyError,
                      Ellipsoid, Polytope, RestrictedBody, TransformedBody,
-                     simplex, simplex_moments, transform_body)
-from .densities import (Boltzmann, Density, Exponential, Gaussian,
-                        Pushforward, Tilted, Uniform, WithBody,
-                        affine_pushforward, body_of, chord_profile)
+                     simplex, transform_body)
+from .densities import (Boltzmann, Density, Exponential, Gaussian, Tilted,
+                        Uniform, WithBody, chord_profile)
 from .diagnostics import (BallSet, ConstantsReport, HalfspaceSet, SlabSet,
                           ball_walk_mixing_estimate, compute_constants,
                           conductance_tv_bound, direction_family,
-                          halfspace_isoperimetry, lipschitz_tail_check,
-                          log_cheeger_halfspace, mixing_bounds,
-                          poincare_family_min, poincare_ratio,
+                          halfspace_isoperimetry, log_cheeger_halfspace,
+                          mixing_bounds, poincare_family_min, poincare_ratio,
                           slicing_constant, subset_isoperimetry, thin_shell)
-from .estimates import Estimate, mean_estimate
+from .estimates import Estimate
 from .isotropy import (AffineMap, apply_to_body, estimate_mean_cov,
                        iterated_gaussian_isotropy, rounding_transform)
 from .linalg import (CovMatrix, SingularCovarianceError, power_opnorm,
-                     stieltjes_u, sym_inv_sqrt, sym_sqrt)
+                     stieltjes_u, sym_inv_sqrt)
 from .needles import NeedleCell, NeedleResult, balanced_split, needle_decompose
 from .parallel import parallel_map
 from .rng import RngStream, as_generator, as_stream

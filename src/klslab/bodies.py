@@ -211,14 +211,6 @@ def simplex(n):
     return Polytope(A, b, r, R, x0)
 
 
-def simplex_moments(n):
-    """Exact mean and covariance of the uniform law on the standard simplex."""
-    mean = np.full(n, 1.0 / (n + 1))
-    c = 1.0 / ((n + 1) ** 2 * (n + 2))
-    cov = -c * np.ones((n, n)) + (n + 1) * c * np.eye(n)
-    return mean, cov
-
-
 class Ellipsoid(Body):
     """{x : x^T E x <= 1} for a symmetric positive definite shape matrix E."""
 

@@ -207,6 +207,13 @@ def _cmd_cutplane(cfg, art):
     if len(offset) != body.n:
         raise ConfigError([f"[cutplane] target_offset length {len(offset)}, "
                            f"body n={body.n}"])
+    # the hidden ball must sit inside the outer one: the iteration count
+    # ceil(3 n ln(R/r)) and the first cut both assume it
+    reach = float(np.linalg.norm(offset))
+    if not reach + r < body.radius:
+        raise ConfigError([f"[cutplane] |target_offset| = {reach:g} plus "
+                           f"target_radius = {r:g} must be below the [body] "
+                           f"radius {body.radius:g}"])
     target = Ball(body.n, radius=r, center=np.asarray(offset, float))
     gen = RngStream(cfg.seed).generator()
     result = cutting_plane_feasibility(

@@ -8,7 +8,9 @@ additive constant and equal to -inf outside the body.  The built-in kinds:
     exponential(alpha)      exp(-alpha |x|)
     boltzmann(alpha, c)     exp(-alpha c.x)
     tilted(base, c, B)      exp(c.x - x^T B x / 2) * base(x)
-    pushforward(base, M, s) law of y = M x + s for x ~ base
+
+WithBody(base, body) keeps a base density's log-density and kind on
+another support body.
 
 Chord restrictions: for hit-and-run we need the 1-D law along a segment.
 Every kind above gives that restriction in closed form,
@@ -28,7 +30,7 @@ import math
 
 import numpy as np
 
-from .bodies import Body, transform_body
+from .bodies import Body
 from .linalg import quad_rows
 
 _NEG_INF = float("-inf")
@@ -191,40 +193,14 @@ class Tilted(Density):
         return (alpha, tstar, d2, a + float(u @ Bu), b)
 
 
-class Pushforward(Density):
-    """Law of y = M x + shift when x follows the base density."""
-
-    kind = "pushforward"
-
-    def __init__(self, base: Density, M, shift=None):
-        M = np.asarray(M, dtype=float)
-        shift = np.zeros(base.n) if shift is None else np.asarray(shift, dtype=float)
-        super().__init__(transform_body(base.body, M, shift))
-        self.base = base
-        self.M = M
-        self.shift = shift
-        self._Minv = np.linalg.inv(M)
-
-    def _log_inside(self, x):
-        return self.base._log_inside(self._Minv @ (x - self.shift))
-
-    def _log_inside_many(self, X):
-        return self.base._log_inside_many((X - self.shift) @ self._Minv.T)
-
-    def _chord_coeffs(self, x, u):
-        xb = self._Minv @ (np.asarray(x, dtype=float) - self.shift)
-        ub = self._Minv @ np.asarray(u, dtype=float)
-        return self.base._chord_coeffs(xb, ub)
-
-
 class WithBody(Density):
     """The base density's shape restricted to a different support body.
 
     The unnormalized log-density inside the new body is unchanged, so
-    chord profiles carry over; only membership changes.  Used for support
-    truncation and for conditioning on a cell of a partition.  The kind
+    chord profiles carry over; only membership changes.  sloc's support
+    truncation and needles' partition cells are its two uses.  The kind
     tag is the base's; walks.exact_sample unwraps to the base for its
-    analytic parameters.
+    unrestricted law and tests membership against the new body.
     """
 
     def __init__(self, base: Density, body):
@@ -262,35 +238,3 @@ def chord_profile(density, x, u):
         return density._log_inside_many(pts)
 
     return ("generic", g)
-
-
-def affine_pushforward(density, M, shift=None):
-    """Pushforward under y = M x + shift, keeping the kind where exact.
-
-    Uniform stays uniform on the image body.  Gaussian is preserved by
-    similarity maps (scalar times orthogonal).  Boltzmann maps exactly to
-    Boltzmann with cost M^{-T} c.  Everything else wraps.
-    """
-    M = np.asarray(M, dtype=float)
-    shift = np.zeros(density.n) if shift is None else np.asarray(shift, dtype=float)
-    body = transform_body(density.body, M, shift)
-    if isinstance(density, Uniform):
-        return Uniform(body)
-    if isinstance(density, Boltzmann):
-        Minv = np.linalg.inv(M)
-        return Boltzmann(body, density.alpha, Minv.T @ density.c)
-    if isinstance(density, Gaussian):
-        MtM = M.T @ M
-        s2 = MtM[0, 0]
-        if np.allclose(MtM, s2 * np.eye(density.n)):
-            return Gaussian(body, density.a / s2, M @ density.center + shift)
-    return Pushforward(density, M, shift)
-
-
-def body_of(obj):
-    """Accept a Body or a Density and return the body."""
-    if isinstance(obj, Density):
-        return obj.body
-    if isinstance(obj, Body):
-        return obj
-    raise TypeError(f"expected Body or Density, got {type(obj).__name__}")

@@ -425,28 +425,6 @@ def ball_walk_mixing_estimate(n, psi):
     return float(n * n / (psi * psi))
 
 
-def lipschitz_tail_check(samples, test_fn: TestFunction):
-    """Tail table for a 1-Lipschitz statistic against exp(-t^2/(t+sqrt(n))).
-
-    Returns rows (t, empirical tail, envelope, flag) at 13 even steps of t
-    from 0 to 3 sqrt(n); flag marks an
-    empirical tail exceeding the envelope by more than 3 binomial se.
-    The envelope carries no leading constant, so flags are advisory.
-    """
-    X = np.asarray(samples, dtype=float)
-    N, n = X.shape
-    vals = test_fn.value(X)
-    dev = np.abs(vals - np.median(vals))
-    rows = []
-    for t in np.linspace(0.0, 3.0 * np.sqrt(n), 13):
-        tail = float(np.mean(dev >= t))
-        env = float(np.exp(-t * t / (t + np.sqrt(n))))
-        se = np.sqrt(max(tail * (1 - tail), 1.0 / N) / N)
-        rows.append({"t": float(t), "tail": tail, "envelope": env,
-                     "flag": bool(tail > env + 3 * se)})
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # bundled report
 

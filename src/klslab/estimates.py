@@ -22,16 +22,6 @@ class Estimate:
         return f"{self.value:.6g} +/- {self.std_error:.2g} (n={self.n_samples}, {self.method})"
 
 
-def mean_estimate(values) -> Estimate:
-    """Sample mean with the usual s/sqrt(n) standard error."""
-    v = np.asarray(values, dtype=float)
-    n = v.size
-    if n == 0:
-        raise ValueError("cannot estimate from zero samples")
-    se = float(v.std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
-    return Estimate(float(v.mean()), se, n, "mc_mean")
-
-
 def bootstrap_se(values, statistic, rng, n_boot=24) -> float:
     """Bootstrap standard error of statistic(values) over index resamples."""
     v = np.asarray(values)

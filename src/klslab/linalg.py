@@ -100,13 +100,6 @@ def sym_inv_sqrt(A):
     return (evecs * (1.0 / np.sqrt(evals))) @ evecs.T
 
 
-def sym_sqrt(A):
-    A = np.asarray(A, dtype=float)
-    evals, evecs = np.linalg.eigh(0.5 * (A + A.T))
-    evals = np.clip(evals, 0.0, None)
-    return (evecs * np.sqrt(evals)) @ evecs.T
-
-
 def stieltjes_u(A):
     """The barrier value u with tr((uI - A)^{-2}) = n and A <= uI.
 

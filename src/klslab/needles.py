@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import RestrictedBody
-from .densities import WithBody, body_of
+from .densities import WithBody
 from .rng import as_stream
 from .walks import run_chain
 
@@ -122,10 +122,9 @@ def needle_decompose(density, E, eps, max_depth, k=256, rng=None):
     n = density.n
     stream = as_stream(rng)
 
-    root_body = body_of(density)
     cells = []
     # queue rows: (cell_id, depth, weight, body, density, x0 or None)
-    queue = [("0", 0, 1.0, root_body, density, None)]
+    queue = [("0", 0, 1.0, density.body, density, None)]
     counter = 0
     n_flagged = 0
     while queue:

@@ -277,9 +277,9 @@ def _assign_estimates(state, rate):
 
 def _refresh_closed_form(state):
     n = state.n
-    var = 1.0 / (1.0 + state.t)
-    state.mean = state.c * var
-    state.cov = CovMatrix(var * np.eye(n))
+    state.mean, cov = sloc_closed_form(state.t, state.c)
+    var = float(cov[0, 0])
+    state.cov = CovMatrix(cov)
     state.phi = n * var * var
     state.phi_q = n * var ** state.q
     state.u = var + 1.0

@@ -1,6 +1,8 @@
 """Shared test plumbing: collects one pass/fail line per acceptance
-criterion and prints them in the terminal summary."""
+criterion and prints them in the terminal summary, and holds the exact
+oracles that more than one test module compares against."""
 
+import numpy as np
 import pytest
 
 _criterion_lines = []
@@ -17,6 +19,16 @@ def criterion_report():
         assert ok, line
 
     return record
+
+
+def simplex_moments(n):
+    """Exact mean and covariance of the uniform law on the standard simplex:
+    Dirichlet(1, ..., 1) coordinates, Var = n/((n+1)^2 (n+2)) and
+    off-diagonal covariance -1/((n+1)^2 (n+2))."""
+    mean = np.full(n, 1.0 / (n + 1))
+    c = 1.0 / ((n + 1) ** 2 * (n + 2))
+    cov = -c * np.ones((n, n)) + (n + 1) * c * np.eye(n)
+    return mean, cov
 
 
 def pytest_terminal_summary(terminalreporter):

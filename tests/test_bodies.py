@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from conftest import simplex_moments
 from hypothesis import given, settings, strategies as st
 
 from klslab import bodies
 from klslab.bodies import (AxisCube, Ball, BallIntersection, Body, BodyError,
                            Ellipsoid, Polytope, RestrictedBody, TransformedBody,
-                           simplex, simplex_moments, transform_body)
+                           simplex, transform_body)
 
 
 def test_ball_chord_oracle():
@@ -56,8 +57,6 @@ def test_simplex_membership_and_moments():
     assert s.contains(np.full(3, 0.2))
     assert not s.contains(np.full(3, 0.5))
     mean, cov = simplex_moments(3)
-    # Dirichlet(1,..,1) coordinates: Var = n/((n+1)^2 (n+2)),
-    # off-diagonal covariance = -1/((n+1)^2 (n+2))
     assert mean == pytest.approx(np.full(3, 0.25))
     assert cov[0, 0] == pytest.approx(3 / (16 * 5))
     assert cov[0, 1] == pytest.approx(-1 / (16 * 5))

@@ -560,6 +560,22 @@ def test_ball_walk_on_gaussian_exits_one(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "sample_seed0.csv").exists()
 
 
+@pytest.mark.parametrize("target, named", [
+    ("target_radius = 2.0\n", "|target_offset| = 0 plus target_radius = 2"),
+    ("target_offset = [5.0, 0.0]\n", "|target_offset| = 5 plus target_radius = 0.1"),
+], ids=["radius", "offset"])
+def test_cutplane_target_outside_body_exits_one(tmp_path, capsys, target, named):
+    # a target ball that does not fit inside the radius-1 body is bad input,
+    # not a run that reports a negative iteration count or a failed search
+    cfg_file = tmp_path / "cp.cfg"
+    cfg_file.write_text('[body]\nkind = "ball"\nn = 2\n[cutplane]\n' + target)
+    rc = cli.main(["cutplane", "--config", str(cfg_file), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err and "radius 1" in err
+    assert not list(tmp_path.glob("cutplane_*"))
+
+
 def test_exact_sample_without_exact_law_exits_one(tmp_path, capsys):
     # a = 0 leaves a flat Gaussian with no exact sampler: NoExactSampler
     # is a ValueError, so exact = true on it is an input error

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from klslab.bodies import AxisCube, Ball, BallIntersection
-from klslab.densities import (Boltzmann, Exponential, Gaussian, Pushforward,
-                              Tilted, Uniform, WithBody, affine_pushforward,
-                              body_of, chord_profile)
+from klslab.densities import (Boltzmann, Exponential, Gaussian, Tilted,
+                              Uniform, WithBody, chord_profile)
 
 
 def test_uniform_outside_support():
@@ -84,42 +83,3 @@ def test_with_body_restricts_support_only():
     with pytest.raises(ValueError):
         WithBody(base, Ball(3))
 
-
-def test_affine_pushforward_uniform_is_uniform():
-    d = Uniform(AxisCube(2))
-    M = np.array([[2.0, 0.0], [0.0, 1.0]])
-    out = affine_pushforward(d, M)
-    assert isinstance(out, Uniform)
-    assert out.body.contains(np.array([1.9, 0.9]))
-    assert not out.body.contains(np.array([2.1, 0.0]))
-
-
-def test_affine_pushforward_boltzmann_cost():
-    d = Boltzmann(AxisCube(2), alpha=1.0, c=np.array([1.0, 1.0]))
-    M = np.diag([2.0, 4.0])
-    out = affine_pushforward(d, M)
-    assert isinstance(out, Boltzmann)
-    # log-density must match the change of variables up to a constant
-    x = np.array([0.4, -0.2])
-    y = M @ x
-    delta1 = out.log_density(y) - out.log_density(M @ np.zeros(2))
-    delta2 = d.log_density(x) - d.log_density(np.zeros(2))
-    assert delta1 == pytest.approx(delta2)
-
-
-def test_pushforward_generic_matches_change_of_variables():
-    d = Exponential(Ball(2, radius=2.0), alpha=1.0)
-    M = np.array([[1.0, 0.3], [0.0, 1.0]])
-    out = affine_pushforward(d, M, shift=np.array([0.1, 0.0]))
-    assert isinstance(out, Pushforward)
-    x = np.array([0.5, -0.3])
-    y = M @ x + np.array([0.1, 0.0])
-    base_delta = d.log_density(x) - d.log_density(np.zeros(2))
-    push_delta = out.log_density(y) - out.log_density(np.array([0.1, 0.0]))
-    assert push_delta == pytest.approx(base_delta)
-
-
-def test_body_of():
-    b = Ball(2)
-    assert body_of(Uniform(b)) is b
-    assert body_of(b) is b

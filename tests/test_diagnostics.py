@@ -9,13 +9,13 @@ from klslab.diagnostics import (BallSet, HalfspaceSet, SlabSet, _kde_1d,
                                 ball_walk_mixing_estimate, compute_constants,
                                 conductance_tv_bound, default_shell_width,
                                 direction_family, halfspace_isoperimetry,
-                                linear_test, lipschitz_tail_check,
-                                log_cheeger_halfspace, mixing_bounds,
-                                poincare_family_min, poincare_ratio,
+                                linear_test, log_cheeger_halfspace,
+                                mixing_bounds, poincare_family_min,
+                                poincare_ratio,
                                 quadratic_test, silverman_bandwidth,
                                 slicing_constant, subset_isoperimetry,
                                 thin_shell)
-from klslab.estimates import Estimate, bootstrap_se, mean_estimate
+from klslab.estimates import Estimate, bootstrap_se
 from klslab.rng import RngStream
 from klslab.walks import exact_sample
 
@@ -31,12 +31,10 @@ def _gaussian_cloud(n, count, seed):
 
 
 def test_estimate_json_schema_and_mean():
-    e = mean_estimate([1.0, 2.0, 3.0, 4.0])
-    assert e.value == pytest.approx(2.5)
-    assert e.std_error == pytest.approx(np.std([1, 2, 3, 4], ddof=1) / 2.0)
-    assert e.to_json_dict() == {"value": e.value, "se": e.std_error, "n": 4}
-    with pytest.raises(ValueError):
-        mean_estimate([])
+    # the external schema is exactly value, se and n; the method stays out
+    e = Estimate(2.5, 0.6454972243679028, 4, "mc_mean")
+    assert e.to_json_dict() == {"value": 2.5, "se": 0.6454972243679028, "n": 4}
+    assert str(e) == "2.5 +/- 0.65 (n=4, mc_mean)"
 
 
 def test_bootstrap_se_scaling():
@@ -319,16 +317,6 @@ def test_mixing_bounds_and_ball_walk_plugin():
         mixing_bounds(0.0, 4.0)
     with pytest.raises(ValueError):
         ball_walk_mixing_estimate(10, 0.0)
-
-
-def test_lipschitz_tail_rows_gaussian():
-    X = _gaussian_cloud(4, 20000, 25)
-    rows = lipschitz_tail_check(X, linear_test(np.eye(4)[0]))
-    assert rows[0]["t"] == 0.0 and rows[0]["tail"] == 1.0
-    assert all(r["envelope"] == pytest.approx(
-        np.exp(-r["t"] ** 2 / (r["t"] + 2.0))) for r in rows)
-    # normal marginals sit well under the envelope
-    assert not any(r["flag"] for r in rows)
 
 
 def test_compute_constants_report():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from klslab.linalg import (CovMatrix, SingularCovarianceError, power_opnorm,
-                           stieltjes_u, sym_inv_sqrt, sym_sqrt)
+                           stieltjes_u, sym_inv_sqrt)
 
 # root of 1/(u-1)^2 + 1/u^2 = 2 on u > 1, frozen from an independent
 # bracketing root-find (scipy.optimize.brentq at xtol=1e-14)
@@ -64,10 +64,12 @@ def test_sym_sqrt_and_inv_sqrt():
     gen = np.random.default_rng(3)
     A = gen.standard_normal((5, 5))
     S = A @ A.T + 5 * np.eye(5)
-    R = sym_sqrt(S)
-    assert np.allclose(R @ R, S, atol=1e-9)
     Rinv = sym_inv_sqrt(S)
+    assert np.allclose(Rinv, Rinv.T, atol=1e-12)
     assert np.allclose(Rinv @ S @ Rinv, np.eye(5), atol=1e-9)
+    # its inverse is the symmetric square root of S
+    R = np.linalg.inv(Rinv)
+    assert np.allclose(R @ R, S, atol=1e-9)
 
 
 def test_sym_inv_sqrt_singular_raises():

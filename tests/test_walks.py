@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import simplex_moments
 from scipy import integrate, stats
 
-from klslab.bodies import (AxisCube, Ball, simplex, simplex_moments,
-                           transform_body)
-from klslab.densities import (Boltzmann, Exponential, Gaussian, Pushforward,
-                               Tilted, Uniform, WithBody)
+from klslab.bodies import AxisCube, Ball, simplex, transform_body
+from klslab.densities import (Boltzmann, Exponential, Gaussian, Tilted,
+                               Uniform, WithBody)
 from klslab.isotropy import apply_to_body, rounding_transform
 from klslab.rng import RngStream
 from klslab.walks import (ChainState, NoExactSampler, WalkError, _ball_point,
@@ -253,11 +253,14 @@ def _chord_case(name):
                       np.array([0.8, -0.4]), np.array([[1.0, 0.3], [0.3, 0.5]]))
         return (dens, x, slant) + dens.body.chord(x, slant)
     if name == "pushforward":
+        # the law of y = M z + shift, z exponential, along y + t slant is
+        # z's law along M^-1 (y - shift) + t M^-1 slant: a non-unit direction
         M = np.array([[1.5, 0.6], [0.0, 0.8]])
         shift = np.array([0.2, -0.1])
-        dens = Pushforward(Exponential(Ball(2, radius=2.0), alpha=2.0), M, shift)
         y = M @ x + shift
-        return (dens, y, slant) + dens.body.chord(y, slant)
+        z, v = np.linalg.solve(M, y - shift), np.linalg.solve(M, slant)
+        dens = Exponential(Ball(2, radius=2.0), alpha=2.0)
+        return (dens, z, v) + dens.body.chord(z, v)
     raise KeyError(name)
 
 
