@@ -12,7 +12,7 @@ from .bodies import (AxisCube, Ball, BallIntersection, Body, BodyError,
                      Ellipsoid, Polytope, RestrictedBody, TransformedBody,
                      simplex, transform_body)
 from .densities import (Boltzmann, Density, Exponential, Gaussian, Tilted,
-                        Uniform, WithBody, chord_profile)
+                        Uniform, chord_profile)
 from .diagnostics import (BallSet, ConstantsReport, HalfspaceSet, SlabSet,
                           ball_walk_mixing_estimate, compute_constants,
                           conductance_tv_bound, direction_family,
@@ -20,8 +20,7 @@ from .diagnostics import (BallSet, ConstantsReport, HalfspaceSet, SlabSet,
                           mixing_bounds, poincare_family_min, poincare_ratio,
                           slicing_constant, subset_isoperimetry, thin_shell)
 from .estimates import Estimate
-from .isotropy import (AffineMap, apply_to_body, estimate_mean_cov,
-                       iterated_gaussian_isotropy, rounding_transform)
+from .isotropy import estimate_mean_cov, iterated_gaussian_isotropy
 from .linalg import (CovMatrix, SingularCovarianceError, power_opnorm,
                      stieltjes_u, sym_inv_sqrt)
 from .needles import NeedleCell, NeedleResult, balanced_split, needle_decompose

@@ -275,12 +275,11 @@ def _cmd_isotropy(cfg, art):
     body = make_body(cfg)
     gen = RngStream(cfg.seed).generator()
     spec = cfg.isotropy
-    T, final_body, log = iterated_gaussian_isotropy(
+    (M, shift), _, log = iterated_gaussian_isotropy(
         body, gen, max_iters=spec.get("max_iters", 20), k=spec.get("k"))
     art.write_csv(["iteration", "min_eig", "max_eig", "samples_used"],
                   [[r["iteration"], r["min_eig"], r["max_eig"],
                     r["samples_used"]] for r in log])
-    M, shift = T.as_matrix_shift()
     art.write_json({"isotropy": {"matrix": M.tolist(), "shift": shift.tolist(),
                                  "iterations": len(log)}})
     last = log[-1]

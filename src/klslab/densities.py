@@ -9,8 +9,7 @@ additive constant and equal to -inf outside the body.  The built-in kinds:
     boltzmann(alpha, c)     exp(-alpha c.x)
     tilted(base, c, B)      exp(c.x - x^T B x / 2) * base(x)
 
-WithBody(base, body) keeps a base density's log-density and kind on
-another support body.
+Density.restricted_to(body) is the same density on another support body.
 
 Chord restrictions: for hit-and-run we need the 1-D law along a segment.
 Every kind above gives that restriction in closed form,
@@ -26,6 +25,7 @@ the case for callers that only need to tell the two apart.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -67,6 +67,21 @@ class Density:
         """(alpha, t*, d^2, a, b) with log f(x + t u) =
         -alpha sqrt((t - t*)^2 + d^2) - (a/2) t^2 + b t + const."""
         raise NotImplementedError(f"density kind {self.kind!r} has no chord profile")
+
+    def restricted_to(self, body) -> "Density":
+        """This density with its support replaced by body.
+
+        A shallow copy: class, kind, log-density and chord profile are
+        unchanged, so only membership changes, and walks.exact_sample
+        finds the same unrestricted law and tests membership against the
+        new body.  sloc's support truncation and needles' partition cells
+        are its two uses.
+        """
+        if body.n != self.n:
+            raise ValueError("restriction body has the wrong dimension")
+        out = copy.copy(self)
+        out.body = body
+        return out
 
 
 class Uniform(Density):
@@ -191,33 +206,6 @@ class Tilted(Density):
         Bu = self.B @ u
         b = b + float(self.c @ u) - float(x @ Bu)
         return (alpha, tstar, d2, a + float(u @ Bu), b)
-
-
-class WithBody(Density):
-    """The base density's shape restricted to a different support body.
-
-    The unnormalized log-density inside the new body is unchanged, so
-    chord profiles carry over; only membership changes.  sloc's support
-    truncation and needles' partition cells are its two uses.  The kind
-    tag is the base's; walks.exact_sample unwraps to the base for its
-    unrestricted law and tests membership against the new body.
-    """
-
-    def __init__(self, base: Density, body):
-        if body.n != base.n:
-            raise ValueError("restriction body has the wrong dimension")
-        super().__init__(body)
-        self.base = base
-        self.kind = base.kind
-
-    def _log_inside(self, x):
-        return self.base._log_inside(x)
-
-    def _log_inside_many(self, X):
-        return self.base._log_inside_many(X)
-
-    def _chord_coeffs(self, x, u):
-        return self.base._chord_coeffs(x, u)
 
 
 def chord_profile(density, x, u):

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import RestrictedBody
-from .densities import WithBody
 from .rng import as_stream
 from .walks import run_chain
 
@@ -181,9 +180,9 @@ def needle_decompose(density, E, eps, max_depth, k=256, rng=None):
         body_left = _cut_body(body, normal, beta, x_left)
         body_right = _cut_body(body, -normal, -beta, x_right)
         queue.append((cell_id + "0", depth + 1, weight * frac_left,
-                      body_left, WithBody(density, body_left), x_left))
+                      body_left, density.restricted_to(body_left), x_left))
         queue.append((cell_id + "1", depth + 1, weight * (1.0 - frac_left),
-                      body_right, WithBody(density, body_right), x_right))
+                      body_right, density.restricted_to(body_right), x_right))
 
     thresholds = sorted({c.max_variance for c in cells})
     total = sum(c.weight for c in cells)

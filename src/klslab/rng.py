@@ -44,8 +44,9 @@ class RngStream:
 def as_stream(rng) -> RngStream:
     """Accept an RngStream, an int seed, or None (seed 0).
 
-    A Generator is refused: it cannot hand out the disjoint substreams
-    that make per-item results independent of scheduling.
+    A Generator is refused with ValueError: it cannot hand out the
+    disjoint substreams that make per-item results independent of
+    scheduling.  Any other type is a TypeError.
     """
     if isinstance(rng, RngStream):
         return rng
@@ -53,18 +54,14 @@ def as_stream(rng) -> RngStream:
         return RngStream(0)
     if isinstance(rng, (int, np.integer)):
         return RngStream(int(rng))
-    raise ValueError(f"need an RngStream or integer seed to make substreams, "
-                     f"got {type(rng).__name__}")
+    if isinstance(rng, np.random.Generator):
+        raise ValueError("need an RngStream or integer seed to make substreams, "
+                         "got a Generator")
+    raise TypeError(f"cannot make a random stream from {type(rng).__name__}")
 
 
 def as_generator(rng) -> np.random.Generator:
-    """Accept an RngStream, a Generator, an int seed, or None (seed 0)."""
+    """A Generator unchanged; otherwise as_stream(rng).generator()."""
     if isinstance(rng, np.random.Generator):
         return rng
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if rng is None:
-        return RngStream(0).generator()
-    if isinstance(rng, (int, np.integer)):
-        return RngStream(int(rng)).generator()
-    raise TypeError(f"cannot make a generator from {type(rng).__name__}")
+    return as_stream(rng).generator()

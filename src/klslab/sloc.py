@@ -28,7 +28,7 @@ from scipy.special import gammaincc, ndtr
 from scipy.stats import ncx2
 
 from .bodies import BallIntersection
-from .densities import Density, Gaussian, Tilted, WithBody
+from .densities import Density, Gaussian, Tilted
 from .diagnostics import BallSet, HalfspaceSet
 from .linalg import (CovMatrix, SingularCovarianceError, quad_rows, stieltjes_u,
                      sym_inv_sqrt)
@@ -209,12 +209,14 @@ def _normalize_tracked(tracked_sets):
     if isinstance(tracked_sets, dict):
         pairs = list(tracked_sets.items())
     else:
-        pairs = []
-        for i, item in enumerate(tracked_sets):
-            if isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str):
-                pairs.append(item)
-            else:
-                pairs.append((f"E{i}", item))
+        # a lone set, or a list of unnamed sets, is refused below
+        pairs = (list(tracked_sets) if isinstance(tracked_sets, (list, tuple))
+                 else [tracked_sets])
+        for item in pairs:
+            if not (isinstance(item, tuple) and len(item) == 2
+                    and isinstance(item[0], str)):
+                raise ValueError(f"tracked sets must be (name, set) pairs or a "
+                                 f"dict of them, got {type(item).__name__}")
     for name, E in pairs:
         if not isinstance(E, (HalfspaceSet, BallSet)):
             raise ValueError(f"tracked set {name!r} must be a halfspace or a ball")
@@ -249,7 +251,7 @@ def _truncate_support(density, radius):
         gap = radius - float(np.linalg.norm(density.center - center))
         if gap > 0:
             bound = float(gammaincc(body.n / 2.0, 0.5 * density.a * gap * gap))
-    return WithBody(density, new_body), {"radius": radius, "mass_bound": bound}
+    return density.restricted_to(new_body), {"radius": radius, "mass_bound": bound}
 
 
 def _refresh_estimates(state, gen):

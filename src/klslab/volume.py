@@ -429,7 +429,6 @@ def cutting_plane_feasibility(oracle, n, R, r, rng, m_per_iter=None,
     outer = RestrictedBody(Ball(n, R, center), np.zeros((0, n)), np.zeros(0), center)
     x_interior = center.copy()
     trace = []
-    yes_points = []
     for it in range(max_iters):
         X = run_chain(Uniform(outer), x_interior, m_per_iter, burn_in=50 * n,
                       thin=2, rng=rng)
@@ -452,10 +451,6 @@ def cutting_plane_feasibility(oracle, n, R, r, rng, m_per_iter=None,
         if float(a @ x_bar) <= b:
             raise OracleInconsistencyError(
                 "separating halfspace does not separate the query point")
-        for y in yes_points:
-            if float(a @ y) > b:
-                raise OracleInconsistencyError(
-                    "new cut separates a previously accepted point")
         margins = b - X @ a
         retained = X[margins >= 0]
         discarded = 1.0 - retained.shape[0] / m_per_iter

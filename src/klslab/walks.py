@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .densities import Density, Uniform, Gaussian, Exponential, WithBody
+from .densities import Density, Uniform, Gaussian, Exponential
 from .bodies import Ball, AxisCube
 from .rng import as_generator
 
@@ -441,10 +441,6 @@ def exact_sample(density, count, rng, max_batches=10000):
     rng = as_generator(rng)
     body = density.body
     n = density.n
-    # support restrictions keep the base's envelope; rejection below tests
-    # membership against the restricted body, which stays exact
-    while isinstance(density, WithBody):
-        density = density.base
     if isinstance(density, Uniform) and isinstance(body, Ball):
         return _ball_cloud(rng, count, n, body.center, body.radius)
     if isinstance(density, Uniform) and isinstance(body, AxisCube):

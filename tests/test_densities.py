@@ -3,7 +3,9 @@ import pytest
 
 from klslab.bodies import AxisCube, Ball, BallIntersection
 from klslab.densities import (Boltzmann, Exponential, Gaussian, Tilted,
-                              Uniform, WithBody, chord_profile)
+                              Uniform, chord_profile)
+from klslab.rng import RngStream
+from klslab.walks import exact_sample
 
 
 def test_uniform_outside_support():
@@ -73,13 +75,27 @@ def test_tilted_chord_profile():
 
 def test_with_body_restricts_support_only():
     base = Gaussian(AxisCube(2, half_width=5.0), a=1.0)
-    small = WithBody(base, BallIntersection(base.body, 1.0))
+    small = base.restricted_to(BallIntersection(base.body, 1.0))
     inside = np.array([0.5, 0.0])
     outside = np.array([2.0, 0.0])
     assert small.log_density(inside) == pytest.approx(base.log_density(inside))
     assert small.log_density(outside) == -np.inf
     assert base.log_density(outside) > -np.inf
-    assert small.kind == "gaussian" and small.base is base
-    with pytest.raises(ValueError):
-        WithBody(base, Ball(3))
+    assert type(small) is Gaussian and small.kind == "gaussian"
+    assert small.a == base.a and small.center is base.center
+    with pytest.raises(ValueError, match="dimension"):
+        base.restricted_to(Ball(3))
+
+
+def test_restricted_to_leaves_base_and_draws_inside_new_body():
+    base = Gaussian(AxisCube(3, half_width=5.0), a=1.0, center=np.full(3, 0.2))
+    small = base.restricted_to(Ball(3, radius=0.8))
+    assert isinstance(base.body, AxisCube) and base.body.half_width == 5.0
+    assert base.log_density(np.array([2.0, 0.0, 0.0])) > -np.inf
+    X = exact_sample(small, 400, RngStream(1).generator())
+    assert X.shape == (400, 3)
+    assert np.all(np.linalg.norm(X, axis=1) <= 0.8)
+    # the base still draws on its own body
+    Y = exact_sample(base, 400, RngStream(1).generator())
+    assert np.any(np.linalg.norm(Y, axis=1) > 0.8)
 

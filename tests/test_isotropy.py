@@ -3,10 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from klslab.bodies import AxisCube, Ellipsoid, transform_body
+from klslab.bodies import AxisCube, Ellipsoid, simplex, transform_body
 from klslab.densities import Uniform
-from klslab.isotropy import (AffineMap, apply_to_body, estimate_mean_cov,
-                             iterated_gaussian_isotropy, rounding_transform)
+from klslab.isotropy import EIG_WINDOW, estimate_mean_cov, iterated_gaussian_isotropy
+from klslab.linalg import sym_inv_sqrt
 from klslab.rng import RngStream
 from klslab.walks import exact_sample
 
@@ -36,66 +36,60 @@ def test_cov_error_scales_like_inverse_sqrt_m():
     assert 2.0 < shrink < 8.0  # expect about sqrt(16) = 4
 
 
-def test_affine_map_apply_and_inverse():
-    M = np.array([[2.0, 1.0], [0.0, 1.0]])
-    c = np.array([1.0, -1.0])
-    T = AffineMap(M, c)
-    x = np.array([3.0, 2.0])
-    y = T.apply(x)
-    assert np.allclose(y, M @ (x - c))
-    assert np.allclose(T.inverse().apply(y), x)
-    # batched apply agrees with single apply
-    X = RngStream(2).generator().standard_normal((10, 2))
-    assert np.allclose(T.apply(X), np.array([T.apply(row) for row in X]))
-
-
-def test_affine_map_composition():
-    gen = RngStream(3).generator()
-    A = AffineMap(gen.standard_normal((3, 3)) + 3 * np.eye(3),
-                  gen.standard_normal(3))
-    B = AffineMap(gen.standard_normal((3, 3)) + 3 * np.eye(3),
-                  gen.standard_normal(3))
-    C = B.compose_after(A)
-    x = gen.standard_normal(3)
-    assert np.allclose(C.apply(x), B.apply(A.apply(x)))
-    M, s = C.as_matrix_shift()
-    assert np.allclose(M @ x + s, C.apply(x))
-
-
-def test_rounding_transform_whitens_exactly():
+def test_sym_inv_sqrt_whitens_exactly():
     gen = RngStream(4).generator()
     A = gen.standard_normal((3, 3))
     cov = A @ A.T + 0.5 * np.eye(3)
     mean = np.array([1.0, 2.0, 3.0])
     X = gen.multivariate_normal(mean, cov, size=20000)
     m_hat, c_hat = estimate_mean_cov(X)
-    T = rounding_transform(m_hat, c_hat)
-    _, c_new = estimate_mean_cov(T.apply(X))
+    W = sym_inv_sqrt(c_hat.matrix)
+    _, c_new = estimate_mean_cov((X - m_hat) @ W.T)
     assert np.allclose(c_new.matrix, np.eye(3), atol=1e-8)
 
 
 def test_rounding_idempotent_on_isotropic_data():
     X = RngStream(5).generator().standard_normal((30000, 4))
-    m_hat, c_hat = estimate_mean_cov(X)
-    T = rounding_transform(m_hat, c_hat)
-    # already isotropic: the map is within sampling error of the identity
-    assert np.allclose(T.matrix, np.eye(4), atol=0.05)
+    _, c_hat = estimate_mean_cov(X)
+    # already isotropic: the whitening is within sampling error of the identity
+    assert np.allclose(sym_inv_sqrt(c_hat.matrix), np.eye(4), atol=0.05)
 
 
-def test_apply_to_body_membership():
-    T = AffineMap(np.diag([2.0, 0.5]), np.array([1.0, 0.0]))
+def test_transform_body_membership():
+    M, s = np.diag([2.0, 0.5]), np.array([-2.0, 0.0])
     body = AxisCube(2)
-    mapped = apply_to_body(body, T)
+    mapped = transform_body(body, M, s)
     gen = RngStream(6).generator()
     pts = exact_sample(Uniform(body), 500, gen)
-    assert all(mapped.contains(T.apply(p)) for p in pts)
+    assert all(mapped.contains(M @ p + s) for p in pts)
+
+
+def test_isotropy_map_carries_input_draws_into_final_body():
+    # the returned (M, shift) composes every whitening: it must map the
+    # input body onto the final body, not just undo the last step
+    body = simplex(4)
+    with warnings.catch_warnings():
+        # three iterations may stop short of the window; the map is
+        # checked either way
+        warnings.simplefilter("ignore", UserWarning)
+        (M, shift), final, log = iterated_gaussian_isotropy(
+            body, RngStream(10), max_iters=3)
+    assert sum(r["min_eig"] < EIG_WINDOW[0] for r in log) >= 2
+    gen = RngStream(11).generator()
+    X = exact_sample(Uniform(body), 500, gen)
+    assert final.contains_many(X @ M.T + shift).all()
+    # and nothing else: membership agrees on points in and around the body
+    Y = gen.uniform(-0.5, 1.5, size=(4000, 4))
+    inside = body.contains_many(Y)
+    assert 0 < inside.sum() < len(Y)
+    assert np.array_equal(final.contains_many(Y @ M.T + shift), inside)
 
 
 def test_iterated_isotropy_rounds_stretched_ellipsoid():
     # start far from round: axis ratios 6:1
     E = np.diag([1.0 / 36.0, 1.0, 1.0])  # x^T E x <= 1
     body = Ellipsoid(E)
-    T, final, log = iterated_gaussian_isotropy(body, RngStream(7), k=1500)
+    _, final, log = iterated_gaussian_isotropy(body, RngStream(7), k=1500)
     assert 1 <= len(log) <= 8
     assert log[-1]["min_eig"] >= 0.4  # inside or nearly inside the window
     # final body covariance of the restricted gaussian is near-isotropic
@@ -110,7 +104,8 @@ def test_iterated_isotropy_no_op_when_round():
     body = AxisCube(3, half_width=8.0)  # gaussian barely sees the walls
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        T, final, log = iterated_gaussian_isotropy(body, RngStream(9), k=1200)
+        (M, shift), final, log = iterated_gaussian_isotropy(body, RngStream(9),
+                                                            k=1200)
     assert len(log) == 1
-    assert np.allclose(T.matrix, np.eye(3))
+    assert np.array_equal(M, np.eye(3)) and not shift.any()
     assert final is body

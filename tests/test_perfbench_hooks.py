@@ -88,3 +88,36 @@ def test_tracer_counts_every_run_chain_step(monkeypatch):
             assert tracer.calls[label] - before == 5 + 7 * 2, walk
     finally:
         tracer.uninstall()
+
+
+def test_tracer_counts_read_the_return_shapes(monkeypatch):
+    # isotropy.iterations and needles.cells are read off the results of the
+    # traced calls (result[2] and result.cells); a change to either return
+    # shape must fail here, not skew a traced run
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    import warnings
+
+    import numpy as np
+
+    from klslab import isotropy, needles
+    from klslab.bodies import AxisCube, simplex
+    from klslab.densities import Uniform
+    from klslab.diagnostics import HalfspaceSet
+    from klslab.rng import RngStream
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            _, _, log = isotropy.iterated_gaussian_isotropy(
+                simplex(3), RngStream(1), max_iters=2, k=60)
+        result = needles.needle_decompose(
+            Uniform(AxisCube(2)), HalfspaceSet(np.eye(2)[0], 0.0), eps=0.05,
+            max_depth=1, k=64, rng=RngStream(2))
+        counts = tracer.counts
+        assert counts["isotropy.iterations"] == len(log) >= 1
+        assert counts["needles.cells"] == len(result.cells) >= 1
+    finally:
+        tracer.uninstall()

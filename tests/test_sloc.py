@@ -6,8 +6,8 @@ from scipy.special import ndtr
 from scipy.stats import chi2
 
 from klslab import sloc, walks
-from klslab.bodies import AxisCube, Ball, simplex
-from klslab.densities import Boltzmann, Gaussian, Uniform, WithBody
+from klslab.bodies import AxisCube, Ball, BallIntersection, simplex
+from klslab.densities import Boltzmann, Gaussian, Uniform
 from klslab.diagnostics import BallSet, HalfspaceSet
 from klslab.rng import RngStream
 from klslab.sloc import (LocalizationState, ObservablePool, SlocError,
@@ -95,6 +95,11 @@ def test_init_validation():
     with pytest.raises(ValueError, match="halfspace or a ball"):
         sloc_init(_std_gaussian(2), tracked_sets={"E0": object()},
                   rng=RngStream(0))
+    # a set needs a name: bare sets, alone or in a list, are refused
+    E = HalfspaceSet(np.eye(2)[0], 0.0)
+    for bare in (E, [E]):
+        with pytest.raises(ValueError, match=r"\(name, set\) pairs"):
+            sloc_init(_std_gaussian(2), tracked_sets=bare, rng=RngStream(0))
 
 
 def test_tracked_measure_window_enforced():
@@ -345,7 +350,10 @@ def test_truncation_info_for_unbounded_gaussian():
     assert state.truncation is not None
     assert state.truncation["radius"] == pytest.approx(20.0)
     assert state.truncation["mass_bound"] < 1e-12
-    assert isinstance(state.base, WithBody)
+    # the working base is the same gaussian on the truncated support
+    assert type(state.base) is Gaussian and state.base is not dens
+    assert isinstance(state.base.body, BallIntersection)
+    assert dens.body.radius == 1000.0
 
 
 def test_sloc_run_record_grid_and_determinism():
