@@ -34,7 +34,9 @@ from .volume import (OracleInconsistencyError, VolumePhaseError,
 from .walks import WalkError, exact_sample, run_chain
 
 ENV_PREFIX = "KLSLAB_"
-_CSV_BLOCK = 4096  # rows per write of a float array
+# rows per write of a float array; at 1024, _format_rows' temporaries stay
+# below what the per-value "%" loop it replaced held at 4096 rows
+_CSV_BLOCK = 1024
 
 _RUNTIME_ERRORS = (WalkError, VolumePhaseError, OracleInconsistencyError,
                    SlocError, SingularCovarianceError)
@@ -67,6 +69,138 @@ def _json_default(v):
     raise TypeError(f"not JSON serializable: {type(v)}")
 
 
+# ---------------------------------------------------------------------------
+# "%.17g" of float64 blocks in numpy
+#
+# %g writes x in fixed notation when the decimal exponent d of x rounded to
+# 17 significant digits is in [-4, 16], with trailing zeros and a bare point
+# dropped.  For such x the 17-digit significand is N = round(|x| 10**(16-d)):
+# 10**(16-d) is an exact double, Dekker's two-product gives the product
+# exactly as hi + lo, and hi is an even integer >= 1e16, so hi + rint(lo)
+# rounds half to even on the exact product, as CPython's dtoa does.  Each
+# value is laid out in a 32-byte slot of zero bytes: the sign and a "0.000"
+# prefix right-aligned in bytes 0-6, the leading digit in byte 7, the other
+# 16 digits in bytes 8-23, and the separator right after the last digit
+# kept.  When 0 <= d < 16 the digits after the point move one byte right and
+# the point takes the byte they left.  Dropping the zero bytes joins the
+# slots.
+
+_POW10 = 10.0 ** np.arange(21)  # 10**(16-d); powers up to 10**22 are exact
+_SPLITTER = 134217729.0  # 2**27 + 1
+
+
+def _dekker_split(a):
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _dekker_split(_POW10)
+
+
+def _u64_rows(chunks):
+    """Byte strings of one length as rows of little-endian uint64 words."""
+    return np.frombuffer(b"".join(chunks), "<u8").reshape(len(chunks), -1)
+
+
+_K4 = np.arange(10000)
+# the digits of "%04d" % k as ASCII bytes, first digit in the lowest byte,
+# and the number of its trailing zeros
+_ASCII4 = ((_K4[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
+           .view("<u4").ravel().astype(np.uint64))
+_TZ4 = sum(_K4 % 10 ** j == 0 for j in range(1, 5))
+# bytes 0-7 of a slot, indexed by 2 (d + 4) + (x < 0)
+_PREFIX = _u64_rows([((b"-" if neg else b"")
+                      + (b"0." + b"0" * (-d - 1) if d < 0 else b"")
+                      ).rjust(7, b"\0") + b"\0"
+                     for d in range(-4, 17) for neg in (0, 1)]).ravel()
+# _FIRST[n]: the mask of the first n of bytes 8-31, as 3 words; _WORDS is
+# its transpose, for one take per word
+_FIRST = _u64_rows([b"\xff" * n + b"\0" * (24 - n) for n in range(18)])
+_WORDS = _FIRST.T.copy()
+# _POINT[d]: the point at byte 8 + d, after digit d
+_POINT = _u64_rows([b"\0" * n + b"." + b"\0" * (23 - n) for n in range(16)])
+
+
+def _scaled(a, d):
+    """hi + lo == a * 10**(16 - d) exactly (Dekker's two-product)."""
+    k = 16 - d
+    p = a * _POW10[k]
+    ah, al = _dekker_split(a)
+    bh, bl = _POW10_HI[k], _POW10_LO[k]
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _format_rows(block):
+    """The bytes of "%.17g" of each value of a 2-D float64 block, "," between
+    values and "\n" after each row."""
+    rows, cols = block.shape
+    x = block.ravel()
+    with np.errstate(all="ignore"):  # the values left to the fallback
+        a = np.abs(x)
+        # fmax sends nan to -4, where the range test below fails it
+        d = np.fmin(np.fmax(np.floor(np.log10(a)), -4), 16).astype(np.int64)
+        hi, lo = _scaled(a, d)
+        # log10 is off by one next to a power of ten: test the exact product
+        low = ~(hi >= 1e16) | ((hi == 1e16) & (lo < 0))
+        high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+        fix = np.flatnonzero(low | high)
+        d[fix] += high[fix].astype(np.int64) - low[fix]
+        fix = fix[(d[fix] >= -4) & (d[fix] <= 16)]
+        hi[fix], lo[fix] = _scaled(a[fix], d[fix])
+        N = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # N == 10**17 would be a carry into the next decade; no double in the
+    # range rounds that close to a power of ten, so the test is a guard
+    slow = np.flatnonzero((d < -4) | (d > 16) | (N >= 10 ** 17))
+    N[slow] = 10 ** 16
+    d[slow] = -1
+
+    # the 17 digits: a leading one, then four groups of four
+    top = N // 10 ** 8
+    lo8 = N - top * 10 ** 8
+    lead = top // 10 ** 8
+    hi8 = top - lead * 10 ** 8
+    g1 = hi8 // 10 ** 4
+    g2 = hi8 - g1 * 10 ** 4
+    g3 = lo8 // 10 ** 4
+    g4 = lo8 - g3 * 10 ** 4
+    # N's trailing zeros give the digits kept after the point and the byte
+    # after the last one kept, where the separator goes
+    z4, z34 = g4 == 0, lo8 == 0
+    tz = _TZ4[g4] + z4 * (_TZ4[g3] + z34 * (
+        _TZ4[g2] + (z34 & (g2 == 0)) * _TZ4[g1]))
+    frac = 16 - d - tz
+    end = np.where(frac > 0, np.where(d < 0, 24, 25) - tz, 8 + d)
+
+    w = np.empty((len(x), 4), "<u8")  # little-endian: byte j of a slot
+    w[:, 0] = _PREFIX[2 * d + 8 + np.signbit(x)] | (
+        lead.astype(np.uint64) + 48) << 56
+    w[:, 1] = _ASCII4[g1] | _ASCII4[g2] << 32
+    w[:, 2] = _ASCII4[g3] | _ASCII4[g4] << 32
+    w[:, 3] = 0
+    mid = np.flatnonzero((d >= 0) & (frac > 0))  # a point among the digits
+    if mid.size:
+        p = d[mid]
+        v = w[mid, 1:]
+        s = v << 8
+        s[:, 1:] |= v[:, :-1] >> 56
+        w[mid, 1:] = (v & _FIRST[p]) | (s & ~_FIRST[p + 1]) | _POINT[p]
+    for i in range(3):
+        w[:, i + 1] &= _WORDS[i][end - 8]
+    b = w.view(np.uint8).reshape(rows, cols * 32)
+    sep = np.full(cols, ord(","), np.uint8)
+    sep[-1] = ord("\n")
+    b[np.arange(rows)[:, None],
+      32 * np.arange(cols) + end.reshape(rows, cols)] = sep
+    b = b.reshape(-1, 32)
+    if slow.size:
+        ends = np.where(slow % cols == cols - 1, "\n", ",").tolist()
+        text = "".join(("%.17g" % v + c).ljust(32, "\0")
+                       for v, c in zip(x[slow].tolist(), ends))
+        b[slow] = np.frombuffer(text.encode(), np.uint8).reshape(-1, 32)
+    return b[b != 0].tobytes()
+
+
 class _Artifacts:
     def __init__(self, cfg):
         self.cfg = cfg
@@ -83,12 +217,14 @@ class _Artifacts:
     def write_csv(self, columns, rows):
         """Write the meta lines, the header and one line per row.
 
-        A float64 array (a sample cloud: millions of values) is written
-        in blocks of rows, one "%.17g" format per row over the block's
-        tolist(): no per-value isinstance test, and no copy of the whole
-        file in memory.  Its Python floats format exactly as _fmt formats
-        numpy floats, so the bytes are the same.  Short mixed-type tables
-        (bools, ints) go through _fmt value by value.
+        A 2-D float64 array (a sample cloud: millions of values) is written
+        in blocks of _CSV_BLOCK rows, each formatted in numpy by
+        _format_rows with the bytes of "%.17g", so no copy of the whole
+        file is held in memory.  Values in %g's fixed-notation range
+        (decimal exponent -4 to 16 after rounding to 17 digits) take the
+        vectorized path; the rest (scientific notation, +-0, subnormals,
+        inf, nan) are formatted by "%.17g" one at a time inside it.  Short
+        mixed-type tables (bools, ints) go through _fmt value by value.
         """
         path = os.path.join(self.dir, self.stem + ".csv")
         head = self._meta_lines() + [",".join(columns)]
@@ -96,10 +232,8 @@ class _Artifacts:
             fh.write("\n".join(head) + "\n")
             if isinstance(rows, np.ndarray) and rows.dtype == np.float64 \
                     and rows.ndim == 2:
-                line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
                 for a in range(0, len(rows), _CSV_BLOCK):
-                    fh.write("".join(line % tuple(row) for row
-                                     in rows[a:a + _CSV_BLOCK].tolist()))
+                    fh.write(_format_rows(rows[a:a + _CSV_BLOCK]).decode())
             else:
                 fh.writelines(",".join(_fmt(v) for v in row) + "\n"
                               for row in rows)

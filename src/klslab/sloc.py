@@ -24,8 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincc, ndtr
-from scipy.stats import ncx2
+from scipy.special import chdtr, chndtr, gammaincc, ndtr
 
 from .bodies import BallIntersection
 from .densities import Density, Gaussian, Tilted
@@ -230,7 +229,13 @@ def _gaussian_set_measure(mean, var, E):
         return float(ndtr((E.s - float(E.u @ mean)) / sd))
     if isinstance(E, BallSet):
         nc = float(np.sum((mean - E.center) ** 2)) / var
-        return float(ncx2.cdf(E.rho ** 2 / var, df=len(mean), nc=nc))
+        x = E.rho ** 2 / var
+        # the two calls scipy.stats.ncx2.cdf makes, without importing
+        # scipy.stats (about half of klslab's import time)
+        if nc == 0:
+            return float(chdtr(len(mean), x))
+        with np.errstate(over="ignore"):
+            return float(chndtr(x, len(mean), nc))
     raise ValueError("closed-form measures support halfspaces and balls only")
 
 

@@ -318,6 +318,37 @@ def test_csv_float_formatting_is_full_precision(tmp_path):
         assert fh.read() == head + "i,ok,x\n1,true,0.5\n2,false,-0\n3,false,2\n"
 
 
+def test_float_csv_is_percent_17g_byte_for_byte(tmp_path):
+    # write_csv formats float arrays in numpy; the reference is CPython's
+    # "%.17g" value by value
+    powers = 10.0 ** np.arange(-6, 19)
+    k = np.arange(1.0, 4001.0)
+    values = np.concatenate([
+        # ties at the 18th significant digit round half to even
+        1 + k * 2.0 ** -17, k * 2.0 ** -30,
+        np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf),
+        # rounding carries into the next decade, two of them out of the
+        # fixed-notation range
+        [np.nextafter(0.1, 0), np.nextafter(1e-4, 0), 99999999999999999.0,
+         np.nextafter(1e16, np.inf), np.nextafter(1e17, 0)],
+        np.arange(-2000.0, 2000.0), 3.0 * 2.0 ** np.arange(55), [1e16, 5e16],
+        [0.0, -0.0, 5e-324, -2.2250738585072e-308, np.inf, -np.inf, np.nan,
+         1e300, -1e300],
+        RngStream(14).generator().integers(0, 2 ** 64, 60000, dtype=np.uint64)
+        .view(np.float64)])
+    values.view(np.uint64)[::2] ^= np.uint64(1 << 63)  # flip signs, nan too
+    cfg = ExperimentConfig()
+    cfg.subcommand, cfg.out = "sample", str(tmp_path)
+    art = cli._Artifacts(cfg)
+    for X in (values.reshape(-1, 1), values[:len(values) // 7 * 7].reshape(-1, 7)):
+        assert len(X) > cli._CSV_BLOCK
+        with open(art.write_csv(["x"] * X.shape[1], X), newline="") as fh:
+            got = fh.read().split("\n")[4:]
+        want = [",".join("%.17g" % v for v in row) for row in X.tolist()] + [""]
+        bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+        assert bad is None and len(got) == len(want), (got[bad], want[bad])
+
+
 def test_volume_run_writes_artifacts_with_metadata(tmp_path, capsys):
     cfg_file = tmp_path / "v.cfg"
     cfg_file.write_text(VOLUME_CFG)
@@ -355,6 +386,38 @@ def test_sample_chain_run_row_count_and_roundtrip(tmp_path):
     assert len(lines) == 4 + 40
     for cell in lines[4].split(","):
         assert cli._fmt(float(cell)) == cell  # full round-trip precision
+
+
+@pytest.mark.parametrize("text", [
+    # fixed notation with up to 7 integer digits
+    '[body]\nkind = "cube"\nn = 3\nhalf_width = 1e6\n',
+    # scientific notation: coordinates of order 1e-6
+    '[body]\nkind = "cube"\nn = 3\n[density]\nkind = "gaussian"\na = 1e12\n'])
+def test_sample_chain_csv_is_the_per_value_format(tmp_path, text):
+    text += '[walk]\nkind = "hit_and_run"\nn_samples = 300\n'
+    cfg_file = tmp_path / "s.cfg"
+    cfg_file.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--config", str(cfg_file), "--out", str(out),
+                     "--seed", "5"]) == 0
+    cfg = parse_config(text)
+    body = make_body(cfg)
+    X = cli._draw_samples(cfg, make_density(cfg, body), RngStream(5).generator())
+    lines = (out / "sample_seed5.csv").read_text().splitlines()
+    assert lines[4:] == [",".join(cli._fmt(v) for v in row) for row in X]
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats would be about half of a fresh `import klslab.cli`
+    src = os.path.dirname(os.path.dirname(klslab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, klslab.cli; print(sorted(m for m in "
+         "sys.modules if m == 'scipy.stats' or m.startswith('scipy.stats.')))"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # one tiny config per subcommand, each volume method on its own

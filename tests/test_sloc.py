@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.special import ndtr
-from scipy.stats import chi2
+from scipy.stats import chi2, ncx2
 
 from klslab import sloc, walks
 from klslab.bodies import AxisCube, Ball, BallIntersection, simplex
@@ -447,3 +447,19 @@ def test_ball_set_tracking_in_closed_form():
                       tracked_sets={"B": BallSet(np.zeros(3), 1.5)})
     from scipy.stats import chi2
     assert state.g["B"] == pytest.approx(float(chi2.cdf(1.5 ** 2, 3)), rel=1e-10)
+
+
+def test_ball_measure_is_ncx2_cdf_bit_for_bit():
+    # _gaussian_set_measure calls scipy.special directly, so that klslab
+    # never imports scipy.stats; it must return ncx2.cdf's bits, at nc = 0
+    # (a ball centered on the mean) and at nc > 0
+    gen = RngStream(11).generator()
+    for _ in range(500):
+        n = int(gen.integers(1, 13))
+        mean = gen.normal(size=n)
+        var = float(gen.uniform(0.01, 10.0))
+        for center in (mean.copy(), mean + gen.normal(size=n) * gen.uniform(0.01, 5.0)):
+            E = BallSet(center, gen.uniform(0.01, 6.0))
+            nc = float(np.sum((mean - E.center) ** 2)) / var
+            want = float(ncx2.cdf(E.rho ** 2 / var, df=n, nc=nc))
+            assert sloc._gaussian_set_measure(mean, var, E) == want, (n, var, nc)
