@@ -51,11 +51,6 @@ class Body:
     def contains(self, x) -> bool:
         raise NotImplementedError
 
-    def contains_many(self, X) -> np.ndarray:
-        """Vectorized membership for an (m, n) array of points."""
-        X = np.asarray(X, dtype=float)
-        return np.array([self.contains(row) for row in X], dtype=bool)
-
     def chord(self, x, u):
         raise NotImplementedError
 

@@ -60,9 +60,6 @@ class Density:
     def _log_inside(self, x) -> float:
         raise NotImplementedError
 
-    def _log_inside_many(self, X) -> np.ndarray:
-        return np.array([self._log_inside(row) for row in X])
-
     def _chord_coeffs(self, x, u):
         """(alpha, t*, d^2, a, b) with log f(x + t u) =
         -alpha sqrt((t - t*)^2 + d^2) - (a/2) t^2 + b t + const."""

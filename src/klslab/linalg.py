@@ -103,9 +103,15 @@ def sym_inv_sqrt(A):
 def stieltjes_u(A):
     """The barrier value u with tr((uI - A)^{-2}) = n and A <= uI.
 
-    The left side decreases from +inf to 0 on (lambda_max, inf), so the
-    root is unique.  Bisection on (lambda_max, lambda_max + 2] brackets
-    it, then Newton polishes to a relative step of at most 1e-10.
+    g(u) = sum_i (u - lambda_i)^{-2} - n is convex and decreasing on
+    (lambda_max, inf), so the root is unique and Newton's method started
+    left of it climbs to it monotonically: each tangent step lands at or
+    below the root.  The start u0 = max(lambda_max + n^{-1/2},
+    mean(lambda) + 1) has g(u0) >= 0: at the first bound the top term
+    alone is n, at the second Jensen's inequality gives
+    sum (u0 - lambda_i)^{-2} >= n / (u0 - mean(lambda))^2 = n.  Iteration
+    stops when an iterate no longer increases, which in floating point
+    is the root to rounding.
     """
     if isinstance(A, CovMatrix):
         lam = A.eigvals
@@ -116,41 +122,12 @@ def stieltjes_u(A):
         else:
             lam = np.linalg.eigvalsh(0.5 * (A + A.T))
     n = lam.shape[0]
-    top = float(lam[-1])
-
-    def g(u):
-        d = u - lam
-        return float(np.sum(1.0 / (d * d))) - n
-
-    def gprime(u):
-        d = u - lam
-        return -2.0 * float(np.sum(1.0 / (d * d * d)))
-
-    # g(top + 1) <= n/(1)^2 * ... is <= 0 since each term <= 1/1 and the
-    # top term alone is 1; in fact g(top + 1) <= 0 always, so the bracket
-    # (top, top + 2] is safe.
-    lo = top
-    hi = top + 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-6 * max(1.0, abs(hi)):
-            break
-    u = 0.5 * (lo + hi)
+    u = max(float(lam[-1]) + n ** -0.5, float(np.mean(lam)) + 1.0)
     for _ in range(100):
-        gu = g(u)
-        if gu > 0:
-            lo = u
-        else:
-            hi = u
-        u_new = u - gu / gprime(u)
-        if not (lo < u_new < hi):
-            u_new = 0.5 * (lo + hi)
-        converged = abs(u_new - u) <= 1e-10 * max(1.0, abs(u_new))
-        u = u_new
-        if converged:
+        r = 1.0 / (u - lam)
+        r2 = r * r
+        u_new = u + (float(np.sum(r2)) - n) / (2.0 * float(r2 @ r))
+        if not u_new > u:
             break
+        u = u_new
     return u

@@ -12,12 +12,12 @@ importance reweighting to the current tilt, which cuts the observable
 noise well below what one snapshot of size k could give.
 
 At t=0 the tilt is zero and the target is the base itself.  Where the
-base has an exact law (walks.exact_sample) the t=0 pool is filled with
-independent exact snapshots and the chains start from the last one;
-otherwise the chains start from one warm-start point, or from the first
-exact snapshot when the rest would cost more rejection proposals than
-the Metropolis refreshes they replace, and the pool is filled by those
-refreshes.
+base has an exact law (walks.exact_sample) one exact call, on the
+proposal budget of the Metropolis refreshes it replaces, fills the t=0
+pool with independent snapshots and the chains start from the last one.
+When that budget runs out the chains start from k exact draws, and when
+the base has no exact law from one warm-start point; the refreshes then
+fill the pool.
 """
 
 import math
@@ -33,8 +33,8 @@ from .linalg import (CovMatrix, SingularCovarianceError, quad_rows, stieltjes_u,
                      sym_inv_sqrt)
 from .parallel import parallel_map
 from .rng import as_generator, as_stream
-from .walks import (_REJECT_BATCH, NoExactSampler, WalkError, advance_ensemble,
-                    default_delta, exact_sample, warm_start)
+from .walks import (NoExactSampler, WalkError, advance_ensemble, default_delta,
+                    exact_sample, warm_start)
 
 __all__ = [
     "SlocError", "LocalizationState", "TrajectoryRecord", "ObservablePool",
@@ -157,19 +157,20 @@ class LocalizationState:
     control: str
     q: int
     k: int
-    t: float
     c: np.ndarray
     B: np.ndarray
-    mean: np.ndarray
-    cov: CovMatrix
-    phi: float
-    phi_q: float
-    u: float
     tracked: list
-    g: dict
-    g_se: dict
-    accept_rate: float
     density: Density         # current tilted density
+    # observables at time t, written by the refresh functions
+    t: float = 0.0
+    mean: np.ndarray = None
+    cov: CovMatrix = None
+    phi: float = math.nan
+    phi_q: float = math.nan
+    u: float = math.nan
+    g: dict = field(default_factory=dict)
+    g_se: dict = field(default_factory=dict)
+    accept_rate: float = math.nan
     closed_form: bool = False
     pool: ObservablePool = None
     ensemble: np.ndarray = None
@@ -183,11 +184,7 @@ class LocalizationState:
     def n(self):
         return self.base.n
 
-    @property
-    def opnorm(self):
-        return self.cov.opnorm
-
-    def check_invariants(self, tol=1e-8):
+    def check_invariants(self):
         """Barrier and potential consistency checks; raises on violation."""
         lam = self.cov.eigvals
         if abs(self.phi - float(np.sum(lam ** 2))) > 1e-10 * max(1.0, self.phi):
@@ -195,7 +192,7 @@ class LocalizationState:
         if self.u <= self.cov.opnorm:
             raise SlocError("barrier value u is not above the operator norm")
         resid = float(np.sum((self.u - lam) ** -2.0)) - self.n
-        if abs(resid) > max(tol, 1e-8 * self.n):
+        if abs(resid) > 1e-8 * self.n:
             raise SlocError(f"barrier equation residual {resid:g}")
         if self.control == "identity":
             if np.max(np.abs(self.B - self.t * np.eye(self.n))) > 1e-12 * max(1.0, self.t):
@@ -301,16 +298,18 @@ def sloc_init(density, control="identity", tracked_sets=None, q=None, k=None,
               closed_form=False):
     """State at t=0: zero tilt, observables estimated from the base density.
 
-    The t=0 pool holds init_refreshes snapshots of k points.  The first
-    snapshot is k exact draws; when the base has no exact law, the k
-    chains all start at one warm-start point instead.  The other
-    snapshots are exact draws too, on a budget of the
-    init_refreshes * inner_steps * k rejection proposals that the
-    refreshes they replace would have spent; the chains then continue
-    from the last snapshot and only tune their proposal radius.  Without
-    an exact first snapshot, or when that budget runs out, every snapshot
-    comes from inner_steps Metropolis steps of the chains.  meta["t0_pool"]
-    records which path ran ("exact" or "chain").
+    The t=0 pool holds init_refreshes snapshots of k points.  Where the
+    base has an exact law, one exact_sample call draws all
+    init_refreshes * k points on a budget of inner_steps rejection
+    batches, which is the init_refreshes * inner_steps * k proposals the
+    Metropolis refreshes it replaces would spend whenever the pool holds
+    at least 256 points; the draws are split into the snapshots, the
+    chains continue from the last one and only tune their proposal
+    radius.  When that call raises, the k chains start from k exact
+    draws, or all at one warm-start point when the base has no exact
+    law, and every snapshot comes from inner_steps Metropolis steps of
+    the chains.  meta["t0_pool"] records which path ran ("exact" or
+    "chain").
 
     closed_form=True requires a standard-Gaussian base with identity
     control; mean and covariance are then supplied analytically and no
@@ -332,11 +331,8 @@ def sloc_init(density, control="identity", tracked_sets=None, q=None, k=None,
         if control != "identity":
             raise ValueError("closed-form mode needs the identity control")
         state = LocalizationState(
-            base=density, control=control, q=q, k=k, t=0.0,
-            c=np.zeros(n), B=np.zeros((n, n)),
-            mean=np.zeros(n), cov=CovMatrix(np.eye(n)),
-            phi=float(n), phi_q=float(n), u=2.0,
-            tracked=tracked, g={}, g_se={}, accept_rate=1.0,
+            base=density, control=control, q=q, k=k,
+            c=np.zeros(n), B=np.zeros((n, n)), tracked=tracked,
             density=density, closed_form=True, meta={"t0_pool": "closed_form"})
         _refresh_closed_form(state)
         _validate_measures(state)
@@ -348,13 +344,15 @@ def sloc_init(density, control="identity", tracked_sets=None, q=None, k=None,
     inner_steps = int(inner_steps)
 
     try:
-        X = exact_sample(work, k, gen)
+        snapshots = np.split(exact_sample(work, refreshes * k, gen,
+                                          max_batches=inner_steps), refreshes)
     except (NoExactSampler, WalkError):
-        X = np.tile(warm_start(work, gen), (k, 1))
         snapshots = []
+        try:
+            X = exact_sample(work, k, gen)
+        except (NoExactSampler, WalkError):
+            X = np.tile(warm_start(work, gen), (k, 1))
     else:
-        snapshots = _exact_snapshots(work, X, refreshes, inner_steps, gen)
-    if snapshots:
         X = snapshots[-1]
     X = np.array(X, dtype=float)
     logf = work.log_density_many(X)
@@ -362,11 +360,8 @@ def sloc_init(density, control="identity", tracked_sets=None, q=None, k=None,
         raise SlocError("initial ensemble contains points outside the support")
 
     state = LocalizationState(
-        base=work, control=control, q=q, k=k, t=0.0,
-        c=np.zeros(n), B=np.zeros((n, n)),
-        mean=np.zeros(n), cov=CovMatrix(np.eye(n)),
-        phi=float(n), phi_q=float(n), u=2.0,
-        tracked=tracked, g={}, g_se={}, accept_rate=1.0,
+        base=work, control=control, q=q, k=k,
+        c=np.zeros(n), B=np.zeros((n, n)), tracked=tracked,
         density=work, pool=ObservablePool(window=window),
         ensemble=X, log_ensemble=logf,
         inner_steps=inner_steps,
@@ -384,23 +379,6 @@ def sloc_init(density, control="identity", tracked_sets=None, q=None, k=None,
     _assign_estimates(state, rate)
     _validate_measures(state)
     return state
-
-
-def _exact_snapshots(work, first, refreshes, inner_steps, gen):
-    """first and refreshes - 1 more snapshots of exact draws of its size,
-    on a budget of the refreshes * inner_steps * k rejection proposals that
-    Metropolis refreshes of its k chains would spend; [] when it runs out."""
-    k = len(first)
-    rest = (refreshes - 1) * k
-    if not rest:
-        return [first]
-    budget = refreshes * inner_steps * k
-    try:
-        X = exact_sample(work, rest, gen,
-                         max_batches=budget // max(rest, _REJECT_BATCH))
-    except WalkError:
-        return []
-    return [first] + np.split(X, refreshes - 1)
 
 
 def _validate_measures(state):
@@ -502,21 +480,13 @@ def _single_run(density, run_idx, stream, T, h, n_steps, record_every,
     gen = stream.generator()
     state = sloc_init(density, rng=gen, **init_kwargs)
     names = [name for name, _ in state.tracked]
-    rows = {key: [] for key in ("t", "phi", "phi_q", "opnorm", "u", "acc")}
-    g_rows = {name: [] for name in names}
-    g_se_rows = {name: [] for name in names}
+    recs = []
     covs = [] if keep_cov else None
 
     def record():
-        rows["t"].append(state.t)
-        rows["phi"].append(state.phi)
-        rows["phi_q"].append(state.phi_q)
-        rows["opnorm"].append(state.cov.opnorm)
-        rows["u"].append(state.u)
-        rows["acc"].append(state.accept_rate)
-        for name in names:
-            g_rows[name].append(state.g[name])
-            g_se_rows[name].append(state.g_se[name])
+        recs.append((state.t, state.phi, state.phi_q, state.cov.opnorm, state.u,
+                     state.accept_rate, *(state.g[name] for name in names),
+                     *(state.g_se[name] for name in names)))
         if keep_cov:
             covs.append(state.cov.matrix.copy())
 
@@ -525,15 +495,13 @@ def _single_run(density, run_idx, stream, T, h, n_steps, record_every,
         sloc_step(state, h, gen)
         if step % record_every == 0 or step == n_steps:
             record()
+    t, phi, phi_q, opnorm, u, acc, *gs = np.array(recs, dtype=float).T
+    m = len(names)
     return TrajectoryRecord(
-        run=run_idx, set_names=names,
-        t=np.array(rows["t"]), phi=np.array(rows["phi"]),
-        phi_q=np.array(rows["phi_q"]), opnorm=np.array(rows["opnorm"]),
-        u=np.array(rows["u"]),
-        g={name: np.array(vals) for name, vals in g_rows.items()},
-        accept_rate=np.array(rows["acc"]),
-        g_se={name: np.array(vals) for name, vals in g_se_rows.items()},
-        cov_list=covs, t0_pool=state.meta["t0_pool"])
+        run=run_idx, set_names=names, t=t, phi=phi, phi_q=phi_q,
+        opnorm=opnorm, u=u, g=dict(zip(names, gs[:m])), accept_rate=acc,
+        g_se=dict(zip(names, gs[m:])), cov_list=covs,
+        t0_pool=state.meta["t0_pool"])
 
 
 def sloc_run(density, T, h=None, k=None, n_runs=1, tracked_sets=None,
@@ -615,7 +583,7 @@ def _summarize_runs(records, T, h, record_every, control):
         else:
             se0 = float(records[0].g_se[name][0])
             seT = float(records[0].g_se[name][-1])
-            max_dev = float("nan")
+            max_dev = None      # no across-run spread to scale by
         combined = math.sqrt(se0 ** 2 + seT ** 2)
         balanced = np.array([np.all((r.g[name] >= lo) & (r.g[name] <= hi))
                              for r in records])

@@ -74,8 +74,7 @@ def ratio_estimator(samples, f_next, f_cur) -> Estimate:
     if np.all(np.isneginf(ly)):
         raise ValueError("ratio estimator saw only zero weights; "
                          "densities have effectively disjoint support")
-    y = np.exp(np.where(np.isneginf(ly), -np.inf, ly))
-    y[np.isneginf(ly)] = 0.0
+    y = np.exp(ly)
     n = y.size
     se = float(y.std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
     return Estimate(float(y.mean()), se, n, "phase_ratio")

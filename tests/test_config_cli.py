@@ -436,7 +436,14 @@ RERUN_CFGS = {
                  'max_iters = 3\nk = 200\n'),
     "constants": ('[body]\nkind = "cube"\nn = 2\nhalf_width = 1.7320508075688772\n'
                   '[walk]\nn_samples = 200\n'),
+    # one run with a tracked set: no across-run spread for max_dev_sigma
+    "sloc": ('[experiment]\nseed = 1\n[body]\nkind = "cube"\nn = 3\n[sloc]\n'
+             'T = 0.05\nn_runs = 1\nk = 64\nsets = ["halfspace 0 0.0"]\n'),
 }
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
 
 
 @pytest.mark.parametrize("job", sorted(RERUN_CFGS))
@@ -450,6 +457,9 @@ def test_rerun_is_byte_identical(tmp_path, job):
                          "--out", str(out)]) == 0
         blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert blobs[0] and blobs[0] == blobs[1]
+    for name, blob in blobs[0].items():
+        if name.endswith(".json"):
+            json.loads(blob, parse_constant=_no_constant)
 
 
 def test_optimize_starts_at_config_alpha0(tmp_path):

@@ -1,4 +1,5 @@
-"""Every name the package exports has a caller inside the package."""
+"""Every name the package exports has a caller inside the package, and no
+module imports a private name from another."""
 
 import ast
 import pathlib
@@ -63,3 +64,18 @@ def test_every_exported_name_has_a_caller():
     assert stale == [], (
         f"allow-listed but exported with a caller, or not exported: "
         f"{', '.join(stale)}; remove the allow-list entry")
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.ImportFrom)
+                    and (node.level or (node.module or "").startswith("klslab"))):
+                continue
+            found += [f"{path.name}: {alias.name}" for alias in node.names
+                      if alias.name.startswith("_")
+                      and not alias.name.endswith("__")]
+    assert found == [], (
+        f"private names imported across modules: {', '.join(found)}; make "
+        f"the name public or keep its use inside its module")

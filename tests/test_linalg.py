@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from klslab.linalg import (CovMatrix, SingularCovarianceError, power_opnorm,
                            stieltjes_u, sym_inv_sqrt)
@@ -58,6 +61,38 @@ def test_stieltjes_scaling_invariance():
 
 def test_stieltjes_accepts_eigenvalue_vector():
     assert stieltjes_u(np.array([1.0, 1.0])) == pytest.approx(2.0, abs=1e-10)
+
+
+@st.composite
+def _spectra(draw):
+    """Sorted PSD spectra of n = 1..40 values on a few levels (so values
+    repeat), zero among them, scaled to spreads from 1e-8 to 1e4."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    level = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0))
+    levels = draw(st.lists(level, min_size=1, max_size=n))
+    picks = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    spread = 10.0 ** draw(st.floats(min_value=-8.0, max_value=4.0))
+    return np.sort(spread * np.array(picks))
+
+
+@given(_spectra())
+@settings(max_examples=300, deadline=None)
+def test_stieltjes_is_the_root_from_above_both_starts(lam):
+    n = len(lam)
+    top = float(lam[-1])
+    u = stieltjes_u(lam)
+
+    def g(v):
+        return float(np.sum((v - lam) ** -2.0)) - n
+
+    assert u > top
+    assert abs(g(u)) <= 1e-10 * n
+    assert u >= top + n ** -0.5 and u >= float(np.mean(lam)) + 1.0
+    # the top term alone exceeds n at top + n^{-1/2}/2; every term is at
+    # most 1/4 at top + 2
+    oracle = brentq(g, top + 0.5 * n ** -0.5, top + 2.0, xtol=1e-300,
+                    rtol=4 * np.finfo(float).eps, maxiter=500)
+    assert abs(u - oracle) <= 1e-12 * oracle
 
 
 def test_sym_sqrt_and_inv_sqrt():

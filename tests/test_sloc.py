@@ -177,15 +177,15 @@ def test_init_work_counts(monkeypatch):
         monkeypatch, Boltzmann(AxisCube(3), 1.0, np.ones(3)))
     assert state.meta["t0_pool"] == "chain"
     assert 1 <= tune <= 12 and refresh == 8
-    # rejection accepts about 1% on simplex(4) (k = 256): the other 4
-    # snapshots spend at most the refreshes' 5 * 8 * 256 proposals, run
-    # out, and the refreshes fill the pool
+    # rejection accepts about 1% on simplex(4) (k = 256): the 5 snapshots
+    # spend at most the refreshes' 5 * 8 * 256 proposals, run out, and
+    # the refreshes fill the pool from k exact chain starts
     state, tune, refresh, proposals = _count_init_work(
         monkeypatch, Uniform(simplex(4)), init_refreshes=5)
     assert state.meta["t0_pool"] == "chain"
     assert 1 <= tune <= 12 and refresh == 5
     assert len(state.pool.groups) == 5
-    assert len(proposals) == 2 and proposals[1] <= 5 * 8 * 256
+    assert len(proposals) == 2 and proposals[0] <= 5 * 8 * 256
 
 
 def test_state_invariants_detect_tampering():
