@@ -24,7 +24,6 @@ from .isotropy import estimate_mean_cov, iterated_gaussian_isotropy
 from .linalg import (CovMatrix, SingularCovarianceError, power_opnorm,
                      stieltjes_u, sym_inv_sqrt)
 from .needles import NeedleCell, NeedleResult, balanced_split, needle_decompose
-from .parallel import parallel_map
 from .rng import RngStream, as_generator, as_stream
 from .sloc import (LocalizationState, ObservablePool, SlocError,
                    TrajectoryRecord, moment_inequality_check, sloc_closed_form,

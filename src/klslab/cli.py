@@ -57,18 +57,6 @@ def _fmt(v):
     return str(v)
 
 
-def _json_default(v):
-    if isinstance(v, (np.bool_,)):
-        return bool(v)
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    raise TypeError(f"not JSON serializable: {type(v)}")
-
-
 # ---------------------------------------------------------------------------
 # "%.17g" of float64 blocks in numpy
 #
@@ -247,7 +235,7 @@ class _Artifacts:
                          "seed": self.cfg.seed}}
         body.update(payload)
         with open(path, "w", newline="\n") as fh:
-            json.dump(body, fh, indent=2, sort_keys=True, default=_json_default)
+            json.dump(body, fh, indent=2, sort_keys=True)
             fh.write("\n")
         self.paths.append(path)
         return path

@@ -17,9 +17,6 @@ from .bodies import AxisCube, Ball, simplex
 from .densities import Boltzmann, Exponential, Gaussian, Uniform
 from .diagnostics import BallSet, HalfspaceSet
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "make_body",
-           "make_density", "make_tracked_sets", "parse_set_descriptor"]
-
 SUBCOMMANDS = ("sample", "constants", "volume", "optimize", "cutplane",
                "sloc", "needles", "isotropy")
 WALK_KINDS = ("ball_walk", "metropolis", "hit_and_run", "coordinate_hit_and_run")
@@ -121,9 +118,6 @@ _SCHEMA = {
     },
 }
 
-_DEFAULT_SECTIONS = {name: {} for name in _SCHEMA}
-
-
 @dataclass
 class ExperimentConfig:
     # subcommand may instead come from the command line; run_experiment
@@ -215,7 +209,7 @@ def _parse_value(token, line_no, errors):
 def parse_config(text):
     """Parse and validate; raises ConfigError listing every problem."""
     errors = []
-    sections = {name: {} for name in _DEFAULT_SECTIONS}
+    sections = {name: {} for name in _SCHEMA}
     current = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -257,23 +251,11 @@ def parse_config(text):
             continue
         sections[current][key] = value
 
-    exp = sections["experiment"]
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(
-        subcommand=exp.get("subcommand"),
-        seed=exp.get("seed", 0),
-        out=exp.get("out", "."),
-        threads=exp.get("threads", 1),
-        body=sections["body"],
-        density=sections["density"],
-        walk=sections["walk"],
-        schedule=sections["schedule"],
-        sloc=sections["sloc"],
-        needles=sections["needles"],
-        cutplane=sections["cutplane"],
-        isotropy=sections["isotropy"],
-    )
+    # the [experiment] keys are ExperimentConfig's scalar fields, every
+    # other section is its dict field of the same name
+    return ExperimentConfig(**sections.pop("experiment"), **sections)
 
 
 # ---------------------------------------------------------------------------

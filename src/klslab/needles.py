@@ -22,8 +22,6 @@ from .bodies import RestrictedBody
 from .rng import as_stream
 from .walks import run_chain
 
-__all__ = ["NeedleCell", "NeedleResult", "needle_decompose", "balanced_split"]
-
 CELL_COLUMNS = ["cell_id", "depth", "weight", "max_variance", "rel_measure"]
 
 _MIN_SIDE = 8

@@ -21,6 +21,7 @@ fill the pool.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,17 +32,9 @@ from .densities import Density, Gaussian, Tilted
 from .diagnostics import BallSet, HalfspaceSet
 from .linalg import (CovMatrix, SingularCovarianceError, quad_rows, stieltjes_u,
                      sym_inv_sqrt)
-from .parallel import parallel_map
 from .rng import as_generator, as_stream
 from .walks import (NoExactSampler, WalkError, advance_ensemble, default_delta,
                     exact_sample, warm_start)
-
-__all__ = [
-    "SlocError", "LocalizationState", "TrajectoryRecord", "ObservablePool",
-    "sloc_init", "sloc_step", "sloc_run", "sloc_closed_form",
-    "moment_inequality_check",
-    "default_q", "default_h",
-]
 
 TRUNCATION_FACTOR = 10.0
 MEASURE_WINDOW = (0.25, 0.75)
@@ -515,6 +508,11 @@ def sloc_run(density, T, h=None, k=None, n_runs=1, tracked_sets=None,
     (mean g_T vs g_0 in combined-se units) and the balance frequency
     (fraction of runs with g in [1/4, 3/4] at every recorded time),
     and the empirical quantiles of the potential ratios.
+
+    With threads > 1 the runs go to a thread pool.  Run i draws only from
+    substream i of rng and the pool's map returns results in job order,
+    not completion order, so the records, and every artifact built from
+    them, are the same bytes at any thread count.
     """
     if T <= 0:
         raise ValueError("horizon T must be positive")
@@ -542,7 +540,11 @@ def sloc_run(density, T, h=None, k=None, n_runs=1, tracked_sets=None,
                            record_every, init_kwargs, keep_cov)
 
     jobs = [(i, stream.substream(i)) for i in range(n_runs)]
-    records = parallel_map(one, jobs, threads=threads)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            records = list(pool.map(one, jobs))
+    else:
+        records = [one(job) for job in jobs]
     summary = _summarize_runs(records, T, h_eff, record_every, control)
     return records, summary
 

@@ -1,9 +1,12 @@
 """Annealed volume computation, Boltzmann optimization, and cutting planes.
 
-All three share the telescoping-product idea: a schedule of densities
-f_0, ..., f_m interpolates between something analytically integrable and
-the target, and each consecutive integral ratio is a cheap expectation
-E_{f_i}[f_{i+1}/f_i] estimated by sampling f_i.
+Volume rests on a telescoping product: a schedule of densities f_0, ...,
+f_m interpolates between something analytically integrable and the
+target, and each consecutive integral ratio is a cheap expectation
+E_{f_i}[f_{i+1}/f_i] estimated by sampling f_i.  A schedule carries
+log_start, the log-integral of f_0; _telescope multiplies exp(log_start)
+by every phase ratio raised to a sign (-1 for the ball sequence's
+inner-to-outer fractions) and adds the ratios' relative variances.
 
 Schedules:
   * ball sequence: K_i = (2^{i/n} r B) intersect K, m = ceil(n log2(R/r))
@@ -33,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammainccinv, gammaincc, gammaln
 
-from .bodies import (Ball, BallIntersection, BodyError, RestrictedBody,
-                     transform_body)
+from .bodies import (Ball, BallIntersection, BodyError, Polytope,
+                     RestrictedBody, transform_body)
 from .densities import Uniform, Exponential, Gaussian, Boltzmann
 from .estimates import Estimate
 from .rng import as_generator
@@ -83,6 +86,7 @@ def ratio_estimator(samples, f_next, f_cur) -> Estimate:
 @dataclass
 class AnnealSchedule:
     params: np.ndarray         # radii for the ball sequence, rates otherwise
+    log_start: float           # log-integral of the first density
     factor: float = 1.0
     meta: dict = field(default_factory=dict)
 
@@ -125,7 +129,8 @@ def ball_schedule(body) -> AnnealSchedule:
         raise ValueError("body needs a positive inscribed radius")
     m = int(np.ceil(n * np.log2(R / r))) if R > r else 0
     radii = r * np.exp2(np.arange(m + 1) / n)
-    return AnnealSchedule(radii, factor=2.0 ** (1.0 / n),
+    return AnnealSchedule(radii, log_ball_volume(n) + n * np.log(radii[0]),
+                          factor=2.0 ** (1.0 / n),
                           meta={"m": m, "r": r, "R": R})
 
 
@@ -149,8 +154,6 @@ def dfk_volume(body, rng, k=1000) -> VolumeResult:
     delta = default_delta(n)
     chains = min(int(k), DFK_CHAINS)
     per_chain = -(-int(k) // chains)
-    log_v = log_ball_volume(n) + n * np.log(radii[0])
-    var_log = 0.0
     phases = []
     X = None
     for i in range(1, len(radii)):
@@ -172,17 +175,12 @@ def dfk_volume(body, rng, k=1000) -> VolumeResult:
         if q < 0.4:
             warnings.warn(f"phase {i}: ratio {q:.3f} below 0.4; the nesting "
                           "property looks violated empirically")
-        se_q = np.sqrt(q * (1 - q) / k)
-        log_v -= np.log(q)
-        var_log += (se_q / q) ** 2
         phases.append({"phase": i, "param": float(radii[i]), "ratio": q,
-                       "se": float(se_q),
+                       "se": float(np.sqrt(q * (1 - q) / k)),
                        "acceptance": accepted / (burn_in + per_chain * thin),
                        "n_samples": k})
-    value = float(np.exp(log_v))
-    return VolumeResult(value, value * float(np.sqrt(var_log)), float(log_v),
-                        len(radii) - 1, "ball_sequence", phases,
-                        meta={"factor": sched.factor, "k": k, "chains": chains})
+    return _telescope(sched, phases, -1, "ball_sequence",
+                      {"factor": sched.factor, "k": k, "chains": chains})
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +215,8 @@ def exponential_schedule(body) -> AnnealSchedule:
     alpha0 = max(2.0 * n / r, float(gammainccinv(n, TRUNCATION_TOL)) / r)
     alphas, factor = _cooling(alpha0, alpha0 * R, 1.0 / R, n)
     truncation = float(gammaincc(n, alpha0 * r))
-    return AnnealSchedule(alphas, factor=factor,
+    log_start = gammaln(n + 1.0) + log_ball_volume(n) - n * np.log(alpha0)
+    return AnnealSchedule(alphas, log_start, factor=factor,
                           meta={"alpha0": alpha0, "truncation_bound": truncation,
                                 "m": len(alphas) - 1})
 
@@ -238,68 +237,68 @@ def gaussian_cooling_schedule(body) -> AnnealSchedule:
     a0 = max(4.0 * n / (r * r), 2.0 * float(gammainccinv(0.5 * n, TRUNCATION_TOL)) / (r * r))
     avals, factor = _cooling(a0, a0 * R * R, 1.0 / (R * R), n)
     truncation = float(gammaincc(0.5 * n, 0.5 * a0 * r * r))
-    return AnnealSchedule(avals, factor=factor,
+    return AnnealSchedule(avals, 0.5 * n * np.log(2.0 * np.pi / a0), factor=factor,
                           meta={"a0": a0, "truncation_bound": truncation,
                                 "m": len(avals) - 1,
                                 "schedule": "reused cooling factor"})
 
 
-def _annealed_volume(body, rng, schedule, make_density, log_f0_integral,
-                     k, thin, method):
+def _telescope(schedule, phases, sign, method, meta) -> VolumeResult:
+    """exp(log_start) times each phase ratio raised to sign, with the
+    delta-method standard error: the relative variances of the ratios add."""
+    log_v = schedule.log_start
+    var_log = 0.0
+    for phase in phases:
+        log_v += sign * np.log(phase["ratio"])
+        var_log += (phase["se"] / phase["ratio"]) ** 2
+    value = float(np.exp(log_v))
+    return VolumeResult(value, value * float(np.sqrt(var_log)), float(log_v),
+                        len(phases), method, phases, meta=meta)
+
+
+def _phase_chains(densities, x_start, k, thin, rng):
+    """Yield k hit-and-run states of each density in turn, after a burn-in
+    of 50 n steps; each chain starts where the previous one ended."""
+    rng = as_generator(rng)
+    for density in densities:
+        X = run_chain(density, x_start, k, burn_in=50 * density.n, thin=thin,
+                      rng=rng)
+        x_start = X[-1]
+        yield X
+
+
+def _annealed_volume(body, rng, schedule, make_density, k, thin, method):
     """Common driver: telescope E[f_{i+1}/f_i] along the schedule, then a
     final phase from the last annealed density to the uniform one."""
     centered = _centered(body)
     n = centered.n
-    rng = as_generator(rng)
     thin = max(1, n // 2) if thin is None else int(thin)
-    burn_in = 50 * n
-    params = schedule.params
-    log_v = log_f0_integral
-    var_log = 0.0
-    phases = []
-    x_start = np.zeros(n)
-    densities = [make_density(centered, p) for p in params]
+    densities = [make_density(centered, p) for p in schedule.params]
     densities.append(Uniform(centered))
-    labels = list(params) + [0.0]
-    for i in range(len(densities) - 1):
-        f_cur, f_next = densities[i], densities[i + 1]
-        X = run_chain(f_cur, x_start, k, burn_in=burn_in, thin=thin, rng=rng)
-        x_start = X[-1].copy()
-        est = ratio_estimator(X, f_next, f_cur)
+    phases = []
+    chains = _phase_chains(densities[:-1], np.zeros(n), k, thin, rng)
+    for i, X in enumerate(chains):
+        est = ratio_estimator(X, densities[i + 1], densities[i])
         rel_var = (est.std_error * np.sqrt(k) / est.value) ** 2 if est.value > 0 else float("inf")
         if rel_var > REL_VARIANCE_ABORT:
             raise VolumePhaseError(i, rel_var)
-        log_v += np.log(est.value)
-        var_log += (est.std_error / est.value) ** 2
-        phases.append({"phase": i, "param": float(labels[i]),
+        phases.append({"phase": i, "param": float(schedule.params[i]),
                        "ratio": est.value, "se": est.std_error,
                        # hit-and-run moves on every step
                        "acceptance": 1.0, "n_samples": k})
-    value = float(np.exp(log_v))
-    return VolumeResult(value, value * float(np.sqrt(var_log)), float(log_v),
-                        len(densities) - 1, method, phases,
-                        meta=dict(schedule.meta, factor=schedule.factor, k=k))
+    return _telescope(schedule, phases, 1, method,
+                      dict(schedule.meta, factor=schedule.factor, k=k))
 
 
 def lv_annealing_volume(body, rng, k=1000, thin=None) -> VolumeResult:
     """Volume by exponential-rate annealing with hit-and-run sampling."""
-    sched = exponential_schedule(body)
-    n = body.n
-    alpha0 = sched.meta["alpha0"]
-    log_f0 = gammaln(n + 1.0) + log_ball_volume(n) - n * np.log(alpha0)
-    return _annealed_volume(body, rng, sched,
-                            lambda b, a: Exponential(b, a), log_f0,
+    return _annealed_volume(body, rng, exponential_schedule(body), Exponential,
                             k, thin, "exponential_annealing")
 
 
 def gaussian_cooling_volume(body, rng, k=1000) -> VolumeResult:
     """Volume by Gaussian cooling with hit-and-run sampling."""
-    sched = gaussian_cooling_schedule(body)
-    n = body.n
-    a0 = sched.meta["a0"]
-    log_f0 = 0.5 * n * np.log(2.0 * np.pi / a0)
-    return _annealed_volume(body, rng, sched,
-                            lambda b, a: Gaussian(b, a), log_f0,
+    return _annealed_volume(body, rng, gaussian_cooling_schedule(body), Gaussian,
                             k, None, "gaussian_cooling")
 
 
@@ -343,18 +342,13 @@ def anneal_optimize(body, c, eps, rng, k=500, alpha0=None) -> OptimizeResult:
     """
     c = np.asarray(c, dtype=float).reshape(body.n)
     n = body.n
-    rng = as_generator(rng)
-    thin = max(1, n // 2)
-    burn_in = 50 * n
     alphas, a0, a_f = optimize_schedule(n, body.R, float(np.linalg.norm(c)),
                                         eps, alpha0)
-    x_start = body.x0.copy()
-    best_x, best_val = x_start.copy(), float(c @ x_start)
+    best_x, best_val = body.x0.copy(), float(c @ body.x0)
     trace = []
-    for j, alpha in enumerate(alphas):
-        density = Boltzmann(body, alpha, c)
-        X = run_chain(density, x_start, k, burn_in=burn_in, thin=thin, rng=rng)
-        x_start = X[-1].copy()
+    chains = _phase_chains((Boltzmann(body, alpha, c) for alpha in alphas),
+                           body.x0, k, max(1, n // 2), rng)
+    for j, (alpha, X) in enumerate(zip(alphas, chains)):
         vals = X @ c
         i_best = int(np.argmin(vals))
         if vals[i_best] < best_val:
@@ -388,7 +382,8 @@ class CutPlaneResult:
 
 
 def separation_oracle_for(body):
-    """Membership/separation oracle for bodies with analytic separators."""
+    """Membership/separation oracle of a Ball or a Polytope; any other kind
+    raises, a RestrictedBody too (its rows A, b are only its cuts)."""
     if isinstance(body, Ball):
         def oracle(x):
             d = x - body.center
@@ -398,7 +393,7 @@ def separation_oracle_for(body):
             a = d / dist
             return a, float(a @ body.center) + body.radius
         return oracle
-    if hasattr(body, "A") and hasattr(body, "b"):
+    if isinstance(body, Polytope):
         def oracle(x):
             slack = body.A @ x - body.b
             i = int(np.argmax(slack))
@@ -466,7 +461,8 @@ def _interior_after_cut(outer, retained, X, x_bar, a, b, rng):
     if retained.shape[0]:
         margins = b - retained @ a
         return retained[int(np.argmax(margins))].copy()
-    # no sample survived: cast rays toward the kept side.  From a point p
+    # no sample survived, so x_bar and every sample lie strictly beyond
+    # the cut (s_need > 0): cast rays toward the kept side.  From a point p
     # inside the localizer the segment along -a between the cut plane
     # (distance s_need) and the wall (distance hi) lies in the sliver, so
     # any candidate with hi > s_need gives an interior point exactly.
@@ -476,8 +472,6 @@ def _interior_after_cut(outer, retained, X, x_bar, a, b, rng):
     for p in [x_bar, *X[order]]:
         p = np.asarray(p, dtype=float)
         s_need = (float(a @ p) - b) / norm_a
-        if s_need < 0:
-            return p.copy()
         try:
             _, hi = outer.chord(p, d)
         except BodyError:

@@ -511,9 +511,4 @@ def warm_start(density, rng, burn_in=None):
                             max_batches=-(-burn_in // _REJECT_BATCH))[0]
     except (NoExactSampler, WalkError):
         pass
-    state = ChainState(x=density.body.x0.copy())
-    if density.log_density(state.x) == float("-inf"):
-        raise WalkError("body interior point has zero density; cannot warm start")
-    for _ in range(burn_in):
-        hit_and_run_step(density, state, rng)
-    return state.x
+    return run_chain(density, density.body.x0, 1, thin=burn_in, rng=rng)[0]

@@ -1,5 +1,6 @@
-"""Every name the package exports has a caller inside the package, and no
-module imports a private name from another."""
+"""Every name the package exports has a caller inside the package, no
+module imports a private name from another, and __init__.py is the one
+export list."""
 
 import ast
 import pathlib
@@ -79,3 +80,11 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert found == [], (
         f"private names imported across modules: {', '.join(found)}; make "
         f"the name public or keep its use inside its module")
+
+
+def test_no_module_defines_all():
+    # __init__.py is the one export list; a second list per module drifts
+    found = sorted({path.name for path in SRC.glob("*.py")
+                    for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Name) and node.id == "__all__"})
+    assert found == [], f"modules defining __all__: {', '.join(found)}"

@@ -119,6 +119,20 @@ def test_identity_drift_without_noise():
     assert state.t == pytest.approx(0.01)
 
 
+def test_inverse_sqrt_cov_drift_without_noise():
+    # the control is C = Sigma^-1 of the estimates before the step, so
+    # with zero noise B = h Sigma^-1 and c = h Sigma^-1 mu
+    state = sloc_init(Gaussian(Ball(3, 30.0)), control="inverse_sqrt_cov",
+                      k=512, rng=RngStream(19))
+    mean0, inv0 = state.mean.copy(), np.linalg.inv(state.cov.matrix)
+    h = 0.01
+    sloc_step(state, h, RngStream(20), noise=np.zeros(3))
+    np.testing.assert_allclose(state.B, h * inv0, rtol=1e-10, atol=1e-15)
+    np.testing.assert_allclose(state.c, h * inv0 @ mean0, rtol=1e-10, atol=1e-15)
+    assert state.t == h
+    state.check_invariants()
+
+
 def test_init_without_rng_uses_seed_zero():
     s_default = sloc_init(Uniform(AxisCube(2)), k=32)
     s_zero = sloc_init(Uniform(AxisCube(2)), k=32, rng=0)

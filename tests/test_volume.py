@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import gammainccinv
 
-from klslab.bodies import AxisCube, Ball, Ellipsoid, simplex
+from klslab.bodies import AxisCube, Ball, Ellipsoid, RestrictedBody, simplex
 from klslab.densities import Boltzmann, Exponential, Uniform
 from klslab.rng import RngStream
 from klslab.volume import (DFK_CHAINS, OracleInconsistencyError,
@@ -239,3 +239,8 @@ def test_separation_oracle_rejects_unknown_kind():
         kind = "odd"
     with pytest.raises(ValueError):
         separation_oracle_for(Odd())
+    # a restricted body has rows A, b of its cuts alone; an oracle built
+    # from them would accept [3, 0], outside the unit ball it restricts
+    with pytest.raises(ValueError):
+        separation_oracle_for(RestrictedBody(Ball(2, 1.0), [[1.0, 0.0]], [5.0],
+                                             np.zeros(2)))

@@ -226,6 +226,23 @@ def test_sample_chord_point_extreme_tail_window():
     assert stats.kstest(draws, ref.cdf).statistic < 0.04
 
 
+@pytest.mark.parametrize("x0, lo, hi", [(45.0, -5.0, -4.0), (-45.0, 4.0, 5.0)])
+def test_sample_chord_point_far_tail_window(x0, lo, hi):
+    # x + t lies in [40, 41] (or its mirror), where ndtr underflows to 0,
+    # so the draw comes from the exponential-proposal tail sampler.  The
+    # standard normal tail beyond a has mean a + 1/a - 2/a^3 + O(a^-5).
+    dens = Gaussian(AxisCube(1, half_width=50.0), a=1.0)
+    gen = RngStream(8).generator()
+    x = np.array([x0])
+    draws = np.array([sample_chord_point(dens, x, np.ones(1), lo, hi, gen)
+                      for _ in range(4000)])
+    assert draws.min() >= lo and draws.max() <= hi
+    points = np.abs(x0 + draws)
+    a = 40.0
+    se = points.std(ddof=1) / np.sqrt(points.size)
+    assert abs(points.mean() - (a + 1.0 / a - 2.0 / a ** 3)) < 4.0 * se
+
+
 def _chord_case(name):
     """(density, x, u, lo, hi) for the logconcave chord sampler law tests."""
     e1 = np.array([1.0, 0.0])
@@ -372,6 +389,21 @@ def test_exact_sample_gaussian_rejection():
     dens = Gaussian(Ball(3, radius=12.0), a=1.0)
     X = exact_sample(dens, 5000, RngStream(16).generator())
     assert stats.kstest(X[:, 0], stats.norm.cdf).statistic < 0.025
+
+
+def test_exact_sample_exponential_radial_law():
+    # exp(-alpha |x|) in R^3 has |x| ~ Gamma(3, 1/alpha); radius 50 cuts
+    # off a negligible e^-100 of it
+    dens = Exponential(Ball(3, radius=50.0), alpha=2.0)
+    radii = np.linalg.norm(exact_sample(dens, 20000, RngStream(17).generator()),
+                           axis=1)
+    mean, var = 3 / 2.0, 3 / 4.0
+    # Gamma(3)'s excess kurtosis is 6/3 = 2, so Var(s^2) ~ (2 + 2) var^2 / N
+    assert abs(radii.mean() - mean) < 4.0 * np.sqrt(var / radii.size)
+    assert abs(radii.var(ddof=1) - var) < 4.0 * np.sqrt(4.0 * var ** 2 / radii.size)
+    cube = AxisCube(2, half_width=0.5)
+    X = exact_sample(Exponential(cube, alpha=1.0), 2000, RngStream(18).generator())
+    assert X.shape == (2000, 2) and cube.contains_many(X).all()
 
 
 def test_warm_start_inside_support():
