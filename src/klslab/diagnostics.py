@@ -7,7 +7,10 @@ isoperimetric coefficient: for each direction u the 1-D marginal density
 f and CDF F of u.x give the profile f(s) / min(F(s), 1 - F(s)), whose
 minimum over thresholds s and directions u estimates the best halfspace
 cut.  Marginal densities use a binned Gaussian KDE with the Silverman
-bandwidth; CDFs are empirical.
+bandwidth; CDFs are empirical.  The scan's bootstrap resamples keep the
+full sample's bandwidth and grid for each direction and redraw only the
+bin counts, so a resample measures the spread of the counts, not of the
+bandwidth rule.
 """
 
 from __future__ import annotations
@@ -64,8 +67,9 @@ def _sorted_quantile(zs, q):
 
 
 def _kde_1d(z):
-    """Binned Gaussian KDE on _KDE_GRID bins; returns (centers, density,
-    empirical cdf).
+    """Binned Gaussian KDE on _KDE_GRID bins; returns (edges, sigma,
+    centers, density, empirical cdf), sigma = h / dx the kernel width in
+    bins.
 
     One sort of z feeds the bandwidth's quantiles, the grid's range, the
     bin counts and the empirical CDF; only the std reads z in its own
@@ -78,21 +82,42 @@ def _kde_1d(z):
     lo, hi = zs[0] - 4 * h, zs[-1] + 4 * h
     edges = np.linspace(lo, hi, _KDE_GRID + 1)
     dx = edges[1] - edges[0]
+    sigma = h / dx
     cum = np.searchsorted(zs, edges, side="left")
     cum[-1] = np.searchsorted(zs, edges[-1], side="right")
-    counts = np.diff(cum)
-    smooth = ndimage.gaussian_filter1d(counts.astype(float), sigma=h / dx,
-                                       mode="constant", truncate=6.0)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    density = smooth / (z.size * dx)
+    density = _smooth(np.diff(cum), sigma, z.size, dx)
     cdf = np.searchsorted(zs, centers, side="right") / z.size
-    return centers, density, cdf
+    return edges, sigma, centers, density, cdf
 
 
-def _profile_min(z, weight):
+def _smooth(counts, sigma, n, dx):
+    """Density of n points from their bin counts along the last axis: a
+    Gaussian filter sigma bins wide, over n dx."""
+    smooth = ndimage.gaussian_filter1d(counts.astype(float), sigma=sigma,
+                                       mode="constant", truncate=6.0, axis=-1)
+    return smooth / (n * dx)
+
+
+def _half_bin_keys(z, edges, centers):
+    """2 b + (z > centers[b]) for each z's bin b of edges.
+
+    Bins follow np.histogram: left-closed, the last one closed on both
+    sides.  b starts as floor((z - lo) / dx) and is corrected by one step
+    against edges[b] and edges[b + 1], so a value on an edge lands where
+    np.histogram puts it.  The center belongs to the left half.
+    """
+    last = len(centers) - 1
+    b = np.floor((z - edges[0]) / (edges[1] - edges[0])).astype(np.intp)
+    np.clip(b, 0, last, out=b)
+    b -= z < edges[b]
+    b += (z >= edges[b + 1]) & (b < last)
+    return 2 * b + (z > centers[b])
+
+
+def _profile_min(centers, density, cdf, weight):
     """min over thresholds of f(s)/weight(m(s)), m = min(F(s), 1-F(s)),
     and its argmin; thresholds with m below _CDF_FLOOR are skipped."""
-    centers, density, cdf = _kde_1d(z)
     m = np.minimum(cdf, 1.0 - cdf)
     ok = m >= _CDF_FLOOR
     if not np.any(ok):
@@ -126,20 +151,44 @@ def _halfspace_scan(X, rng, n_boot, weight):
     """Profile minima of every direction_family direction plus a bootstrap
     standard error of their minimum over the directions.
 
+    A resample keeps each direction's bandwidth and grid from the full
+    sample and redraws only the counts.  Every point gets its half-bin key
+    once; a resample's multiplicities (one bincount of its indices, shared
+    by all directions) weight one bincount of each direction's keys.  Bin
+    counts are left + right halves, and the CDF at center k is the cumulative
+    count through bin k minus its right half, all exact integers.
+
     Returns (directions, per-direction minima, their thresholds, se).
     """
     rng = as_generator(rng)
+    N = X.shape[0]
     directions = direction_family(X, rng)
     # one contiguous row of projections per direction
     Z = np.ascontiguousarray((X @ directions.T).T)
     per_dir = np.empty(len(Z))
     thresholds = np.empty(len(Z))
+    grids = []
+    keys = np.empty(Z.shape, dtype=np.intp)
     for j, row in enumerate(Z):
-        per_dir[j], thresholds[j] = _profile_min(row, weight)
-    boots = np.empty(n_boot)
+        edges, sigma, centers, density, cdf = _kde_1d(row)
+        per_dir[j], thresholds[j] = _profile_min(centers, density, cdf, weight)
+        grids.append((edges, sigma, centers))
+        keys[j] = _half_bin_keys(row, edges, centers)
+    half = np.empty((len(Z), n_boot, 2 * _KDE_GRID))
     for b in range(n_boot):
-        idx = rng.integers(0, X.shape[0], size=X.shape[0])
-        boots[b] = min(_profile_min(row[idx], weight)[0] for row in Z)
+        idx = rng.integers(0, N, size=N)
+        mult = np.bincount(idx, minlength=N).astype(float)
+        for j, key in enumerate(keys):
+            half[j, b] = np.bincount(key, weights=mult, minlength=2 * _KDE_GRID)
+    boots = np.full(n_boot, np.inf)
+    for (edges, sigma, centers), halves in zip(grids, half):
+        right = halves[:, 1::2]
+        counts = halves[:, 0::2] + right
+        cdf = (np.cumsum(counts, axis=-1) - right) / N
+        density = _smooth(counts, sigma, N, edges[1] - edges[0])
+        for b in range(n_boot):
+            psi_b = _profile_min(centers, density[b], cdf[b], weight)[0]
+            boots[b] = min(boots[b], psi_b)
     return directions, per_dir, thresholds, float(boots.std(ddof=1))
 
 
@@ -309,19 +358,19 @@ def slicing_constant(samples, rng=None):
     Z = xc / sd
     h = (4.0 / (n + 2.0)) ** (1.0 / (n + 4.0)) * N ** (-1.0 / (n + 4.0))
 
-    def point_log_density(Zm):
-        sq = np.einsum("ij,ij->i", Zm, Zm)
-        log_kernel = -0.5 * sq / (h * h)
+    # the kernel at the mean reads only the squared norms |Z_i|^2, so the
+    # bootstrap resamples those instead of the rows
+    sq = np.einsum("ij,ij->i", Z, Z)
+
+    def value_of(sqm):
+        log_kernel = -0.5 * sqm / (h * h)
         peak = log_kernel.max()
         s = np.exp(log_kernel - peak).sum()
-        return (peak + np.log(s) - np.log(Zm.shape[0])
-                - 0.5 * n * np.log(2 * np.pi) - n * np.log(h))
-
-    def value_of(Zm):
-        logp = point_log_density(Zm) - np.log(sd).sum()
+        logp = (peak + np.log(s) - np.log(sqm.size)
+                - 0.5 * n * np.log(2 * np.pi) - n * np.log(h)) - np.log(sd).sum()
         return np.exp(logp / n) * np.sqrt(1.0 + h * h)
 
-    return Estimate(float(value_of(Z)), bootstrap_se(Z, value_of, rng, _N_BOOT), N,
+    return Estimate(float(value_of(sq)), bootstrap_se(sq, value_of, rng, _N_BOOT), N,
                     "kde_at_mean_root")
 
 

@@ -143,6 +143,10 @@ def dfk_volume(body, rng, k=1000) -> VolumeResult:
     phase into the next.  In every phase each chain first takes 50 n ball
     walk steps of size default_delta(n), then ceil(k / K) samples n steps
     apart; the first k samples give the phase ratio.
+
+    A phase's standard error is taken across the chains: the K chains,
+    not the k correlated samples, are the independent units
+    (_across_chain_se).
     """
     sched = ball_schedule(body)
     radii = sched.params
@@ -169,18 +173,36 @@ def dfk_volume(body, rng, k=1000) -> VolumeResult:
             accepted += thin * advance_ensemble(density_i, X, logf, thin, delta, rng)
             samples[j] = X
         samples = samples.reshape(-1, n)[:k]
-        q = float(np.mean(np.linalg.norm(samples - x0, axis=1) <= radii[i - 1]))
+        hit = np.linalg.norm(samples - x0, axis=1) <= radii[i - 1]
+        q = float(np.mean(hit))
         if q <= 0.0:
             raise VolumePhaseError(i, float("inf"))
         if q < 0.4:
             warnings.warn(f"phase {i}: ratio {q:.3f} below 0.4; the nesting "
                           "property looks violated empirically")
         phases.append({"phase": i, "param": float(radii[i]), "ratio": q,
-                       "se": float(np.sqrt(q * (1 - q) / k)),
+                       "se": _across_chain_se(hit, q, chains),
                        "acceptance": accepted / (burn_in + per_chain * thin),
                        "n_samples": k})
     return _telescope(sched, phases, -1, "ball_sequence",
                       {"factor": sched.factor, "k": k, "chains": chains})
+
+
+def _across_chain_se(hit, q, chains):
+    """Standard error of the hit fraction q = mean(hit) over chains.
+
+    Sample t came from chain t % chains, so the [:k] cut leaves some chains
+    one sample short.  With H_c and k_c chain c's hits and samples, the
+    chains' totals are the independent units: se^2 = K/(K-1) sum_c
+    (H_c - q k_c)^2 / k^2, the spread of the per-chain fractions weighted
+    by k_c.  A single chain (k = 1, so q is 0 or 1) gets se 0, as the
+    binomial form would give.
+    """
+    chain = np.arange(hit.size) % chains
+    resid = (np.bincount(chain, weights=hit, minlength=chains)
+             - q * np.bincount(chain, minlength=chains))
+    scale = chains / max(chains - 1, 1)
+    return float(np.sqrt(scale * np.sum(resid * resid)) / hit.size)
 
 
 # ---------------------------------------------------------------------------

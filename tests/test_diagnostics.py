@@ -4,8 +4,8 @@ from scipy import ndimage, stats
 
 from klslab.bodies import AxisCube
 from klslab.densities import Gaussian, Uniform
-from klslab.diagnostics import (BallSet, HalfspaceSet, SlabSet, _kde_1d,
-                                _sorted_quantile,
+from klslab.diagnostics import (BallSet, HalfspaceSet, SlabSet,
+                                _half_bin_keys, _kde_1d, _sorted_quantile,
                                 ball_walk_mixing_estimate, compute_constants,
                                 conductance_tv_bound, default_shell_width,
                                 direction_family, halfspace_isoperimetry,
@@ -98,7 +98,8 @@ def test_halfspace_scan_needs_thresholds_above_floor(estimator):
 
 # Textbook reference for the halfspace scan: np.percentile and np.histogram
 # on each column as given, np.sort for the CDF, the whole projection matrix
-# gathered per bootstrap.  The package must reproduce it bit for bit.
+# gathered per bootstrap.  A resample keeps the full sample's grid and
+# kernel width.  The package must reproduce it bit for bit.
 
 
 def _ref_silverman(z):
@@ -110,21 +111,26 @@ def _ref_silverman(z):
     return 0.9 * spread * z.size ** (-0.2)
 
 
-def _ref_kde(z):
-    n = z.size
+def _ref_grid(z):
+    """(edges, sigma) of z's KDE: sigma = h / dx, the kernel width in bins."""
     h = _ref_silverman(z)
     edges = np.linspace(z.min() - 4 * h, z.max() + 4 * h, 1025)
+    return edges, h / (edges[1] - edges[0])
+
+
+def _ref_kde(z, edges, sigma):
+    n = z.size
     dx = edges[1] - edges[0]
     counts, _ = np.histogram(z, bins=edges)
-    smooth = ndimage.gaussian_filter1d(counts.astype(float), sigma=h / dx,
+    smooth = ndimage.gaussian_filter1d(counts.astype(float), sigma=sigma,
                                        mode="constant", truncate=6.0)
     centers = 0.5 * (edges[:-1] + edges[1:])
     cdf = np.searchsorted(np.sort(z), centers, side="right") / n
     return centers, smooth / (n * dx), cdf
 
 
-def _ref_profile_min(z, weight):
-    centers, density, cdf = _ref_kde(z)
+def _ref_profile_min(z, grid, weight):
+    centers, density, cdf = _ref_kde(z, *grid)
     m = np.minimum(cdf, 1.0 - cdf)
     ok = m >= 0.01
     ratio = density[ok] / weight(m[ok])
@@ -136,14 +142,20 @@ def _ref_scan(X, rng, n_boot, weight):
     directions = direction_family(X, rng)
     Z = X @ directions.T
     cols = range(directions.shape[0])
-    per_dir, thresholds = map(np.array, zip(*(_ref_profile_min(Z[:, j], weight)
-                                              for j in cols)))
+    grids = [_ref_grid(Z[:, j]) for j in cols]
+    per_dir, thresholds = map(np.array, zip(*(
+        _ref_profile_min(Z[:, j], grids[j], weight) for j in cols)))
     boots = []
     for _ in range(n_boot):
         idx = rng.integers(0, X.shape[0], size=X.shape[0])
         Zb = Z[idx]
-        boots.append(min(_ref_profile_min(Zb[:, j], weight)[0] for j in cols))
+        boots.append(min(_ref_profile_min(Zb[:, j], grids[j], weight)[0]
+                         for j in cols))
     return directions, per_dir, thresholds, float(np.std(boots, ddof=1))
+
+
+def _log_cheeger_weight(m):
+    return m * np.sqrt(1.0 + np.log(1.0 / m))
 
 
 def test_halfspace_scan_matches_textbook_reference_bit_for_bit():
@@ -162,10 +174,29 @@ def test_halfspace_scan_matches_textbook_reference_bit_for_bit():
     assert detail["direction_index"] == best
     np.testing.assert_array_equal(detail["direction"], dirs[best])
 
-    weight = lambda m: m * np.sqrt(1.0 + np.log(1.0 / m))  # noqa: E731
-    _, per_dir, _, se = _ref_scan(X, RngStream(19).generator(), 8, weight)
+    _, per_dir, _, se = _ref_scan(X, RngStream(19).generator(), 8,
+                                  _log_cheeger_weight)
     est = log_cheeger_halfspace(X, rng=RngStream(19).generator())
     assert (est.value, est.std_error) == (per_dir.min(), se)
+
+
+def test_log_cheeger_scan_matches_reference_on_a_gaussian_cloud():
+    X = _gaussian_cloud(8, 20000, 28)
+    _, per_dir, _, se = _ref_scan(X, RngStream(29).generator(), 8,
+                                  _log_cheeger_weight)
+    est = log_cheeger_halfspace(X, rng=RngStream(29).generator())
+    assert (est.value, est.std_error) == (per_dir.min(), se)
+
+
+def test_halfspace_se_calibrated_over_independent_clouds():
+    # the bootstrap se must match the spread of psi-hat across clouds
+    values, ses = [], []
+    for seed in range(40):
+        est = halfspace_isoperimetry(_gaussian_cloud(4, 5000, 300 + seed),
+                                     rng=RngStream(400 + seed).generator())
+        values.append(est.value)
+        ses.append(est.std_error)
+    assert 0.7 <= np.std(values, ddof=1) / np.mean(ses) <= 1.4
 
 
 def _closed_last_bin_column():
@@ -186,8 +217,35 @@ def _closed_last_bin_column():
 def test_kde_matches_textbook_reference_bit_for_bit(column):
     z = column()
     got = _kde_1d(z)
-    for a, b in zip(got, _ref_kde(z)):
+    edges, sigma = _ref_grid(z)
+    want = (edges, sigma, *_ref_kde(z, edges, sigma))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("column", [
+    lambda: RngStream(21).generator().standard_normal(2000),
+    lambda: np.round(RngStream(22).generator().standard_normal(2000), 1),
+    lambda: np.full(300, 3.0),
+    _closed_last_bin_column,
+], ids=["normal", "ties", "constant", "closed-last-bin"])
+def test_half_bin_keys_follow_histogram_bins(column):
+    z = column()
+    edges, _, centers, _, _ = _kde_1d(z)
+    up, down = np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)
+    probe = np.concatenate([z, edges, centers, up[:-1], down[1:],
+                            np.nextafter(centers, np.inf)])
+    keys = _half_bin_keys(probe, edges, centers)
+    # each value's bin is the one np.histogram counts it in; the center
+    # itself belongs to the left half
+    bins = np.array([np.argmax(np.histogram([v], bins=edges)[0]) for v in probe])
+    np.testing.assert_array_equal(keys, 2 * bins + (probe > centers[bins]))
+    last = 2 * (edges.size - 2)  # left half of the last bin
+    on_edges = _half_bin_keys(edges[[0, 5, -1]], edges, centers)
+    on_centers = _half_bin_keys(centers[[0, 5, -1]], edges, centers)
+    assert list(on_edges) == [0, 10, last + 1]
+    assert list(on_centers) == [0, 10, last]
 
 
 @pytest.mark.parametrize("column", [
@@ -256,6 +314,41 @@ def test_slicing_constant_gaussian():
     X = _gaussian_cloud(6, 20000, 18)
     est = slicing_constant(X, rng=RngStream(19).generator())
     assert abs(est.value - SLICING_GAUSS) < 0.03
+
+
+def _ref_slicing(X, rng):
+    # the estimator as first written: every resample gathers whole rows
+    N, n = X.shape
+    mu = X.mean(axis=0)
+    xc = X - mu
+    cov = xc.T @ xc / N
+    sd = np.sqrt(np.maximum(np.diag(cov), 1e-300))
+    Z = xc / sd
+    h = (4.0 / (n + 2.0)) ** (1.0 / (n + 4.0)) * N ** (-1.0 / (n + 4.0))
+
+    def value_of(Zm):
+        sq = np.einsum("ij,ij->i", Zm, Zm)
+        log_kernel = -0.5 * sq / (h * h)
+        peak = log_kernel.max()
+        s = np.exp(log_kernel - peak).sum()
+        logp = (peak + np.log(s) - np.log(Zm.shape[0])
+                - 0.5 * n * np.log(2 * np.pi) - n * np.log(h))
+        logp = logp - np.log(sd).sum()
+        return np.exp(logp / n) * np.sqrt(1.0 + h * h)
+
+    boots = []
+    for _ in range(16):
+        idx = rng.integers(0, N, size=N)
+        boots.append(value_of(Z[idx]))
+    return float(value_of(Z)), float(np.std(boots, ddof=1))
+
+
+@pytest.mark.parametrize("seed", [30, 31, 32])
+def test_slicing_constant_matches_row_gathering_reference(seed):
+    X = _gaussian_cloud(8, 5000, seed)
+    est = slicing_constant(X, rng=RngStream(seed + 10).generator())
+    assert (est.value, est.std_error) == _ref_slicing(
+        X, RngStream(seed + 10).generator())
 
 
 def test_slicing_warns_on_anisotropy():

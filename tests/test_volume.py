@@ -6,6 +6,7 @@ from klslab.bodies import AxisCube, Ball, Ellipsoid, RestrictedBody, simplex
 from klslab.densities import Boltzmann, Exponential, Uniform
 from klslab.rng import RngStream
 from klslab.volume import (DFK_CHAINS, OracleInconsistencyError,
+                           _across_chain_se,
                            VolumePhaseError, anneal_optimize, ball_schedule,
                            cutting_plane_feasibility, dfk_volume,
                            exponential_schedule, gaussian_cooling_schedule,
@@ -102,15 +103,38 @@ def test_dfk_volume_square():
 
 
 def test_dfk_cube3_unbiased_over_seeds():
-    # 64 lockstep chains per phase; the log error averages out to 0
-    errs = []
+    # 64 lockstep chains per phase; the log error averages out to 0, and
+    # the across-chain se covers it: z = ln(V / 8) / (se / V) has sd near 1
+    # (1.56 when the se treated every sample as independent)
+    errs, zs = [], []
     for seed in range(24):
         res = dfk_volume(AxisCube(3), RngStream(100 + seed), k=2000)
         assert res.meta["chains"] == DFK_CHAINS
         errs.append(np.log(res.value / 8.0))
+        zs.append(errs[-1] / (res.std_error / res.value))
     errs = np.array(errs)
     se = errs.std(ddof=1) / np.sqrt(errs.size)
     assert abs(errs.mean()) <= 3 * se
+    assert np.std(zs, ddof=1) <= 1.35
+
+
+def test_across_chain_se_weights_the_short_chains():
+    # 10 samples over 4 chains: chains 0 and 1 hold 3, chains 2 and 3 hold 2
+    hit = np.array([1, 1, 0, 1, 0, 1, 1, 0, 1, 1], dtype=bool)
+    q = hit.mean()
+    fracs, sizes = [], []
+    for c in range(4):
+        mine = hit[c::4]
+        fracs.append(mine.mean())
+        sizes.append(mine.size)
+    w = np.array(sizes) / hit.size
+    want = np.sqrt(4 / 3 * np.sum(w * w * (np.array(fracs) - q) ** 2))
+    assert _across_chain_se(hit, q, 4) == pytest.approx(want, rel=1e-12)
+    # equal chain sizes: the sd of the per-chain fractions over sqrt(K)
+    hit = hit[:8]
+    fracs = [hit[c::4].mean() for c in range(4)]
+    assert _across_chain_se(hit, hit.mean(), 4) == pytest.approx(
+        np.std(fracs, ddof=1) / 2.0, rel=1e-12)
 
 
 def test_dfk_fewer_samples_than_chains():
