@@ -28,6 +28,8 @@ import math
 
 import numpy as np
 
+from .linalg import quad_rows
+
 
 class BodyError(ValueError):
     """Raised for invalid body parameters or degenerate geometry."""
@@ -225,7 +227,7 @@ class Ellipsoid(Body):
         return float(x @ self.E @ x) <= 1 + 1e-12
 
     def contains_many(self, X):
-        return np.einsum("ij,jk,ik->i", X, self.E, X) <= 1 + 1e-12
+        return quad_rows(X, self.E) <= 1 + 1e-12
 
     def chord(self, x, u):
         x = np.asarray(x, dtype=float)

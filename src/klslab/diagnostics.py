@@ -24,6 +24,7 @@ import numpy as np
 from scipy import ndimage
 
 from .estimates import Estimate, bootstrap_se
+from .linalg import quad_rows
 from .rng import as_generator
 
 _CDF_FLOOR = 0.01
@@ -392,7 +393,7 @@ def linear_test(u, name=None):
 def quadratic_test(Q, name=None):
     Q = 0.5 * (np.asarray(Q, dtype=float) + np.asarray(Q, dtype=float).T)
     return TestFunction(name or "quadratic",
-                        lambda X: np.einsum("ij,jk,ik->i", X, Q, X),
+                        lambda X: quad_rows(X, Q),
                         lambda X: 2.0 * X @ Q)
 
 

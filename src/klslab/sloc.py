@@ -6,18 +6,27 @@ drift needs the current mean, so every step re-estimates the mean and
 covariance of the tilted density and tracks scalar observables of the
 covariance (tr A^2, tr A^q, the operator norm, and the barrier value u).
 
-Estimation runs on an ensemble of k inner Metropolis chains advanced a
-few steps per time step; recent ensemble snapshots are pooled with
-importance reweighting to the current tilt, which cuts the observable
-noise well below what one snapshot of size k could give.
+Every time step pushes a fresh snapshot of k points of the tilted
+density into a pool; recent snapshots are pooled with importance
+reweighting to the current tilt, which cuts the observable noise well
+below what one snapshot of size k could give.
+
+A snapshot is exact where the tilted density has an exact law
+(walks.exact_sample): under the identity control the tilt of a Gaussian
+base is a Gaussian, and the tilt of a uniform base a Gaussian restricted
+to its body.  One exact call per step, on the proposal budget of the
+inner_steps Metropolis steps it replaces, draws it.  When the density
+has no exact law or that budget runs out, the run falls back to an
+ensemble of k inner Metropolis chains advanced inner_steps steps per time
+step, and it stays on the chains from then on, so a failed budget is
+spent at most once per run.  The chains tune their proposal radius when
+they first run.
 
 At t=0 the tilt is zero and the target is the base itself.  Where the
-base has an exact law (walks.exact_sample) one exact call, on the
-proposal budget of the Metropolis refreshes it replaces, fills the t=0
-pool with independent snapshots and the chains start from the last one.
-When that budget runs out the chains start from k exact draws, and when
-the base has no exact law from one warm-start point; the refreshes then
-fill the pool.
+base has an exact law one exact call, on the same budget rule, fills the
+t=0 pool with independent snapshots.  When that budget runs out the
+chains start from k exact draws, and when the base has no exact law from
+one warm-start point; their refreshes then fill the pool.
 """
 
 import math
@@ -64,13 +73,15 @@ class ObservablePool:
 
     A snapshot drawn under tilt (c_s, B_s) is reused under (c, B) with
     weights exp((c - c_s).x - x.(B - B_s)x/2), self-normalized within the
-    snapshot.  push() keeps each snapshot's own log-tilt c_s.x - x.B_s x/2;
-    estimate() evaluates the current tilt on every pooled row at once and
-    reduces per snapshot (max shift, normalization, ESS).  The snapshots
-    then enter one weighted mean and second moment, each weighted by its
-    effective sample size; a snapshot whose ESS falls under min_ess_frac of
-    its size is skipped.  The freshest snapshot has unit weights and is the
-    fallback when every snapshot is skipped.
+    snapshot.  push() copies the snapshot's rows into one transposed
+    block, the columns of all pooled snapshots side by side, oldest
+    first, and keeps each row's own log-tilt c_s.x - x.B_s x/2; estimate()
+    evaluates the current tilt on every pooled column at once and reduces
+    per snapshot (max shift, normalization, ESS).  The snapshots then
+    enter one weighted mean and second moment, each weighted by its
+    effective sample size; a snapshot whose ESS falls under min_ess_frac
+    of its size is skipped.  The freshest snapshot has unit weights and is
+    the fallback when every snapshot is skipped.
     """
 
     def __init__(self, window=16, min_ess_frac=0.05):
@@ -80,26 +91,53 @@ class ObservablePool:
             raise ValueError(f"min_ess_frac must be in [0, 1], got {min_ess_frac}")
         self.window = int(window)
         self.min_ess_frac = float(min_ess_frac)
-        self.groups = []        # (X_s, log-tilt of each row under (c_s, B_s))
+        self._XT = np.empty((0, 0))   # (n, capacity): pooled rows as columns
+        self._logtilt = np.empty(0)   # each column's log-tilt under (c_s, B_s)
+        self._spans = []              # (first column, size) per snapshot, oldest first
+
+    @property
+    def groups(self):
+        """(X_s, log-tilt of each row under (c_s, B_s)) per snapshot, oldest
+        first, as views into the block."""
+        return [(self._XT[:, a:a + m].T, self._logtilt[a:a + m])
+                for a, m in self._spans]
 
     def push(self, c, B, X):
-        X = np.array(X, dtype=float)
+        X = np.asarray(X, dtype=float)
         if X.ndim != 2 or len(X) == 0:
             raise ValueError("a pool snapshot must be a nonempty (m, n) array")
-        self.groups.append((X, X @ np.asarray(c, dtype=float)
-                            - 0.5 * quad_rows(X, np.asarray(B, dtype=float))))
-        if len(self.groups) > self.window:
-            self.groups.pop(0)
+        m, n = X.shape
+        if len(self._spans) == self.window:
+            self._spans.pop(0)
+        head = self._spans[0][0] if self._spans else 0
+        tail = sum(self._spans[-1]) if self._spans else 0
+        if tail + m > self._XT.shape[1]:
+            # the live columns go to the front of a new block with room for
+            # as many again, so a full window moves once per window pushes
+            live = tail - head
+            XT, logtilt = np.empty((n, 2 * (live + m))), np.empty(2 * (live + m))
+            if live:
+                XT[:, :live] = self._XT[:, head:tail]
+                logtilt[:live] = self._logtilt[head:tail]
+            self._XT, self._logtilt = XT, logtilt
+            self._spans = [(a - head, size) for a, size in self._spans]
+            tail = live
+        cols = self._XT[:, tail:tail + m]
+        cols[...] = X.T
+        self._logtilt[tail:tail + m] = _log_tilt(cols, c, B)
+        self._spans.append((tail, m))
 
     def estimate(self, c, B, tracked=()):
         """Pooled mean, covariance and tracked-set measures at tilt (c, B)."""
-        if not self.groups:
+        if not self._spans:
             raise ValueError("estimate on an empty pool: push a snapshot first")
-        X = np.concatenate([X_s for X_s, _ in self.groups])
-        sizes = np.array([len(X_s) for X_s, _ in self.groups])
-        starts = np.cumsum(sizes) - sizes
-        logw = X @ c - 0.5 * quad_rows(X, B)
-        logw -= np.concatenate([lt for _, lt in self.groups])
+        head = self._spans[0][0]
+        tail = sum(self._spans[-1])
+        XT = self._XT[:, head:tail]
+        sizes = np.array([m for _, m in self._spans])
+        starts = np.array([a for a, _ in self._spans]) - head
+        logw = _log_tilt(XT, c, B)
+        logw -= self._logtilt[head:tail]
         logw -= np.repeat(np.maximum.reduceat(logw, starts), sizes)
         w = np.exp(logw)
         w /= np.repeat(np.add.reduceat(w, starts), sizes)
@@ -110,27 +148,35 @@ class ObservablePool:
         ess = np.where(keep, ess, 0.0)
         total = float(ess.sum())
         W = w * np.repeat(ess / total, sizes)
-        mu = W @ X
-        cov = CovMatrix(X.T @ (X * W[:, None]) - np.outer(mu, mu))
+        mu = XT @ W
+        cov = CovMatrix((XT * W) @ XT.T - np.outer(mu, mu))
         g = {}
         for name, E in tracked:
-            val = float(W @ (E.signed_distance(X) >= 0.0))
+            val = float(W @ (E.signed_distance(XT.T) >= 0.0))
             g[name] = (val, math.sqrt(max(val * (1.0 - val), 0.0) / total))
         return mu, cov, g, total
 
 
-def _tune_inner_delta(state, gen):
-    """Grow or shrink the inner proposal radius, for at most 12 rounds of
-    4 steps, until the Metropolis acceptance rate lies in [1/4, 1/2];
+def _log_tilt(XT, c, B):
+    """c.x - x.Bx/2 for every column x of XT."""
+    B = np.asarray(B, dtype=float)
+    return np.asarray(c, dtype=float) @ XT - 0.5 * np.einsum("ij,ij->j", B @ XT, XT)
+
+
+def _tune_inner_delta(state, scale, gen):
+    """Grow or shrink the inner proposal radius from the chain default
+    1/sqrt(n), for at most 12 rounds of 4 steps, until the Metropolis
+    acceptance rate at radius state.delta * scale lies in [1/4, 1/2];
     returns the last round's acceptance rate.
 
-    The conservative chain default 1/sqrt(n) mixes far too slowly on
-    smooth targets: successive pool snapshots stay nearly identical and
-    the pooled covariance never beats single-ensemble noise.
+    The conservative chain default mixes far too slowly on smooth
+    targets: successive pool snapshots stay nearly identical and the
+    pooled covariance never beats single-ensemble noise.
     """
+    state.delta = default_delta(state.n)
     for _ in range(12):
         rate = advance_ensemble(state.density, state.ensemble,
-                                state.log_ensemble, 4, state.delta, gen)
+                                state.log_ensemble, 4, state.delta * scale, gen)
         if rate > 0.5:
             state.delta *= 1.5
         elif rate < 0.25:
@@ -167,9 +213,9 @@ class LocalizationState:
     closed_form: bool = False
     pool: ObservablePool = None
     ensemble: np.ndarray = None
-    log_ensemble: np.ndarray = None
+    log_ensemble: np.ndarray = None    # None until the chains run
     inner_steps: int = 8
-    delta: float = 0.0
+    delta: float = 0.0                 # 0 until the chains tune it
     truncation: dict = None
     meta: dict = field(default_factory=dict)
 
@@ -250,12 +296,47 @@ def _truncate_support(density, radius):
 
 
 def _refresh_estimates(state, gen):
-    # proposal radius tracks the shrinking target so acceptance stays useful
-    delta = state.delta * math.sqrt(min(1.0, max(state.cov.opnorm, 1e-12)))
-    rate = advance_ensemble(state.density, state.ensemble, state.log_ensemble,
-                            state.inner_steps, delta, gen)
+    """Push one snapshot of the current tilted density and re-read the pool.
+
+    Until the run falls back, the snapshot is one exact_sample call on a
+    budget of inner_steps rejection batches (accept rate 1.0).  Once that
+    call raises, this and every later refresh step the chains instead;
+    meta["refresh"] records "exact", "chain", or "mixed" for a run that
+    fell back after exact refreshes.
+    """
+    path = state.meta.get("refresh")
+    X = None
+    if path in (None, "exact"):
+        try:
+            X = exact_sample(state.density, state.k, gen,
+                             max_batches=state.inner_steps)
+        except (NoExactSampler, WalkError):
+            pass
+    if X is not None:
+        state.meta["refresh"] = "exact"
+        state.ensemble, state.log_ensemble = X, None
+        rate = 1.0
+    else:
+        state.meta["refresh"] = "chain" if path in (None, "chain") else "mixed"
+        rate = _step_chains(state, gen)
     state.pool.push(state.c, state.B, state.ensemble)
     _assign_estimates(state, rate)
+
+
+def _step_chains(state, gen):
+    """inner_steps Metropolis steps of the ensemble; the acceptance rate.
+
+    Chains that resume from an exact snapshot first take its
+    log-densities, and chains that have not run yet tune their radius.
+    """
+    if state.log_ensemble is None:
+        state.log_ensemble = state.density.log_density_many(state.ensemble)
+    # proposal radius tracks the shrinking target so acceptance stays useful
+    scale = math.sqrt(min(1.0, max(state.cov.opnorm, 1e-12)))
+    if not state.delta:
+        _tune_inner_delta(state, scale, gen)
+    return advance_ensemble(state.density, state.ensemble, state.log_ensemble,
+                            state.inner_steps, state.delta * scale, gen)
 
 
 def _assign_estimates(state, rate):
@@ -296,13 +377,13 @@ def sloc_init(density, control="identity", tracked_sets=None, q=None, k=None,
     init_refreshes * k points on a budget of inner_steps rejection
     batches, which is the init_refreshes * inner_steps * k proposals the
     Metropolis refreshes it replaces would spend whenever the pool holds
-    at least 256 points; the draws are split into the snapshots, the
-    chains continue from the last one and only tune their proposal
-    radius.  When that call raises, the k chains start from k exact
-    draws, or all at one warm-start point when the base has no exact
-    law, and every snapshot comes from inner_steps Metropolis steps of
-    the chains.  meta["t0_pool"] records which path ran ("exact" or
-    "chain").
+    at least 256 points; the draws are split into the snapshots, no chain
+    runs, and the last snapshot is where the chains would resume (see
+    _step_chains).  When that call raises, the k chains start from
+    k exact draws, or all at one warm-start point when the base has no
+    exact law, tune their proposal radius, and every snapshot comes from
+    inner_steps Metropolis steps of the chains.  meta["t0_pool"] records
+    which path ran ("exact" or "chain").
 
     closed_form=True requires a standard-Gaussian base with identity
     control; mean and covariance are then supplied analytically and no
@@ -326,7 +407,8 @@ def sloc_init(density, control="identity", tracked_sets=None, q=None, k=None,
         state = LocalizationState(
             base=density, control=control, q=q, k=k,
             c=np.zeros(n), B=np.zeros((n, n)), tracked=tracked,
-            density=density, closed_form=True, meta={"t0_pool": "closed_form"})
+            density=density, closed_form=True,
+            meta={"t0_pool": "closed_form", "refresh": "closed_form"})
         _refresh_closed_form(state)
         _validate_measures(state)
         return state
@@ -347,23 +429,22 @@ def sloc_init(density, control="identity", tracked_sets=None, q=None, k=None,
             X = np.tile(warm_start(work, gen), (k, 1))
     else:
         X = snapshots[-1]
-    X = np.array(X, dtype=float)
-    logf = work.log_density_many(X)
-    if not np.all(np.isfinite(logf)):
-        raise SlocError("initial ensemble contains points outside the support")
 
     state = LocalizationState(
         base=work, control=control, q=q, k=k,
         c=np.zeros(n), B=np.zeros((n, n)), tracked=tracked,
         density=work, pool=ObservablePool(window=window),
-        ensemble=X, log_ensemble=logf,
-        inner_steps=inner_steps,
-        delta=default_delta(n), truncation=truncation,
+        ensemble=X, inner_steps=inner_steps,
+        truncation=truncation,
         meta={"t0_pool": "exact" if snapshots else "chain"})
     for S in snapshots:
         state.pool.push(state.c, state.B, S)
-    rate = _tune_inner_delta(state, gen)
+    rate = 1.0
     if not snapshots:
+        state.log_ensemble = work.log_density_many(state.ensemble)
+        if not np.all(np.isfinite(state.log_ensemble)):
+            raise SlocError("initial ensemble contains points outside the support")
+        rate = _tune_inner_delta(state, 1.0, gen)
         for _ in range(refreshes):
             rate = advance_ensemble(state.density, state.ensemble,
                                     state.log_ensemble, inner_steps,
@@ -454,6 +535,7 @@ class TrajectoryRecord:
     g_se: dict = None
     cov_list: list = None
     t0_pool: str = None
+    refresh: str = None
 
     def columns(self):
         return (["run", "t", "phi", "phi_q", "opnorm", "u"]
@@ -494,7 +576,7 @@ def _single_run(density, run_idx, stream, T, h, n_steps, record_every,
         run=run_idx, set_names=names, t=t, phi=phi, phi_q=phi_q,
         opnorm=opnorm, u=u, g=dict(zip(names, gs[:m])), accept_rate=acc,
         g_se=dict(zip(names, gs[m:])), cov_list=covs,
-        t0_pool=state.meta["t0_pool"])
+        t0_pool=state.meta["t0_pool"], refresh=state.meta["refresh"])
 
 
 def sloc_run(density, T, h=None, k=None, n_runs=1, tracked_sets=None,
@@ -503,8 +585,9 @@ def sloc_run(density, T, h=None, k=None, n_runs=1, tracked_sets=None,
              threads=1, keep_cov=False):
     """n_runs independent trajectories plus an across-run summary.
 
-    The summary reports the t=0 pool path of the runs (see sloc_init;
-    "mixed" when runs differ), per tracked set the martingale check
+    The summary reports the t=0 pool path of the runs (see sloc_init)
+    and how their t > 0 snapshots were drawn (see _refresh_estimates),
+    each "mixed" when runs differ; per tracked set the martingale check
     (mean g_T vs g_0 in combined-se units) and the balance frequency
     (fraction of runs with g in [1/4, 3/4] at every recorded time),
     and the empirical quantiles of the potential ratios.
@@ -552,11 +635,16 @@ def sloc_run(density, T, h=None, k=None, n_runs=1, tracked_sets=None,
 def _summarize_runs(records, T, h, record_every, control):
     n_runs = len(records)
     names = records[0].set_names
-    pools = {r.t0_pool for r in records}
+
+    def common(paths):
+        paths = set(paths)
+        return paths.pop() if len(paths) == 1 else "mixed"
+
     summary = {
         "n_runs": n_runs, "T": T, "h": h, "record_every": record_every,
         "control": control,
-        "t0_pool": pools.pop() if len(pools) == 1 else "mixed",
+        "t0_pool": common(r.t0_pool for r in records),
+        "refresh": common(r.refresh for r in records),
         "phi0_mean": float(np.mean([r.phi[0] for r in records])),
         "phiT_mean": float(np.mean([r.phi[-1] for r in records])),
         "sets": {},
@@ -656,7 +744,7 @@ def moment_inequality_check(samples, k=3):
     pair_report = {"constant": pair_mean / denom2, "se": pair_se / denom2,
                    "ok": bool(np.isfinite(pair_mean / denom2))}
 
-    quad = np.einsum("ij,jk,ik->i", Xc, A.matrix, Xc)
+    quad = quad_rows(Xc, A.matrix)
     W = Xc * quad[:, None]
     v = W.mean(axis=0)
     se_v = math.sqrt(float(np.sum(W.var(axis=0, ddof=1))) / m)

@@ -6,7 +6,10 @@ chain; walk names the step: "ball_walk" (uniform targets only),
 the one way to start it: an exact draw when the density has one
 (exact_sample), else a long hit-and-run burn-in.  exact_sample raises
 NoExactSampler for a density with no exact law, and only that and
-WalkError send a caller to its fallback.
+WalkError send a caller to its fallback.  A tilt exp(c.x - t|x|^2/2) of
+a Gaussian, or of a uniform density with t > 0, is a Gaussian on the
+same body and has its exact law; a Gaussian on an axis cube is drawn
+coordinatewise by inverse CDF.
 
 Steppers share one convention: they mutate and return a ChainState, they
 draw randomness only from the generator they are handed, and a rejected
@@ -16,8 +19,9 @@ so with a uniform target they produce the same trajectory from the same
 stream; the tests pin that equivalence down.
 
 advance_ensemble is the one batched stepper: Metropolis ball-walk steps
-on K chains in lockstep, stored as the rows of a (K, n) array.  The
-sloc ensemble and the dfk volume phases run on it.
+on K chains in lockstep, stored as the rows of a (K, n) array.  The dfk
+volume phases run on it, and so does the sloc ensemble wherever its
+tilted density has no exact law.
 
 Hit-and-run resamples the target restricted to a random chord, and the
 1-D restriction is always drawn exactly.  When it is truncated Gaussian,
@@ -38,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .densities import Density, Uniform, Gaussian, Exponential
+from .densities import Density, Uniform, Gaussian, Exponential, Tilted
 from .bodies import Ball, AxisCube
 from .rng import as_generator
 
@@ -272,6 +276,34 @@ def _tail_trunc_gauss(rng, a, b):
     raise WalkError("tail truncated-normal rejection failed to accept")
 
 
+def _trunc_gauss_many(rng, count, mean, sd, lo, hi):
+    """count rows whose coordinate i is N(mean_i, sd^2) conditioned on
+    [lo_i, hi_i], independently, by inverse CDF.
+
+    As in _trunc_gauss, a coordinate whose lower bound lies above its mean
+    is reflected into the lower tail, where ndtr and ndtri keep their
+    relative accuracy.  A coordinate whose interval has no mass left in
+    double precision even there raises WalkError: the scalar sampler's
+    tail rejection is not vectorized, and clipping would put every draw
+    on the bound.
+    """
+    a = (lo - mean) / sd
+    b = (hi - mean) / sd
+    flip = a > 0.0
+    a, b = np.where(flip, -b, a), np.where(flip, -a, b)
+    Fa = ndtr(a)
+    width = ndtr(b) - Fa
+    if not np.all(width > 0.0):
+        raise WalkError("truncated Gaussian coordinate lies in the far tail")
+    Z = rng.random((count, len(a)))
+    Z *= width
+    Z += Fa
+    ndtri(Z, out=Z)
+    Z *= np.where(flip, -sd, sd)
+    Z += mean
+    return np.clip(Z, lo, hi, out=Z)
+
+
 def _logconcave_chord(rng, alpha, tstar, d, a, b, lo, hi):
     """t on [lo, hi] with log-density
     phi(t) = -alpha hypot(t - t*, d) - (a/2) t^2 + b t, alpha > 0, a >= 0.
@@ -432,13 +464,18 @@ def run_chain(density, x0, n_samples, walk="hit_and_run", burn_in=0, thin=None,
 def exact_sample(density, count, rng, max_batches=10000):
     """Exact draws for the kinds that admit them.
 
-    Uniform on balls and axis cubes is direct; Gaussian, exponential and
-    uniform on general bodies use exact rejection against their
-    unrestricted laws.  Raises NoExactSampler for kinds with no safe
-    envelope.
+    A tilt whose B is exactly t I is first rewritten as the Gaussian it
+    equals on the same body (_tilt_as_gaussian).  Uniform on balls and
+    axis cubes is direct, and so is a Gaussian on an axis cube, one
+    truncated normal per coordinate; Gaussian, exponential and uniform on
+    general bodies use exact rejection against their unrestricted laws,
+    at most max_batches batches of max(count, 256) proposals.  Raises
+    NoExactSampler for kinds with no safe envelope.
     """
     count = int(count)
     rng = as_generator(rng)
+    if isinstance(density, Tilted):
+        density = _tilt_as_gaussian(density)
     body = density.body
     n = density.n
     if isinstance(density, Uniform) and isinstance(body, Ball):
@@ -449,6 +486,10 @@ def exact_sample(density, count, rng, max_batches=10000):
         if density.a <= 0:
             raise NoExactSampler("gaussian with a=0 has no proper unrestricted law")
         sd = 1.0 / np.sqrt(density.a)
+        if isinstance(body, AxisCube):
+            return _trunc_gauss_many(rng, count, density.center, sd,
+                                     body.center - body.half_width,
+                                     body.center + body.half_width)
 
         def propose(m):
             return density.center + sd * rng.standard_normal((m, n))
@@ -467,6 +508,28 @@ def exact_sample(density, count, rng, max_batches=10000):
         return _rejection(lambda m: _ball_cloud(rng, m, n, body.x0, body.R),
                           body.contains_many, count, max_batches)
     raise NoExactSampler(f"no exact sampler for density kind {density.kind!r}")
+
+
+def _tilt_as_gaussian(density):
+    """The Gaussian that exp(c.x - t|x|^2/2) times the base equals.
+
+    Completing the square: over exp(-(a/2)|x - m|^2) it is
+    Gaussian(a + t, (a m + c)/(a + t)); over a uniform base with t > 0 it
+    is Gaussian(t, c/t); both on the tilt's body.  Any other tilt, a B
+    that is not exactly t I included, raises NoExactSampler.
+    """
+    B = density.B
+    t = float(B[0, 0])
+    if not np.array_equal(B, t * np.eye(density.n)):
+        raise NoExactSampler("a tilt with a non-scalar B has no exact law")
+    base, c = density.base, density.c
+    if isinstance(base, Gaussian) and base.a + t > 0.0:
+        a = base.a + t
+        return Gaussian(density.body, a, (base.a * base.center + c) / a)
+    if isinstance(base, Uniform) and t > 0.0:
+        return Gaussian(density.body, t, c / t)
+    raise NoExactSampler(f"no exact sampler for a tilt of a {base.kind!r} base "
+                         f"with t = {t:g}")
 
 
 def _ball_cloud(rng, count, n, center, radius):

@@ -37,8 +37,9 @@ def _opnorm(M):
 
 def test_criterion_01_gaussian_halfspace_isoperimetry(tmp_path, criterion_report):
     # constants subcommand on 1e5 exact standard-Gaussian samples, n=8;
-    # the wide cube support leaves the rejection sampler with nothing to
-    # reject, so the draws are exact N(0, I) samples
+    # the cube's truncation at 12 sd removes no mass in double precision,
+    # so the coordinatewise truncated-normal draws are exact N(0, I)
+    # samples
     cfg_file = tmp_path / "c.cfg"
     cfg_file.write_text('[body]\nkind = "cube"\nn = 8\nhalf_width = 12.0\n'
                         '[density]\nkind = "gaussian"\n'

@@ -180,11 +180,13 @@ def _count_init_work(monkeypatch, dens, **kwargs):
 
 
 def test_init_work_counts(monkeypatch):
-    # exact law: the pool is exact snapshots, the chains only tune
+    # exact law: the pool is exact snapshots and no chain runs, not even
+    # to tune its proposal radius
     state, tune, refresh, _ = _count_init_work(
         monkeypatch, Uniform(AxisCube(8, half_width=np.sqrt(3.0))))
     assert state.meta["t0_pool"] == "exact"
-    assert 1 <= tune <= 12 and refresh == 0
+    assert tune == 0 and refresh == 0
+    assert state.log_ensemble is None and state.delta == 0.0
     assert len(state.pool.groups) == 8
     # no exact law: tuning plus init_refreshes refreshes
     state, tune, refresh, _ = _count_init_work(
@@ -200,6 +202,74 @@ def test_init_work_counts(monkeypatch):
     assert 1 <= tune <= 12 and refresh == 5
     assert len(state.pool.groups) == 5
     assert len(proposals) == 2 and proposals[0] <= 5 * 8 * 256
+
+
+def _count_run_work(monkeypatch, dens, n_steps, **kwargs):
+    """sloc_init plus n_steps steps of h = 0.01 with the work of the steps
+    counted: (state, ensemble-step calls, outcome of each exact_sample
+    call, rejection proposals per exact call)."""
+    steps, outcomes, proposals = [], [], []
+    exact, rejection = sloc.exact_sample, walks._rejection
+
+    def counted_steps(density, X, logf, n_steps, delta, gen):
+        steps.append(n_steps)
+        return advance_ensemble(density, X, logf, n_steps, delta, gen)
+
+    def counted_exact(density, count, gen, max_batches=10000):
+        proposals.append(0)
+        try:
+            X = exact(density, count, gen, max_batches=max_batches)
+        except (walks.NoExactSampler, walks.WalkError) as exc:
+            outcomes.append(type(exc).__name__)
+            raise
+        outcomes.append("ok")
+        return X
+
+    def counted_rejection(propose, accept_mask, count, max_batches):
+        def counted_propose(m):
+            proposals[-1] += m
+            return propose(m)
+
+        return rejection(counted_propose, accept_mask, count, max_batches)
+
+    gen = RngStream(22).generator()
+    state = sloc_init(dens, rng=gen, **kwargs)
+    monkeypatch.setattr(sloc, "advance_ensemble", counted_steps)
+    monkeypatch.setattr(sloc, "exact_sample", counted_exact)
+    monkeypatch.setattr(walks, "_rejection", counted_rejection)
+    for _ in range(n_steps):
+        sloc_step(state, 0.01, gen)
+    return state, steps, outcomes, proposals
+
+
+def test_refresh_work_counts(monkeypatch):
+    # identity control on a uniform cube and on a Gaussian: every refresh
+    # is one exact call and no chain ever steps
+    for dens in (Uniform(AxisCube(4, half_width=np.sqrt(3.0))), _std_gaussian(4)):
+        state, steps, outcomes, _ = _count_run_work(monkeypatch, dens, 6)
+        assert steps == [] and outcomes == ["ok"] * 6
+        assert state.meta["refresh"] == "exact" and state.accept_rate == 1.0
+        assert state.log_ensemble is None
+        monkeypatch.undo()
+    # inverse_sqrt_cov makes B non-scalar: the first refresh's call raises
+    # before it draws, and the chains tune once and then step every time
+    state, steps, outcomes, proposals = _count_run_work(
+        monkeypatch, Uniform(AxisCube(4, half_width=np.sqrt(3.0))), 6,
+        control="inverse_sqrt_cov")
+    assert outcomes == ["NoExactSampler"] and proposals == [0]
+    assert state.meta["refresh"] == "chain"
+    assert steps.count(8) == 6 and 1 <= steps.count(4) <= 12
+    monkeypatch.undo()
+    # the uniform ball has an exact t=0 law, but at t = 0.01 the tilted
+    # law is N(c/t, I/t) on the ball, which rejection almost never hits:
+    # the budget of 8 batches of max(k, 256) proposals is spent once, and
+    # the run stays on the chains as the tilt grows
+    state, steps, outcomes, proposals = _count_run_work(
+        monkeypatch, Uniform(Ball(8)), 6, k=128)
+    assert state.meta["t0_pool"] == "exact"
+    assert outcomes == ["WalkError"] and proposals == [8 * 256]
+    assert state.meta["refresh"] == "chain"
+    assert steps.count(8) == 6 and 1 <= steps.count(4) <= 12
 
 
 def test_state_invariants_detect_tampering():
@@ -386,6 +456,8 @@ def test_sloc_run_record_grid_and_determinism():
     assert len(list(r.rows())) == len(r.t)
     assert summary["n_runs"] == 3
     assert summary["t0_pool"] == "exact"
+    assert summary["refresh"] == "exact"
+    assert np.all(r.accept_rate == 1.0)
     assert set(summary["sets"]["E0"]) >= {
         "g0_mean", "gT_mean", "combined_se", "martingale_dev",
         "martingale_ok", "max_dev_sigma", "balance_frequency"}
@@ -411,8 +483,8 @@ def test_sloc_run_validation():
 
 
 def test_sampled_gaussian_tracks_closed_form():
-    # the sampled simulator against its analytic twin on N(0, I_4); the
-    # large h needs extra inner steps so the chains keep up with the tilt
+    # the sampled simulator against its analytic twin on N(0, I_4); every
+    # refresh is exact, and inner_steps only sets its rejection budget
     records, summary = sloc_run(_std_gaussian(4), T=0.5, h=0.025, k=256,
                                 n_runs=2, rng=RngStream(15), record_every=5,
                                 keep_cov=True, inner_steps=24)

@@ -458,9 +458,12 @@ def test_warm_start_lets_a_library_value_error_through(monkeypatch):
 
 
 def test_no_exact_sampler_is_typed_and_warm_start_falls_back():
+    # a tilt with B = t I has an exact law; one with a non-scalar B, or
+    # over an exponential base, has none
     flat = Gaussian(AxisCube(3), a=0.0)
-    tilted = Tilted(Uniform(AxisCube(3)), np.ones(3), 0.5)
-    for dens in (flat, tilted):
+    skewed = Tilted(Uniform(AxisCube(3)), np.ones(3), np.diag([0.5, 0.5, 0.25]))
+    over_exp = Tilted(Exponential(AxisCube(3), 1.0), np.ones(3), 0.5)
+    for dens in (flat, skewed, over_exp):
         with pytest.raises(NoExactSampler):
             exact_sample(dens, 1, RngStream(43).generator())
         x0 = warm_start(dens, RngStream(43).generator(), burn_in=50)
@@ -474,3 +477,54 @@ def test_run_chain_without_start_point_warm_starts_on_its_stream():
     X = run_chain(dens, None, 20, walk="metropolis", rng=g1)
     ref = run_chain(dens, warm_start(dens, g2), 20, walk="metropolis", rng=g2)
     np.testing.assert_array_equal(X, ref)
+
+
+def test_gaussian_on_cube_draws_truncated_normal_coordinates():
+    # coordinate 0 is centred in the cube, coordinate 1 has its mean far
+    # below it (the lower bound lies 20 sd above the mean, where ndtr
+    # rounds to 1, so only the reflected draw has mass), coordinate 2 has
+    # its mean just above it
+    body = AxisCube(3, half_width=1.0, center=np.array([0.0, 1.0, -0.5]))
+    sd = 0.8
+    mean = np.array([0.1, -16.0, 1.0])
+    dens = Gaussian(body, a=1.0 / sd ** 2, center=mean)
+    m = 40000
+    X = exact_sample(dens, m, RngStream(45).generator())
+    assert X.shape == (m, 3) and np.all(body.contains_many(X))
+    lo, hi = body.center - 1.0, body.center + 1.0
+    for i in range(3):
+        law = stats.truncnorm((lo[i] - mean[i]) / sd, (hi[i] - mean[i]) / sd,
+                              loc=mean[i], scale=sd)
+        se = law.std() / math.sqrt(m)
+        assert abs(X[:, i].mean() - law.mean()) <= 4.0 * se
+        assert X[:, i].var() == pytest.approx(law.var(), rel=0.05)
+        assert stats.kstest(X[:, i], law.cdf).pvalue > 1e-3
+
+
+def test_gaussian_on_cube_in_the_deep_tail_raises():
+    # 60 sd between the mean and the cube: no mass left in double
+    # precision, so the vectorized draw refuses instead of clipping
+    dens = Gaussian(AxisCube(2), a=1.0, center=np.array([0.0, -61.0]))
+    with pytest.raises(WalkError, match="far tail"):
+        exact_sample(dens, 10, RngStream(46).generator())
+
+
+def test_identity_tilts_are_the_gaussians_they_equal():
+    c = np.array([1.0, -2.0, 0.5])
+    # over a uniform cube, exp(c.x - t|x|^2/2) is Gaussian(t, c/t) on the
+    # cube: the same draws from the same stream
+    cube = AxisCube(3, half_width=1.5)
+    tilted = exact_sample(Tilted(Uniform(cube), c, 2.0), 500, RngStream(47).generator())
+    direct = exact_sample(Gaussian(cube, 2.0, c / 2.0), 500, RngStream(47).generator())
+    assert tilted.tobytes() == direct.tobytes()
+    # over exp(-(a/2)|x - m|^2) it is N((a m + c)/(a + t), I/(a + t))
+    a, t, center = 2.0, 1.5, np.array([0.5, 0.0, -1.0])
+    dens = Tilted(Gaussian(Ball(3, 60.0), a=a, center=center), c, t)
+    m = 40000
+    X = exact_sample(dens, m, RngStream(48).generator())
+    mean = (a * center + c) / (a + t)
+    np.testing.assert_allclose(X.mean(axis=0), mean, atol=4.0 / math.sqrt((a + t) * m))
+    np.testing.assert_allclose(np.cov(X.T), np.eye(3) / (a + t), atol=0.01)
+    for i in range(3):
+        assert stats.kstest(X[:, i], stats.norm(mean[i], 1.0 / math.sqrt(a + t)).cdf
+                            ).pvalue > 1e-3
