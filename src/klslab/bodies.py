@@ -192,20 +192,27 @@ class Polytope(Body):
         return _bounded(*_interval_from_rows(num, den))
 
 
-def simplex(n):
-    """Standard simplex {x >= 0, sum x <= 1} as a polytope.
+class Simplex(Polytope):
+    """The standard simplex {x >= 0, sum x <= 1}.
 
-    Guarantees: contains the ball of radius r = 1/(n + sqrt(n)*(n+1))
+    A polytope in every oracle, kind included; the class only lets
+    walks.exact_sample find the simplex's closed-form uniform law.
+    Guarantees: contains the ball of radius r = 1/((n + 1) sqrt(n))
     around the centroid (a safe inscribed radius), R = diameter bound 1.
     """
-    A = np.vstack([-np.eye(n), np.ones((1, n))])
-    b = np.concatenate([np.zeros(n), [1.0]])
-    x0 = np.full(n, 1.0 / (n + 1))
-    # distance of centroid to each facet: 1/(n+1) to coordinate facets,
-    # (1 - n/(n+1))/sqrt(n) to the diagonal facet.
-    r = min(1.0 / (n + 1), 1.0 / ((n + 1) * np.sqrt(n)))
-    R = 1.0
-    return Polytope(A, b, r, R, x0)
+
+    def __init__(self, n):
+        A = np.vstack([-np.eye(n), np.ones((1, n))])
+        b = np.concatenate([np.zeros(n), [1.0]])
+        # distance of centroid to each facet: 1/(n+1) to coordinate facets,
+        # (1 - n/(n+1))/sqrt(n) to the diagonal facet.
+        r = min(1.0 / (n + 1), 1.0 / ((n + 1) * np.sqrt(n)))
+        super().__init__(A, b, r, 1.0, np.full(n, 1.0 / (n + 1)))
+
+
+def simplex(n):
+    """Standard simplex {x >= 0, sum x <= 1} in R^n."""
+    return Simplex(n)
 
 
 class Ellipsoid(Body):

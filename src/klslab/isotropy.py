@@ -4,8 +4,12 @@ The rounding pipeline follows the iterated scheme: sample the standard
 Gaussian restricted to the current body, estimate the covariance, and
 whiten with its inverse square root until every eigenvalue sits inside
 [1/2, 2].  Restricting a standard Gaussian to a convex set can only
-shrink directional variances, so the upper edge of the window is safe
-and the loop terminates once the lower edge is reached.
+shrink directional variances (Brascamp-Lieb), so the upper edge of the
+window is safe and the loop terminates once the lower edge is reached.
+That holds for the estimates only when the samples follow the
+restricted law, so each iteration draws them exactly (walks.exact_sample)
+and falls back to hit-and-run, whose chord draws are exact, only when
+no exact sampler accepts within the budget.
 
 The accumulated rounding map is returned as the pair (M, shift) with
 x -> M x + shift, the form bodies.transform_body takes.
@@ -21,7 +25,7 @@ from .bodies import transform_body
 from .densities import Gaussian
 from .linalg import CovMatrix, sym_inv_sqrt
 from .rng import as_generator
-from .walks import run_chain
+from .walks import NoExactSampler, WalkError, exact_sample, run_chain
 
 EIG_WINDOW = (0.5, 2.0)
 
@@ -47,27 +51,36 @@ def estimate_mean_cov(samples):
 def iterated_gaussian_isotropy(body, rng, max_iters=20, k=None):
     """Round a body by repeated Gaussian-restricted covariance estimation.
 
-    Each iteration samples exp(-|x|^2/2) restricted to the current body
-    with the Metropolis ball walk (k = 64 n samples by default, n steps
-    apart, from a fresh warm start), estimates the covariance, and whitens
+    Each iteration draws k = 64 n samples (by default) of exp(-|x|^2/2)
+    restricted to the current body, estimates the covariance, and whitens
     with W = cov^{-1/2}, x -> W (x - mean), when the smallest eigenvalue
-    falls below EIG_WINDOW.  Returns ((M, shift), final_body, log): the
-    composed map x -> M x + shift, which carries the input body onto
-    final_body as transform_body(body, M, shift) does, the final body,
-    and the per-iteration log.  Raises SingularCovarianceError when a
+    falls below EIG_WINDOW.  The draws are one exact_sample call whose
+    budget matches the fallback's step count, as in warm_start; when the
+    density has no exact sampler or the budget runs out, a hit-and-run
+    chain from warm_start takes k samples n steps apart.  Returns
+    ((M, shift), final_body, log): the composed map x -> M x + shift,
+    which carries the input body onto final_body as
+    transform_body(body, M, shift) does, the final body, and the
+    per-iteration log.  Raises SingularCovarianceError when a
     covariance estimate is singular.
     """
     n = body.n
     # normalize once so successive iterations advance one shared stream
     rng = as_generator(rng)
     k = 64 * n if k is None else int(k)
+    # as many proposals as the fallback takes steps at most (warm_start's
+    # 100 n^2 burn-in, then k n), in batches of max(k, 256)
+    max_batches = -(-(100 * n * n + k * n) // max(k, 256))
     # the map so far is x -> M (x - center)
     M, center = np.eye(n), np.zeros(n)
     log = []
     current = body
     for it in range(int(max_iters)):
         density = Gaussian(current, a=1.0)
-        X = run_chain(density, None, k, walk="metropolis", rng=rng)
+        try:
+            X = exact_sample(density, k, rng, max_batches=max_batches)
+        except (NoExactSampler, WalkError):
+            X = run_chain(density, None, k, walk="hit_and_run", rng=rng)
         mean, cov = estimate_mean_cov(X)
         evals = cov.eigvals
         log.append({"iteration": it, "min_eig": float(evals[0]),

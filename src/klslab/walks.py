@@ -9,7 +9,10 @@ NoExactSampler for a density with no exact law, and only that and
 WalkError send a caller to its fallback.  A tilt exp(c.x - t|x|^2/2) of
 a Gaussian, or of a uniform density with t > 0, is a Gaussian on the
 same body and has its exact law; a Gaussian on an axis cube is drawn
-coordinatewise by inverse CDF.
+coordinatewise by inverse CDF.  The uniform law is closed form on balls,
+axis cubes, the simplex and their affine images, and a Gaussian on one
+of those bodies is drawn by rejection from whichever of two envelopes,
+its unrestricted law or the body's uniform law, accepts more.
 
 Steppers share one convention: they mutate and return a ChainState, they
 draw randomness only from the generator they are handed, and a rejected
@@ -43,7 +46,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .densities import Density, Uniform, Gaussian, Exponential, Tilted
-from .bodies import Ball, AxisCube
+from .bodies import AxisCube, Ball, Simplex, TransformedBody
 from .rng import as_generator
 
 _DEGENERATE_CHORD = 1e-13
@@ -465,12 +468,16 @@ def exact_sample(density, count, rng, max_batches=10000):
     """Exact draws for the kinds that admit them.
 
     A tilt whose B is exactly t I is first rewritten as the Gaussian it
-    equals on the same body (_tilt_as_gaussian).  Uniform on balls and
-    axis cubes is direct, and so is a Gaussian on an axis cube, one
-    truncated normal per coordinate; Gaussian, exponential and uniform on
-    general bodies use exact rejection against their unrestricted laws,
-    at most max_batches batches of max(count, 256) proposals.  Raises
-    NoExactSampler for kinds with no safe envelope.
+    equals on the same body (_tilt_as_gaussian).  Uniform on a body with
+    a closed-form law (_uniform_law: balls, axis cubes, the simplex and
+    their affine images) is direct, and so is a Gaussian on an axis
+    cube, one truncated normal per coordinate.  Everything else is exact
+    rejection, at most max_batches batches of max(count, 256) proposals:
+    uniform on a general body from its bounding ball, exponential from
+    its unrestricted law, and a Gaussian from whichever of two envelopes
+    accepts more, its unrestricted law or the body's uniform law
+    (_uniform_envelope).  Raises NoExactSampler for kinds with no safe
+    envelope.
     """
     count = int(count)
     rng = as_generator(rng)
@@ -478,10 +485,12 @@ def exact_sample(density, count, rng, max_batches=10000):
         density = _tilt_as_gaussian(density)
     body = density.body
     n = density.n
-    if isinstance(density, Uniform) and isinstance(body, Ball):
-        return _ball_cloud(rng, count, n, body.center, body.radius)
-    if isinstance(density, Uniform) and isinstance(body, AxisCube):
-        return body.center + body.half_width * (2.0 * rng.random((count, n)) - 1.0)
+    if isinstance(density, Uniform):
+        draw = _uniform_law(body, rng)
+        if draw is not None:
+            return draw(count)
+        return _rejection(lambda m: _ball_cloud(rng, m, n, body.x0, body.R),
+                          body.contains_many, count, max_batches)
     if isinstance(density, Gaussian):
         if density.a <= 0:
             raise NoExactSampler("gaussian with a=0 has no proper unrestricted law")
@@ -490,6 +499,9 @@ def exact_sample(density, count, rng, max_batches=10000):
             return _trunc_gauss_many(rng, count, density.center, sd,
                                      body.center - body.half_width,
                                      body.center + body.half_width)
+        envelope = _uniform_envelope(density, rng)
+        if envelope is not None:
+            return _rejection(*envelope, count, max_batches)
 
         def propose(m):
             return density.center + sd * rng.standard_normal((m, n))
@@ -504,10 +516,80 @@ def exact_sample(density, count, rng, max_batches=10000):
             return g * rad[:, None]
 
         return _rejection(propose, body.contains_many, count, max_batches)
-    if isinstance(density, Uniform):
-        return _rejection(lambda m: _ball_cloud(rng, m, n, body.x0, body.R),
-                          body.contains_many, count, max_batches)
     raise NoExactSampler(f"no exact sampler for density kind {density.kind!r}")
+
+
+def _uniform_law(body, rng):
+    """draw(m) giving m exact uniform points of the body, or None when
+    the body has no closed-form uniform law.
+
+    Balls and axis cubes are direct.  On the simplex the first n of
+    n + 1 Exp(1) draws over their sum are Dirichlet(1, ..., 1), which is
+    uniform.  A transformed body pushes its base's law through
+    x -> M x + shift.
+    """
+    n = body.n
+    if isinstance(body, Ball):
+        return lambda m: _ball_cloud(rng, m, n, body.center, body.radius)
+    if isinstance(body, AxisCube):
+        return lambda m: body.center + body.half_width * (2.0 * rng.random((m, n)) - 1.0)
+    if isinstance(body, Simplex):
+
+        def draw(m):
+            E = rng.standard_exponential((m, n + 1))
+            return E[:, :n] / E.sum(axis=1, keepdims=True)
+
+        return draw
+    if isinstance(body, TransformedBody):
+        base = _uniform_law(body.base, rng)
+        if base is not None:
+            return lambda m: base(m) @ body.M.T + body.shift
+    return None
+
+
+def _log_volume(body):
+    """log vol(body) for the bodies that _uniform_law draws from."""
+    n = body.n
+    if isinstance(body, Ball):
+        return (0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
+                + n * math.log(body.radius))
+    if isinstance(body, AxisCube):
+        return n * math.log(2.0 * body.half_width)
+    if isinstance(body, Simplex):
+        return -math.lgamma(n + 1.0)
+    return _log_volume(body.base) + float(np.linalg.slogdet(body.M)[1])
+
+
+def _uniform_envelope(density, rng):
+    """(propose, accept) for drawing a Gaussian density by rejection from
+    its body's uniform law, or None when its unrestricted law is the
+    better envelope or the body has no closed-form uniform law.
+
+    For f(x) = exp(-(a/2)|x - m|^2) with mass Z on the body, Gaussian
+    proposals accept with probability Z / (2 pi / a)^(n/2); uniform
+    proposals, each kept with probability f(x) / s for s >= sup f on the
+    body, accept with probability Z / (s vol(body)).  The envelope with
+    the larger rate is taken, a rule that draws nothing.  s is 1, except
+    on a ball of center c and radius r, where the sup is exactly
+    exp(-(a/2) max(0, |m - c| - r)^2).
+    """
+    body, a, center, n = density.body, density.a, density.center, density.n
+    draw = _uniform_law(body, rng)
+    if draw is None:
+        return None
+    log_sup = 0.0
+    if isinstance(body, Ball):
+        gap = max(0.0, float(np.linalg.norm(center - body.center)) - body.radius)
+        log_sup = -0.5 * a * gap * gap
+    if _log_volume(body) + log_sup >= 0.5 * n * math.log(2.0 * math.pi / a):
+        return None
+
+    def accept(X):
+        D = X - center
+        log_ratio = -0.5 * a * np.einsum("ij,ij->i", D, D) - log_sup
+        return np.log(rng.random(len(X))) < log_ratio
+
+    return draw, accept
 
 
 def _tilt_as_gaussian(density):

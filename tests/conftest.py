@@ -1,9 +1,11 @@
 """Shared test plumbing: collects one pass/fail line per acceptance
 criterion and prints them in the terminal summary, and holds the exact
-oracles that more than one test module compares against."""
+oracles and bodies that more than one test module uses."""
 
 import numpy as np
 import pytest
+
+from klslab.bodies import Polytope
 
 _criterion_lines = []
 
@@ -29,6 +31,13 @@ def simplex_moments(n):
     c = 1.0 / ((n + 1) ** 2 * (n + 2))
     cov = -c * np.ones((n, n)) + (n + 1) * c * np.eye(n)
     return mean, cov
+
+
+def plain_polytope(body):
+    """A polytope body's halfspaces and guarantees as a plain Polytope,
+    which has no closed-form uniform law, so exact draws on it go
+    through rejection."""
+    return Polytope(body.A, body.b, body.r, body.R, body.x0)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -186,11 +186,14 @@ KINDS = _kinds()
 
 
 def test_every_body_kind_has_its_own_chord():
-    # the base class has no generic chord: a kind must give its own
-    kinds = [cls for cls in vars(bodies).values()
-             if isinstance(cls, type) and issubclass(cls, Body) and cls is not Body]
-    assert len(kinds) == 7
-    for cls in kinds:
+    # the base class has no generic chord: a kind must give its own.  A
+    # subclass that keeps its parent's kind (Simplex, a Polytope) keeps
+    # its oracles too, so each kind is set by one class, which defines them
+    classes = [cls for cls in vars(bodies).values()
+               if isinstance(cls, type) and issubclass(cls, Body) and cls is not Body]
+    setters = [cls for cls in classes if "kind" in cls.__dict__]
+    assert len({cls.kind for cls in classes}) == len(setters) == 7
+    for cls in setters:
         assert "chord" in cls.__dict__ and "contains" in cls.__dict__, cls.__name__
     with pytest.raises(NotImplementedError):
         Body(2, 1.0, 1.0, np.zeros(2)).chord(np.zeros(2), np.ones(2))

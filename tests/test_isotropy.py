@@ -2,13 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import plain_polytope
 
+from klslab import isotropy
 from klslab.bodies import AxisCube, Ellipsoid, simplex, transform_body
 from klslab.densities import Uniform
 from klslab.isotropy import EIG_WINDOW, estimate_mean_cov, iterated_gaussian_isotropy
 from klslab.linalg import sym_inv_sqrt
 from klslab.rng import RngStream
-from klslab.walks import exact_sample
+from klslab.walks import exact_sample, run_chain
 
 
 def test_estimate_mean_cov_exact_inputs():
@@ -109,3 +111,47 @@ def test_iterated_isotropy_no_op_when_round():
     assert len(log) == 1
     assert np.array_equal(M, np.eye(3)) and not shift.any()
     assert final is body
+
+
+def test_isotropy_covariances_obey_brascamp_lieb():
+    # a standard Gaussian restricted to a convex body has covariance <= I,
+    # so every logged largest eigenvalue stays below 1 up to the sampling
+    # error of a k-sample covariance: the Marchenko-Pastur edge
+    # (1 + sqrt(n/k))^2 plus 3 sd, sqrt(2/k), of one sample variance
+    for body in (Ellipsoid(np.diag([1.0 / 36.0, 1.0, 1.0])), simplex(8)):
+        k = 64 * body.n
+        tol = (1.0 + np.sqrt(body.n / k)) ** 2 + 3.0 * np.sqrt(2.0 / k)
+        for seed in range(12, 17):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, _, log = iterated_gaussian_isotropy(body, RngStream(seed))
+            assert all(r["max_eig"] <= tol for r in log), log
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_simplex_enters_the_window(n):
+    for seed in range(10):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, log = iterated_gaussian_isotropy(simplex(n), RngStream(100 + seed))
+        assert EIG_WINDOW[0] <= log[-1]["min_eig"] and log[-1]["max_eig"] <= EIG_WINDOW[1]
+
+
+def test_isotropy_falls_back_to_hit_and_run(monkeypatch):
+    # simplex(4)'s halfspaces as a plain polytope have no uniform law, and
+    # a standard Gaussian lands in them about once in 1,000 draws: the
+    # first iteration spends its budget and runs hit-and-run, and the
+    # whitened body that follows takes Gaussian proposals
+    walks = []
+
+    def counted(density, x0, n_samples, walk, rng):
+        walks.append(walk)
+        return run_chain(density, x0, n_samples, walk=walk, rng=rng)
+
+    monkeypatch.setattr(isotropy, "run_chain", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, log = iterated_gaussian_isotropy(plain_polytope(simplex(4)),
+                                               RngStream(14))
+    assert walks == ["hit_and_run"]
+    assert len(log) >= 2 and log[-1]["min_eig"] >= EIG_WINDOW[0]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import plain_polytope
 from scipy.special import ndtr
 from scipy.stats import chi2, ncx2
 
@@ -193,15 +194,29 @@ def test_init_work_counts(monkeypatch):
         monkeypatch, Boltzmann(AxisCube(3), 1.0, np.ones(3)))
     assert state.meta["t0_pool"] == "chain"
     assert 1 <= tune <= 12 and refresh == 8
-    # rejection accepts about 1% on simplex(4) (k = 256): the 5 snapshots
-    # spend at most the refreshes' 5 * 8 * 256 proposals, run out, and
-    # the refreshes fill the pool from k exact chain starts
+    # the simplex has a closed-form uniform law; the same halfspaces as a
+    # plain polytope have none, and rejection from the bounding ball
+    # accepts about 1% (k = 256): the 5 snapshots spend at most the
+    # refreshes' 5 * 8 * 256 proposals, run out, and the refreshes fill
+    # the pool from k exact chain starts
     state, tune, refresh, proposals = _count_init_work(
         monkeypatch, Uniform(simplex(4)), init_refreshes=5)
+    assert state.meta["t0_pool"] == "exact"
+    assert tune == 0 and refresh == 0 and proposals == []
+    state, tune, refresh, proposals = _count_init_work(
+        monkeypatch, Uniform(plain_polytope(simplex(4))), init_refreshes=5)
     assert state.meta["t0_pool"] == "chain"
     assert 1 <= tune <= 12 and refresh == 5
     assert len(state.pool.groups) == 5
     assert len(proposals) == 2 and proposals[0] <= 5 * 8 * 256
+
+
+def test_simplex8_init_pool_is_exact():
+    # rejection from the bounding ball accepted about 6e-6 on simplex(8)
+    # and spent its whole budget before the chains took over
+    state = sloc_init(Uniform(simplex(8)), rng=RngStream(23))
+    assert state.meta["t0_pool"] == "exact"
+    assert state.log_ensemble is None
 
 
 def _count_run_work(monkeypatch, dens, n_steps, **kwargs):
@@ -260,12 +275,23 @@ def test_refresh_work_counts(monkeypatch):
     assert state.meta["refresh"] == "chain"
     assert steps.count(8) == 6 and 1 <= steps.count(4) <= 12
     monkeypatch.undo()
-    # the uniform ball has an exact t=0 law, but at t = 0.01 the tilted
-    # law is N(c/t, I/t) on the ball, which rejection almost never hits:
-    # the budget of 8 batches of max(k, 256) proposals is spent once, and
-    # the run stays on the chains as the tilt grows
-    state, steps, outcomes, proposals = _count_run_work(
+    # at t = 0.01 the tilted law of the uniform ball is N(c/t, I/t) on
+    # the ball, far wider than the ball: uniform proposals under the
+    # exact sup of the Gaussian on the ball accept nearly all, and every
+    # refresh stays exact
+    state, steps, outcomes, _ = _count_run_work(
         monkeypatch, Uniform(Ball(8)), 6, k=128)
+    assert state.meta["t0_pool"] == "exact"
+    assert steps == [] and outcomes == ["ok"] * 6
+    assert state.meta["refresh"] == "exact"
+    monkeypatch.undo()
+    # the unit ball as a ball intersection (it lies inside the cube) has
+    # an exact t=0 law by rejection from its bounding ball, but no uniform
+    # law for the tilt's envelope, and Gaussian proposals almost never
+    # hit it: the budget of 8 batches of max(k, 256) proposals is spent
+    # once, and the run stays on the chains as the tilt grows
+    state, steps, outcomes, proposals = _count_run_work(
+        monkeypatch, Uniform(BallIntersection(AxisCube(8), 1.0)), 6, k=128)
     assert state.meta["t0_pool"] == "exact"
     assert outcomes == ["WalkError"] and proposals == [8 * 256]
     assert state.meta["refresh"] == "chain"

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from conftest import simplex_moments
+from conftest import plain_polytope, simplex_moments
 from scipy import integrate, stats
 
-from klslab.bodies import AxisCube, Ball, simplex, transform_body
+from klslab.bodies import AxisCube, Ball, TransformedBody, simplex, transform_body
 from klslab.densities import (Boltzmann, Exponential, Gaussian, Tilted,
                                Uniform)
 from klslab.linalg import sym_inv_sqrt
@@ -406,6 +406,81 @@ def test_exact_sample_exponential_radial_law():
     assert X.shape == (2000, 2) and cube.contains_many(X).all()
 
 
+def _assert_moments(X, mean, cov):
+    """Whitened by the exact moments, the sample's mean is 0 and its
+    covariance I, each within a few standard errors."""
+    m, n = X.shape
+    Z = (X - mean) @ sym_inv_sqrt(cov)
+    assert np.abs(Z.mean(axis=0)).max() < 4.5 / np.sqrt(m)
+    # whitened simplex coordinates have kurtosis up to about 9, so a
+    # covariance entry's standard error is at most 3 / sqrt(m)
+    assert np.abs(Z.T @ Z / m - np.eye(n)).max() < 13.0 / np.sqrt(m)
+
+
+def test_exact_sample_simplex_law():
+    # the first n of n + 1 normalized Exp(1) draws: Dirichlet(1, ..., 1),
+    # whose coordinates are Beta(1, n) and whose coordinate sum is Beta(n, 1)
+    n = 5
+    X = exact_sample(Uniform(simplex(n)), 40000, RngStream(19).generator())
+    assert simplex(n).contains_many(X).all()
+    _assert_moments(X, *simplex_moments(n))
+    assert stats.kstest(X[:, 0], lambda x: 1.0 - (1.0 - x) ** n).statistic < 0.01
+    assert stats.kstest(X.sum(axis=1), lambda s: s ** n).statistic < 0.01
+
+
+def test_exact_sample_transformed_law():
+    # an affine image of the simplex and a stretched ball: the base's law
+    # pushed through x -> M x + shift stays in the image, with the pushed
+    # moments M mean + shift and M cov M^T
+    gen = RngStream(24).generator()
+    M = np.eye(4) + 0.4 * gen.standard_normal((4, 4))
+    shift = gen.standard_normal(4)
+    mean, cov = simplex_moments(4)
+    D = np.diag([2.0, 1.0, 0.5, 0.25])
+    cases = [(transform_body(simplex(4), M, shift), M @ mean + shift, M @ cov @ M.T),
+             (transform_body(Ball(4), D, shift), shift, D @ D / 6.0)]
+    for body, mean_x, cov_x in cases:
+        assert isinstance(body, TransformedBody)
+        X = exact_sample(Uniform(body), 40000, gen)
+        assert body.contains_many(X).all()
+        _assert_moments(X, mean_x, cov_x)
+
+
+@pytest.mark.parametrize("body, a, center", [
+    (simplex(4), 20.0, np.array([0.3, 0.1, 0.2, 0.1])),
+    # far outside the ball: only the exact sup of the Gaussian on the
+    # ball, exp(-a/2), keeps the uniform envelope's ratio <= 1
+    (Ball(3), 1.0, np.array([2.0, 0.0, 0.0])),
+])
+def test_gaussian_uniform_envelope_matches_gaussian_proposals(body, a, center,
+                                                              monkeypatch):
+    # reference: Gaussian proposals kept where they land in the body
+    gen = RngStream(25).generator()
+    ref = []
+    while sum(len(R) for R in ref) < 20000:
+        P = center + gen.standard_normal((200000, body.n)) / np.sqrt(a)
+        ref.append(P[body.contains_many(P)])
+    ref = np.concatenate(ref)[:20000]
+
+    # the rule picks uniform proposals, which never test membership
+    def no_membership(X):
+        raise AssertionError("the Gaussian envelope was chosen")
+
+    monkeypatch.setattr(body, "contains_many", no_membership)
+    X = exact_sample(Gaussian(body, a, center), 20000, RngStream(26).generator())
+    for stat in (lambda Y: Y[:, 0], lambda Y: np.sum((Y - center) ** 2, axis=1)):
+        assert stats.ks_2samp(stat(X), stat(ref)).pvalue > 1e-3
+
+
+def test_gaussian_on_a_wide_ball_keeps_gaussian_proposals():
+    # vol(ball) exceeds (2 pi / a)^(n/2): Gaussian proposals accept more,
+    # and the draws are those of plain Gaussian rejection
+    body, center = Ball(3, radius=12.0), np.array([0.5, 0.0, 0.0])
+    X = exact_sample(Gaussian(body, 1.0, center), 3000, RngStream(27).generator())
+    P = center + RngStream(27).generator().standard_normal((3000, 3))
+    assert X.tobytes() == P[body.contains_many(P)][:3000].tobytes()
+
+
 def test_warm_start_inside_support():
     for n in (2, 8):
         dens = Uniform(AxisCube(n))
@@ -413,26 +488,24 @@ def test_warm_start_inside_support():
         assert dens.log_density(x0) > -np.inf
 
 
-def _simplex8_gaussian(rounded):
-    body = simplex(8)
-    if rounded:
-        mean, cov = simplex_moments(8)
-        W = sym_inv_sqrt(cov)
-        body = transform_body(body, W, -W @ mean)
-    return Gaussian(body, a=1.0)
+def _rounded_simplex8_gaussian():
+    mean, cov = simplex_moments(8)
+    W = sym_inv_sqrt(cov)
+    return Gaussian(transform_body(simplex(8), W, -W @ mean), a=1.0)
 
 
 def test_warm_start_is_one_exact_draw_when_rejection_accepts():
-    dens = _simplex8_gaussian(rounded=True)
+    dens = _rounded_simplex8_gaussian()
     x0 = warm_start(dens, RngStream(40).generator())
     exact = exact_sample(dens, 1, RngStream(40).generator())[0]
     assert x0.tobytes() == exact.tobytes()
 
 
 def test_warm_start_falls_back_to_hit_and_run_after_budget():
-    # a standard Gaussian almost never lands in the unrounded simplex, so
-    # the 100 n^2 = 6400 proposals run out and hit-and-run takes over
-    dens = _simplex8_gaussian(rounded=False)
+    # a standard Gaussian almost never lands in the unrounded simplex.  As
+    # a plain polytope it has no uniform law to propose from, so the
+    # 100 n^2 = 6400 Gaussian proposals run out and hit-and-run takes over
+    dens = Gaussian(plain_polytope(simplex(8)), a=1.0)
     x0 = warm_start(dens, RngStream(41).generator())
     assert dens.log_density(x0) > -np.inf
     gen = RngStream(41).generator()
@@ -447,7 +520,7 @@ def test_warm_start_falls_back_to_hit_and_run_after_budget():
 def test_warm_start_lets_a_library_value_error_through(monkeypatch):
     # only NoExactSampler and WalkError send warm_start to its fallback; a
     # builtin ValueError from inside exact_sample is a bug and surfaces
-    dens = _simplex8_gaussian(rounded=True)
+    dens = _rounded_simplex8_gaussian()
 
     def broken(X):
         raise ValueError("broken membership")
