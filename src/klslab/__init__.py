@@ -9,8 +9,8 @@ simulator with needle-decomposition experiments.
 __version__ = "0.1.0"
 
 from .bodies import (AxisCube, Ball, BallIntersection, Body, BodyError,
-                     Ellipsoid, Polytope, RestrictedBody, TransformedBody,
-                     simplex, transform_body)
+                     Polytope, RestrictedBody, TransformedBody, simplex,
+                     transform_body)
 from .densities import (Boltzmann, Density, Exponential, Gaussian, Tilted,
                         Uniform, chord_profile)
 from .diagnostics import (BallSet, ConstantsReport, HalfspaceSet, SlabSet,
@@ -32,9 +32,8 @@ from .volume import (AnnealSchedule, CutPlaneResult, OptimizeResult,
                      OracleInconsistencyError, VolumePhaseError, VolumeResult,
                      anneal_optimize, ball_schedule, cutting_plane_feasibility,
                      dfk_volume, exponential_schedule, gaussian_cooling_schedule,
-                     gaussian_cooling_volume, log_ball_volume,
-                     lv_annealing_volume, optimize_schedule, ratio_estimator,
-                     separation_oracle_for)
+                     gaussian_cooling_volume, lv_annealing_volume,
+                     optimize_schedule, ratio_estimator, separation_oracle_for)
 from .walks import (ChainState, NoExactSampler, WalkError, advance_ensemble,
                     ball_walk_step, coordinate_hit_and_run_step, default_delta,
                     exact_sample, hit_and_run_step, metropolis_step, run_chain,

@@ -5,6 +5,14 @@ guarantees (r, R, x0): the body contains the ball of radius r around the
 interior point x0 and is contained in the ball of radius R around x0.
 Chords are computed in closed form for every built-in kind.
 
+A body also owns its uniform law: uniform_law(rng) returns draw(m), m
+exact uniform points, or None when the body has none in closed form,
+and a body with a law gives log_volume() beside it.  Balls, axis cubes
+and the simplex have both, and a transformed body pushes its base's law
+through its map and adds log |det M| to its volume, so an ellipsoid
+{x : x^T E x <= 1}, built as transform_body(Ball(n), E^{-1/2}), has
+them too.
+
 The chord convention: chord(x, u) returns (t_lo, t_hi) such that
 x + t*u is in the body exactly for t in [t_lo, t_hi].  For interior x
 this interval contains 0.  Degenerate (zero-length) chords are legal.
@@ -27,8 +35,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .linalg import quad_rows
+from scipy.special import gammaln
 
 
 class BodyError(ValueError):
@@ -55,6 +62,20 @@ class Body:
 
     def chord(self, x, u):
         raise NotImplementedError
+
+    def uniform_law(self, rng):
+        """draw(m) giving m exact uniform points of the body from rng, or
+        None when the body has no closed-form uniform law."""
+        return None
+
+
+def ball_cloud(rng, count, n, center, radius):
+    """count uniform points in the ball(s) of the given center and radius;
+    center may be one point or one row per point."""
+    g = rng.standard_normal((count, n))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    rad = rng.random(count) ** (1.0 / n)
+    return center + radius * g * rad[:, None]
 
 
 def _interval_from_rows(num, den):
@@ -121,6 +142,13 @@ class Ball(Body):
         root = math.sqrt(disc)
         return _bounded(-beta - root, -beta + root)
 
+    def uniform_law(self, rng):
+        return lambda m: ball_cloud(rng, m, self.n, self.center, self.radius)
+
+    def log_volume(self):
+        n = self.n
+        return 0.5 * n * np.log(np.pi) - gammaln(0.5 * n + 1.0) + n * np.log(self.radius)
+
 
 class AxisCube(Body):
     """Axis-aligned cube [center - w, center + w]^n."""
@@ -163,6 +191,12 @@ class AxisCube(Body):
                 t_lo = down
         return _bounded(t_lo, t_hi)
 
+    def uniform_law(self, rng):
+        return lambda m: self.center + self.half_width * (2.0 * rng.random((m, self.n)) - 1.0)
+
+    def log_volume(self):
+        return self.n * math.log(2.0 * self.half_width)
+
 
 class Polytope(Body):
     """Halfspace intersection {x : A x <= b} with caller-supplied guarantees."""
@@ -195,8 +229,8 @@ class Polytope(Body):
 class Simplex(Polytope):
     """The standard simplex {x >= 0, sum x <= 1}.
 
-    A polytope in every oracle, kind included; the class only lets
-    walks.exact_sample find the simplex's closed-form uniform law.
+    A polytope in every oracle, kind included, that adds the closed-form
+    uniform law, Dirichlet(1, ..., 1), and the log-volume -log n!.
     Guarantees: contains the ball of radius r = 1/((n + 1) sqrt(n))
     around the centroid (a safe inscribed radius), R = diameter bound 1.
     """
@@ -209,46 +243,23 @@ class Simplex(Polytope):
         r = min(1.0 / (n + 1), 1.0 / ((n + 1) * np.sqrt(n)))
         super().__init__(A, b, r, 1.0, np.full(n, 1.0 / (n + 1)))
 
+    def uniform_law(self, rng):
+        # the first n of n + 1 Exp(1) draws over their sum
+        n = self.n
+
+        def draw(m):
+            E = rng.standard_exponential((m, n + 1))
+            return E[:, :n] / E.sum(axis=1, keepdims=True)
+
+        return draw
+
+    def log_volume(self):
+        return -math.lgamma(self.n + 1.0)
+
 
 def simplex(n):
     """Standard simplex {x >= 0, sum x <= 1} in R^n."""
     return Simplex(n)
-
-
-class Ellipsoid(Body):
-    """{x : x^T E x <= 1} for a symmetric positive definite shape matrix E."""
-
-    kind = "ellipsoid"
-
-    def __init__(self, E):
-        E = np.asarray(E, dtype=float)
-        E = 0.5 * (E + E.T)
-        evals = np.linalg.eigvalsh(E)
-        if evals[0] <= 0:
-            raise BodyError("shape matrix must be positive definite")
-        n = E.shape[0]
-        super().__init__(n, 1.0 / np.sqrt(evals[-1]), 1.0 / np.sqrt(evals[0]), np.zeros(n))
-        self.E = E
-
-    def contains(self, x):
-        return float(x @ self.E @ x) <= 1 + 1e-12
-
-    def contains_many(self, X):
-        return quad_rows(X, self.E) <= 1 + 1e-12
-
-    def chord(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        a = float(u @ self.E @ u)
-        bq = float(x @ self.E @ u)
-        c = float(x @ self.E @ x) - 1.0
-        if a <= 0:
-            raise BodyError("degenerate ellipsoid direction")
-        disc = bq * bq - a * c
-        if disc < 0:
-            disc = 0.0
-        root = math.sqrt(disc)
-        return _bounded((-bq - root) / a, (-bq + root) / a)
 
 
 class BallIntersection(Body):
@@ -349,26 +360,29 @@ class TransformedBody(Body):
         v = self._Minv @ np.asarray(u, dtype=float)
         return self.base.chord(xb, v)
 
+    def uniform_law(self, rng):
+        base = self.base.uniform_law(rng)
+        if base is None:
+            return None
+        return lambda m: base(m) @ self.M.T + self.shift
+
+    def log_volume(self):
+        return self.base.log_volume() + float(np.linalg.slogdet(self.M)[1])
+
 
 def transform_body(body, M, shift=None):
     """Affine image of a body, preserving the kind where that is exact.
 
-    Ellipsoids stay ellipsoids under any invertible linear map; balls and
-    cubes stay themselves under scalings (plus translation).  A transformed
-    body composes into one map over its base, M2 (M1 x + s1) + s2, so
-    repeated transforms cost one matvec per oracle call, not one per level.
-    Everything else is wrapped.
+    Balls and cubes stay themselves under scalings (plus translation).  A
+    transformed body composes into one map over its base,
+    M2 (M1 x + s1) + s2, so repeated transforms cost one matvec per oracle
+    call, not one per level.  Everything else is wrapped, so the ellipsoid
+    {x : x^T E x <= 1} is transform_body(Ball(n), E^{-1/2}).
     """
     M = np.asarray(M, dtype=float)
     shift = np.zeros(body.n) if shift is None else np.asarray(shift, dtype=float)
     if isinstance(body, TransformedBody):
         return transform_body(body.base, M @ body.M, M @ body.shift + shift)
-    if isinstance(body, Ellipsoid):
-        Minv = np.linalg.inv(M)
-        E_new = Minv.T @ body.E @ Minv
-        if np.allclose(shift, 0.0):
-            return Ellipsoid(E_new)
-        return TransformedBody(body, M, shift)
     scalar = M.shape[0] == M.shape[1] and np.allclose(M, M[0, 0] * np.eye(M.shape[0]))
     if scalar and isinstance(body, Ball):
         return Ball(body.n, body.radius * abs(M[0, 0]), M @ body.center + shift)

@@ -69,10 +69,12 @@ class Density:
         """This density with its support replaced by body.
 
         A shallow copy: class, kind, log-density and chord profile are
-        unchanged, so only membership changes, and walks.exact_sample
+        unchanged, so only the support changes.  walks.exact_sample
         finds the same unrestricted law and tests membership against the
-        new body.  sloc's support truncation and needles' partition cells
-        are its two uses.
+        new body, and a uniform density takes the new body's
+        uniform_law, which a RestrictedBody does not have.  sloc's
+        support truncation and needles' partition cells are its two
+        uses.
         """
         if body.n != self.n:
             raise ValueError("restriction body has the wrong dimension")

@@ -57,7 +57,9 @@ def iterated_gaussian_isotropy(body, rng, max_iters=20, k=None):
     falls below EIG_WINDOW.  The draws are one exact_sample call whose
     budget matches the fallback's step count, as in warm_start; when the
     density has no exact sampler or the budget runs out, a hit-and-run
-    chain from warm_start takes k samples n steps apart.  Returns
+    chain from the body's interior point takes k samples n steps apart
+    after warm_start's 100 n^2 burn-in, so no iteration spends its exact
+    budget twice.  Returns
     ((M, shift), final_body, log): the composed map x -> M x + shift,
     which carries the input body onto final_body as
     transform_body(body, M, shift) does, the final body, and the
@@ -68,9 +70,10 @@ def iterated_gaussian_isotropy(body, rng, max_iters=20, k=None):
     # normalize once so successive iterations advance one shared stream
     rng = as_generator(rng)
     k = 64 * n if k is None else int(k)
-    # as many proposals as the fallback takes steps at most (warm_start's
-    # 100 n^2 burn-in, then k n), in batches of max(k, 256)
-    max_batches = -(-(100 * n * n + k * n) // max(k, 256))
+    # as many proposals as the fallback takes steps at most (a 100 n^2
+    # burn-in, then k n), in batches of max(k, 256)
+    burn_in = 100 * n * n
+    max_batches = -(-(burn_in + k * n) // max(k, 256))
     # the map so far is x -> M (x - center)
     M, center = np.eye(n), np.zeros(n)
     log = []
@@ -80,7 +83,8 @@ def iterated_gaussian_isotropy(body, rng, max_iters=20, k=None):
         try:
             X = exact_sample(density, k, rng, max_batches=max_batches)
         except (NoExactSampler, WalkError):
-            X = run_chain(density, None, k, walk="hit_and_run", rng=rng)
+            X = run_chain(density, current.x0, k, walk="hit_and_run",
+                          burn_in=burn_in, rng=rng)
         mean, cov = estimate_mean_cov(X)
         evals = cov.eigvals
         log.append({"iteration": it, "min_eig": float(evals[0]),

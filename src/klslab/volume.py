@@ -61,11 +61,6 @@ class VolumePhaseError(RuntimeError):
             f"{REL_VARIANCE_ABORT}; schedule too aggressive")
 
 
-def log_ball_volume(n):
-    """log volume of the n-dimensional unit ball."""
-    return 0.5 * n * np.log(np.pi) - gammaln(0.5 * n + 1.0)
-
-
 def ratio_estimator(samples, f_next, f_cur) -> Estimate:
     """E[f_next(X)/f_cur(X)] over samples X from f_cur.
 
@@ -129,7 +124,7 @@ def ball_schedule(body) -> AnnealSchedule:
         raise ValueError("body needs a positive inscribed radius")
     m = int(np.ceil(n * np.log2(R / r))) if R > r else 0
     radii = r * np.exp2(np.arange(m + 1) / n)
-    return AnnealSchedule(radii, log_ball_volume(n) + n * np.log(radii[0]),
+    return AnnealSchedule(radii, Ball(n, radii[0]).log_volume(),
                           factor=2.0 ** (1.0 / n),
                           meta={"m": m, "r": r, "R": R})
 
@@ -237,7 +232,7 @@ def exponential_schedule(body) -> AnnealSchedule:
     alpha0 = max(2.0 * n / r, float(gammainccinv(n, TRUNCATION_TOL)) / r)
     alphas, factor = _cooling(alpha0, alpha0 * R, 1.0 / R, n)
     truncation = float(gammaincc(n, alpha0 * r))
-    log_start = gammaln(n + 1.0) + log_ball_volume(n) - n * np.log(alpha0)
+    log_start = gammaln(n + 1.0) + Ball(n).log_volume() - n * np.log(alpha0)
     return AnnealSchedule(alphas, log_start, factor=factor,
                           meta={"alpha0": alpha0, "truncation_bound": truncation,
                                 "m": len(alphas) - 1})

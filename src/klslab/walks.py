@@ -9,10 +9,13 @@ NoExactSampler for a density with no exact law, and only that and
 WalkError send a caller to its fallback.  A tilt exp(c.x - t|x|^2/2) of
 a Gaussian, or of a uniform density with t > 0, is a Gaussian on the
 same body and has its exact law; a Gaussian on an axis cube is drawn
-coordinatewise by inverse CDF.  The uniform law is closed form on balls,
-axis cubes, the simplex and their affine images, and a Gaussian on one
-of those bodies is drawn by rejection from whichever of two envelopes,
-its unrestricted law or the body's uniform law, accepts more.
+coordinatewise by inverse CDF.  The uniform law and the volume belong
+to the body (Body.uniform_law, log_volume): closed form on balls, axis
+cubes, the simplex and their affine images, ellipsoids included.  A
+Gaussian on one of those bodies is drawn by rejection from whichever of
+two envelopes, its unrestricted law or the body's uniform law, accepts
+more.  What stays here is the density side: which envelope a density
+takes, and the truncated-normal and rejection samplers that draw it.
 
 Steppers share one convention: they mutate and return a ChainState, they
 draw randomness only from the generator they are handed, and a rejected
@@ -46,7 +49,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .densities import Density, Uniform, Gaussian, Exponential, Tilted
-from .bodies import AxisCube, Ball, Simplex, TransformedBody
+from .bodies import AxisCube, Ball, ball_cloud
 from .rng import as_generator
 
 _DEGENERATE_CHORD = 1e-13
@@ -170,7 +173,7 @@ def advance_ensemble(density, X, logf, steps, delta, gen):
     m, n = X.shape
     accepted = 0
     for _ in range(steps):
-        Y = _ball_cloud(gen, m, n, X, delta)
+        Y = ball_cloud(gen, m, n, X, delta)
         logf_y = density.log_density_many(Y)
         with np.errstate(divide="ignore"):
             take = np.log(gen.random(m)) < (logf_y - logf)
@@ -468,14 +471,15 @@ def exact_sample(density, count, rng, max_batches=10000):
     """Exact draws for the kinds that admit them.
 
     A tilt whose B is exactly t I is first rewritten as the Gaussian it
-    equals on the same body (_tilt_as_gaussian).  Uniform on a body with
-    a closed-form law (_uniform_law: balls, axis cubes, the simplex and
-    their affine images) is direct, and so is a Gaussian on an axis
-    cube, one truncated normal per coordinate.  Everything else is exact
-    rejection, at most max_batches batches of max(count, 256) proposals:
-    uniform on a general body from its bounding ball, exponential from
-    its unrestricted law, and a Gaussian from whichever of two envelopes
-    accepts more, its unrestricted law or the body's uniform law
+    equals on the same body (_tilt_as_gaussian).  Uniform on a body that
+    owns a uniform law (body.uniform_law: balls, axis cubes, the simplex
+    and their affine images, ellipsoids among them) is that law, and a
+    Gaussian on an axis cube is one truncated normal per coordinate.
+    Everything else is exact rejection, at most max_batches batches of
+    max(count, 256) proposals: uniform on a general body from its
+    bounding ball, exponential from its unrestricted law, and a Gaussian
+    from whichever of two envelopes accepts more, its unrestricted law or
+    the body's uniform law, as body.log_volume() decides
     (_uniform_envelope).  Raises NoExactSampler for kinds with no safe
     envelope.
     """
@@ -486,10 +490,10 @@ def exact_sample(density, count, rng, max_batches=10000):
     body = density.body
     n = density.n
     if isinstance(density, Uniform):
-        draw = _uniform_law(body, rng)
+        draw = body.uniform_law(rng)
         if draw is not None:
             return draw(count)
-        return _rejection(lambda m: _ball_cloud(rng, m, n, body.x0, body.R),
+        return _rejection(lambda m: ball_cloud(rng, m, n, body.x0, body.R),
                           body.contains_many, count, max_batches)
     if isinstance(density, Gaussian):
         if density.a <= 0:
@@ -519,47 +523,6 @@ def exact_sample(density, count, rng, max_batches=10000):
     raise NoExactSampler(f"no exact sampler for density kind {density.kind!r}")
 
 
-def _uniform_law(body, rng):
-    """draw(m) giving m exact uniform points of the body, or None when
-    the body has no closed-form uniform law.
-
-    Balls and axis cubes are direct.  On the simplex the first n of
-    n + 1 Exp(1) draws over their sum are Dirichlet(1, ..., 1), which is
-    uniform.  A transformed body pushes its base's law through
-    x -> M x + shift.
-    """
-    n = body.n
-    if isinstance(body, Ball):
-        return lambda m: _ball_cloud(rng, m, n, body.center, body.radius)
-    if isinstance(body, AxisCube):
-        return lambda m: body.center + body.half_width * (2.0 * rng.random((m, n)) - 1.0)
-    if isinstance(body, Simplex):
-
-        def draw(m):
-            E = rng.standard_exponential((m, n + 1))
-            return E[:, :n] / E.sum(axis=1, keepdims=True)
-
-        return draw
-    if isinstance(body, TransformedBody):
-        base = _uniform_law(body.base, rng)
-        if base is not None:
-            return lambda m: base(m) @ body.M.T + body.shift
-    return None
-
-
-def _log_volume(body):
-    """log vol(body) for the bodies that _uniform_law draws from."""
-    n = body.n
-    if isinstance(body, Ball):
-        return (0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
-                + n * math.log(body.radius))
-    if isinstance(body, AxisCube):
-        return n * math.log(2.0 * body.half_width)
-    if isinstance(body, Simplex):
-        return -math.lgamma(n + 1.0)
-    return _log_volume(body.base) + float(np.linalg.slogdet(body.M)[1])
-
-
 def _uniform_envelope(density, rng):
     """(propose, accept) for drawing a Gaussian density by rejection from
     its body's uniform law, or None when its unrestricted law is the
@@ -574,14 +537,14 @@ def _uniform_envelope(density, rng):
     exp(-(a/2) max(0, |m - c| - r)^2).
     """
     body, a, center, n = density.body, density.a, density.center, density.n
-    draw = _uniform_law(body, rng)
+    draw = body.uniform_law(rng)
     if draw is None:
         return None
     log_sup = 0.0
     if isinstance(body, Ball):
         gap = max(0.0, float(np.linalg.norm(center - body.center)) - body.radius)
         log_sup = -0.5 * a * gap * gap
-    if _log_volume(body) + log_sup >= 0.5 * n * math.log(2.0 * math.pi / a):
+    if body.log_volume() + log_sup >= 0.5 * n * math.log(2.0 * math.pi / a):
         return None
 
     def accept(X):
@@ -612,15 +575,6 @@ def _tilt_as_gaussian(density):
         return Gaussian(density.body, t, c / t)
     raise NoExactSampler(f"no exact sampler for a tilt of a {base.kind!r} base "
                          f"with t = {t:g}")
-
-
-def _ball_cloud(rng, count, n, center, radius):
-    """count uniform points in the ball(s) of the given center and radius;
-    center may be one point or one row per point."""
-    g = rng.standard_normal((count, n))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    rad = rng.random(count) ** (1.0 / n)
-    return center + radius * g * rad[:, None]
 
 
 def _rejection(propose, accept_mask, count, max_batches):

@@ -5,7 +5,8 @@ oracles and bodies that more than one test module uses."""
 import numpy as np
 import pytest
 
-from klslab.bodies import Polytope
+from klslab.bodies import Ball, Polytope, transform_body
+from klslab.linalg import sym_inv_sqrt
 
 _criterion_lines = []
 
@@ -38,6 +39,13 @@ def plain_polytope(body):
     which has no closed-form uniform law, so exact draws on it go
     through rejection."""
     return Polytope(body.A, body.b, body.r, body.R, body.x0)
+
+
+def ellipsoid(E):
+    """{x : x^T E x <= 1} for a symmetric positive definite E, as the
+    image of the unit ball under E^{-1/2}."""
+    E = np.asarray(E, dtype=float)
+    return transform_body(Ball(E.shape[0]), sym_inv_sqrt(E))
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
-from conftest import simplex_moments
+from conftest import ellipsoid, plain_polytope, simplex_moments
 from hypothesis import given, settings, strategies as st
 
 from klslab import bodies
 from klslab.bodies import (AxisCube, Ball, BallIntersection, Body, BodyError,
-                           Ellipsoid, Polytope, RestrictedBody, TransformedBody,
-                           simplex, transform_body)
+                           Polytope, RestrictedBody, TransformedBody, simplex,
+                           transform_body)
 
 
 def test_ball_chord_oracle():
@@ -63,7 +65,7 @@ def test_simplex_membership_and_moments():
 
 
 def test_ellipsoid_radii_and_chord():
-    E = Ellipsoid(np.diag([1.0, 4.0]))
+    E = ellipsoid(np.diag([1.0, 4.0]))
     assert E.r == pytest.approx(0.5)
     assert E.R == pytest.approx(1.0)
     lo, hi = E.chord(np.zeros(2), np.array([0.0, 1.0]))
@@ -97,8 +99,9 @@ def test_transform_body_kinds():
     scaled = transform_body(ball, 2.0 * np.eye(3), np.zeros(3))
     assert isinstance(scaled, Ball)
     assert scaled.radius == pytest.approx(2.0)
-    E = transform_body(Ellipsoid(np.eye(2)), np.diag([1.0, 2.0]), np.zeros(2))
-    assert isinstance(E, Ellipsoid)
+    # an ellipsoid is a transformed ball, and stays one under a further map
+    E = transform_body(ellipsoid(np.eye(2)), np.diag([1.0, 2.0]), np.zeros(2))
+    assert type(E) is TransformedBody and type(E.base) is Ball
     assert E.contains(np.array([0.0, 1.9]))
     assert not E.contains(np.array([1.9, 0.0]))
     cube = AxisCube(2)
@@ -178,7 +181,7 @@ def _kinds():
         "restricted": RestrictedBody(cube, A, A @ cube.center + 0.3, cube.center),
         "transformed": transform_body(simplex(4), M),
         "ball_intersection": BallIntersection(AxisCube(4, half_width=2.0), 1.5),
-        "ellipsoid": Ellipsoid(S @ S.T + np.eye(5)),
+        "ellipsoid": ellipsoid(S @ S.T + np.eye(5)),
     }
 
 
@@ -192,11 +195,44 @@ def test_every_body_kind_has_its_own_chord():
     classes = [cls for cls in vars(bodies).values()
                if isinstance(cls, type) and issubclass(cls, Body) and cls is not Body]
     setters = [cls for cls in classes if "kind" in cls.__dict__]
-    assert len({cls.kind for cls in classes}) == len(setters) == 7
+    assert len({cls.kind for cls in classes}) == len(setters) == 6
     for cls in setters:
         assert "chord" in cls.__dict__ and "contains" in cls.__dict__, cls.__name__
     with pytest.raises(NotImplementedError):
         Body(2, 1.0, 1.0, np.zeros(2)).chord(np.zeros(2), np.ones(2))
+
+
+def test_log_volume_known_values():
+    # pi, 2, the 5-ball's 8 pi^2 / 15 times r^5, a cube's (2w)^n, the
+    # simplex's 1/n!, and an affine image's |det M| times its base's
+    assert math.exp(Ball(2).log_volume()) == pytest.approx(np.pi)
+    assert math.exp(Ball(1).log_volume()) == pytest.approx(2.0)
+    assert math.exp(Ball(5, radius=2.0, center=np.ones(5)).log_volume()) == \
+        pytest.approx(8.0 * np.pi ** 2 / 15.0 * 2.0 ** 5)
+    assert math.exp(AxisCube(3, half_width=1.5).log_volume()) == pytest.approx(27.0)
+    for n in (1, 3, 8):
+        assert math.exp(simplex(n).log_volume()) == pytest.approx(1.0 / math.factorial(n))
+    M = np.array([[0.0, 2.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.0, 3.0]])  # det -6
+    cube = transform_body(AxisCube(3), M, np.ones(3))
+    assert math.exp(cube.log_volume()) == pytest.approx(6.0 * 8.0)
+    E = np.diag([4.0, 1.0, 0.25])  # semi-axes 1/2, 1, 2
+    assert math.exp(ellipsoid(E).log_volume()) == pytest.approx(4.0 * np.pi / 3.0)
+
+
+def test_uniform_law_draws_lie_in_the_body():
+    # restricted bodies, ball intersections, plain polytopes and their
+    # images have no closed-form law
+    gen = np.random.default_rng(6)
+    with_law = sorted(k for k, b in KINDS.items() if b.uniform_law(gen) is not None)
+    assert with_law == ["ball", "cube", "ellipsoid", "simplex", "transformed"]
+    plain = plain_polytope(simplex(3))
+    assert plain.uniform_law(gen) is None
+    assert transform_body(plain, 2.0 * np.eye(3) + 0.1).uniform_law(gen) is None
+    for kind in with_law:
+        body = KINDS[kind]
+        X = body.uniform_law(gen)(3000)
+        assert X.shape == (3000, body.n)
+        assert body.contains_many(X).all(), kind
 
 
 def test_zero_direction_rejected():
@@ -288,12 +324,6 @@ def _ref_chord(body, x, u):
         return -beta - root, -beta + root
     if isinstance(body, Polytope):
         return _ref_interval(body.b - body.A @ x, body.A @ u)
-    if isinstance(body, Ellipsoid):
-        a = float(u @ body.E @ u)
-        bq = float(x @ body.E @ u)
-        c = float(x @ body.E @ x) - 1.0
-        root = np.sqrt(max(bq * bq - a * c, 0.0))
-        return (-bq - root) / a, (-bq + root) / a
     if isinstance(body, BallIntersection):
         lo1, hi1 = _ref_chord(body.base, x, u)
         lo2, hi2 = _ref_chord(body.ball, x, u)
@@ -314,8 +344,6 @@ def _ref_contains(body, x):
         return float(np.dot(x - body.center, x - body.center)) <= body.radius ** 2 * (1 + 1e-12)
     if isinstance(body, Polytope):
         return bool(np.all(body.A @ x <= body.b + 1e-12))
-    if isinstance(body, Ellipsoid):
-        return float(x @ body.E @ x) <= 1 + 1e-12
     if isinstance(body, BallIntersection):
         return _ref_contains(body.ball, x) and _ref_contains(body.base, x)
     if isinstance(body, RestrictedBody):

@@ -2,10 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import plain_polytope
+from conftest import ellipsoid, plain_polytope
 
-from klslab import isotropy
-from klslab.bodies import AxisCube, Ellipsoid, simplex, transform_body
+from klslab import isotropy, walks
+from klslab.bodies import AxisCube, simplex, transform_body
 from klslab.densities import Uniform
 from klslab.isotropy import EIG_WINDOW, estimate_mean_cov, iterated_gaussian_isotropy
 from klslab.linalg import sym_inv_sqrt
@@ -90,7 +90,7 @@ def test_isotropy_map_carries_input_draws_into_final_body():
 def test_iterated_isotropy_rounds_stretched_ellipsoid():
     # start far from round: axis ratios 6:1
     E = np.diag([1.0 / 36.0, 1.0, 1.0])  # x^T E x <= 1
-    body = Ellipsoid(E)
+    body = ellipsoid(E)
     _, final, log = iterated_gaussian_isotropy(body, RngStream(7), k=1500)
     assert 1 <= len(log) <= 8
     assert log[-1]["min_eig"] >= 0.4  # inside or nearly inside the window
@@ -118,7 +118,7 @@ def test_isotropy_covariances_obey_brascamp_lieb():
     # so every logged largest eigenvalue stays below 1 up to the sampling
     # error of a k-sample covariance: the Marchenko-Pastur edge
     # (1 + sqrt(n/k))^2 plus 3 sd, sqrt(2/k), of one sample variance
-    for body in (Ellipsoid(np.diag([1.0 / 36.0, 1.0, 1.0])), simplex(8)):
+    for body in (ellipsoid(np.diag([1.0 / 36.0, 1.0, 1.0])), simplex(8)):
         k = 64 * body.n
         tol = (1.0 + np.sqrt(body.n / k)) ** 2 + 3.0 * np.sqrt(2.0 / k)
         for seed in range(12, 17):
@@ -144,9 +144,9 @@ def test_isotropy_falls_back_to_hit_and_run(monkeypatch):
     # whitened body that follows takes Gaussian proposals
     walks = []
 
-    def counted(density, x0, n_samples, walk, rng):
+    def counted(density, x0, n_samples, walk, rng, **kwargs):
         walks.append(walk)
-        return run_chain(density, x0, n_samples, walk=walk, rng=rng)
+        return run_chain(density, x0, n_samples, walk=walk, rng=rng, **kwargs)
 
     monkeypatch.setattr(isotropy, "run_chain", counted)
     with warnings.catch_warnings():
@@ -155,3 +155,47 @@ def test_isotropy_falls_back_to_hit_and_run(monkeypatch):
                                                RngStream(14))
     assert walks == ["hit_and_run"]
     assert len(log) >= 2 and log[-1]["min_eig"] >= EIG_WINDOW[0]
+
+
+def test_isotropy_fallback_spends_its_exact_budget_once(monkeypatch):
+    # one budgeted rejection call per iteration: the fallback chain starts
+    # from the body's interior point after its own 100 n^2 burn-in
+    proposals, chains = [], []
+    rejection = walks._rejection
+
+    def counted_rejection(propose, accept_mask, count, max_batches):
+        def counted_propose(m):
+            proposals[-1] += m
+            return propose(m)
+
+        proposals.append(0)
+        return rejection(counted_propose, accept_mask, count, max_batches)
+
+    def counted_chain(density, x0, n_samples, **kwargs):
+        chains.append((x0, kwargs.get("burn_in", 0)))
+        return run_chain(density, x0, n_samples, **kwargs)
+
+    monkeypatch.setattr(walks, "_rejection", counted_rejection)
+    monkeypatch.setattr(isotropy, "run_chain", counted_chain)
+    n, k = 8, 512
+    body = plain_polytope(simplex(n))
+    _, _, log = iterated_gaussian_isotropy(body, RngStream(5))
+    assert len(proposals) == len(log) and len(chains) >= 1
+    # the first iteration spends its whole budget: 21 batches of k
+    assert proposals[0] == -(-(100 * n * n + k * n) // k) * k
+    assert chains[0][0] is body.x0 and chains[0][1] == 100 * n * n
+
+
+def test_isotropy_on_an_ellipsoid_runs_no_chain(monkeypatch):
+    # a transformed ball has the exact uniform law, so every iteration of
+    # the 6:1 ellipsoid takes exact draws through one of the envelopes
+    def no_chain(*args, **kwargs):
+        raise AssertionError("the isotropy loop ran a chain")
+
+    monkeypatch.setattr(isotropy, "run_chain", no_chain)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, log = iterated_gaussian_isotropy(
+            ellipsoid(np.diag([1.0 / 36.0, 1.0, 1.0])), RngStream(7))
+    assert len(log) >= 2
+    assert EIG_WINDOW[0] <= log[-1]["min_eig"] and log[-1]["max_eig"] <= EIG_WINDOW[1]

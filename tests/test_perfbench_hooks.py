@@ -3,6 +3,7 @@ or deletion of a traced function breaks `perfbench/run.py --trace 1`; this
 test catches that in the ordinary suite, and checks that uninstalling the
 tracer restores every binding it replaced."""
 
+import ast
 import importlib
 import os
 import sys
@@ -59,6 +60,24 @@ def test_tracer_install_and_uninstall_restore_every_binding(monkeypatch):
         assert ("klslab.bodies", cls, "chord") in patched
     assert ("klslab.densities", "Density", "log_density") in patched
     assert _changed(before, _bindings()) == []
+
+
+def test_every_body_kind_is_a_traced_chord_kind():
+    # tracing.CHORD_KINDS names the bodies.chord.<kind>.us metrics; a kind
+    # left out of it would be timed under no metric.  The file is read,
+    # not imported, so this holds without the tracer on the path
+    from klslab import bodies
+
+    with open(os.path.join(PERFBENCH, "tracing.py")) as fh:
+        tree = ast.parse(fh.read())
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["CHORD_KINDS"])
+    kinds = {cls.kind for cls in vars(bodies).values()
+             if isinstance(cls, type) and issubclass(cls, bodies.Body)
+             and cls is not bodies.Body and "kind" in cls.__dict__}
+    assert len(kinds) == 6
+    assert sorted(kinds - set(traced)) == []
 
 
 def test_tracer_counts_every_run_chain_step(monkeypatch):

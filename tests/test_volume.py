@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from conftest import ellipsoid
 from scipy.special import gammainccinv
 
-from klslab.bodies import AxisCube, Ball, Ellipsoid, RestrictedBody, simplex
+from klslab.bodies import AxisCube, Ball, RestrictedBody, simplex
 from klslab.densities import Boltzmann, Exponential, Uniform
 from klslab.rng import RngStream
 from klslab.volume import (DFK_CHAINS, OracleInconsistencyError,
@@ -10,23 +11,16 @@ from klslab.volume import (DFK_CHAINS, OracleInconsistencyError,
                            VolumePhaseError, anneal_optimize, ball_schedule,
                            cutting_plane_feasibility, dfk_volume,
                            exponential_schedule, gaussian_cooling_schedule,
-                           gaussian_cooling_volume, log_ball_volume,
-                           lv_annealing_volume, optimize_schedule,
-                           ratio_estimator, separation_oracle_for)
+                           gaussian_cooling_volume, lv_annealing_volume,
+                           optimize_schedule, ratio_estimator,
+                           separation_oracle_for)
 from klslab.walks import exact_sample
 
-VOL_BALL_5 = 5.263789013914324  # pi^(5/2) / Gamma(7/2)
 INV_E = 0.36787944117144233
 
 # I(alpha) = integral of exp(-alpha |t|) over [-1, 1] = 2 (1 - e^-alpha)/alpha
 I_EXP = {8.0: 0.24991613434302437, 4.0: 0.4908421805556329,
          2.0: 0.8646647167633873, 1.0: 1.2642411176571153}
-
-
-def test_log_ball_volume_known_values():
-    assert np.exp(log_ball_volume(2)) == pytest.approx(np.pi)
-    assert np.exp(log_ball_volume(5)) == pytest.approx(VOL_BALL_5)
-    assert np.exp(log_ball_volume(1)) == pytest.approx(2.0)
 
 
 def test_ratio_estimator_exact_integrals():
@@ -81,7 +75,7 @@ def test_gaussian_cooling_schedule_invariants():
 
 
 def test_gaussian_cooling_requires_well_rounded():
-    flat = Ellipsoid(np.diag([1.0, 1.0 / 10000.0]))  # R/r = 100 > 4 sqrt(2)
+    flat = ellipsoid(np.diag([1.0, 1.0 / 10000.0]))  # R/r = 100 > 4 sqrt(2)
     with pytest.raises(ValueError, match="well-rounded"):
         gaussian_cooling_schedule(flat)
 

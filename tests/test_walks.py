@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import plain_polytope, simplex_moments
+from conftest import ellipsoid, plain_polytope, simplex_moments
 from scipy import integrate, stats
 
 from klslab.bodies import AxisCube, Ball, TransformedBody, simplex, transform_body
@@ -429,16 +429,19 @@ def test_exact_sample_simplex_law():
 
 
 def test_exact_sample_transformed_law():
-    # an affine image of the simplex and a stretched ball: the base's law
-    # pushed through x -> M x + shift stays in the image, with the pushed
-    # moments M mean + shift and M cov M^T
+    # an affine image of the simplex, a stretched ball and an ellipsoid
+    # {x : x^T E x <= 1}: the base's law pushed through x -> M x + shift
+    # stays in the image, with the pushed moments M mean + shift and
+    # M cov M^T, which is E^{-1} / (n + 2) for the ellipsoid
     gen = RngStream(24).generator()
     M = np.eye(4) + 0.4 * gen.standard_normal((4, 4))
     shift = gen.standard_normal(4)
     mean, cov = simplex_moments(4)
     D = np.diag([2.0, 1.0, 0.5, 0.25])
+    E = M @ M.T + 0.5 * np.eye(4)
     cases = [(transform_body(simplex(4), M, shift), M @ mean + shift, M @ cov @ M.T),
-             (transform_body(Ball(4), D, shift), shift, D @ D / 6.0)]
+             (transform_body(Ball(4), D, shift), shift, D @ D / 6.0),
+             (ellipsoid(E), np.zeros(4), np.linalg.inv(E) / 6.0)]
     for body, mean_x, cov_x in cases:
         assert isinstance(body, TransformedBody)
         X = exact_sample(Uniform(body), 40000, gen)
