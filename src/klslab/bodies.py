@@ -295,7 +295,9 @@ class RestrictedBody(Body):
 
     Used by the cutting-plane driver and the needle decomposition, where
     cells accumulate cuts.  The inscribed-ball guarantee is lost (r = 0);
-    callers track their own localization radius.
+    callers track their own localization radius.  The body lies in the
+    base's ball B(base.x0, base.R), which B(x0, base.R + |x0 - base.x0|)
+    contains, so that is the bounding ball around the moved x0.
     """
 
     kind = "restricted"
@@ -303,7 +305,9 @@ class RestrictedBody(Body):
     def __init__(self, base, A, b, x0):
         A = np.atleast_2d(np.asarray(A, dtype=float))
         b = np.atleast_1d(np.asarray(b, dtype=float))
-        super().__init__(base.n, 0.0, base.R, x0)
+        x0 = np.asarray(x0, dtype=float).reshape(base.n)
+        R = base.R + float(np.linalg.norm(x0 - base.x0))
+        super().__init__(base.n, 0.0, R, x0)
         if np.any(A @ self.x0 > b + 1e-9):
             raise BodyError("x0 violates a restriction halfspace")
         if not base.contains(self.x0):

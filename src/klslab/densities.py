@@ -72,9 +72,11 @@ class Density:
         unchanged, so only the support changes.  walks.exact_sample
         finds the same unrestricted law and tests membership against the
         new body, and a uniform density takes the new body's
-        uniform_law, which a RestrictedBody does not have.  sloc's
-        support truncation and needles' partition cells are its two
-        uses.
+        uniform_law.  On a RestrictedBody the law is the same density's
+        law on the base body, conditioned on the cuts, which
+        exact_sample draws by rejection with the cuts as the accept
+        mask.  sloc's support truncation and needles' partition cells
+        are its two uses.
         """
         if body.n != self.n:
             raise ValueError("restriction body has the wrong dimension")

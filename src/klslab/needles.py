@@ -7,6 +7,12 @@ through the cell mean inside a random coordinate plane switches the
 sign of that integral between an angle and its antipode, so a bisection
 on the angle always brackets a zero of the estimate.
 
+Every cell is the base body cut by the halfspaces of its ancestors'
+splits, so its samples are exact draws of the density's law on the
+base, conditioned on those cuts (walks.exact_sample); a hit-and-run
+chain replaces them only when the density has no exact law or a cell
+is too thin for the rejection budget.
+
 Recursion stops when the cell's sample covariance has second-largest
 eigenvalue at most eps^2 (the cell is needle-like) or at max_depth.
 The result reports per-cell weight, largest variance and relative
@@ -20,11 +26,16 @@ import numpy as np
 
 from .bodies import RestrictedBody
 from .rng import as_stream
-from .walks import run_chain
+from .walks import NoExactSampler, WalkError, exact_sample, run_chain
 
 CELL_COLUMNS = ["cell_id", "depth", "weight", "max_variance", "rel_measure"]
 
 _MIN_SIDE = 8
+# proposals a cell's exact draw may spend per hit-and-run step of the
+# chain it replaces.  At n = 6 one 256-row proposal batch costs about
+# 66 us and one restricted hit-and-run step about 21 us, so a spent
+# budget costs no more than the chain that then runs
+_PROPOSALS_PER_STEP = 64
 
 
 @dataclass(frozen=True)
@@ -106,11 +117,17 @@ def needle_decompose(density, E, eps, max_depth, k=256, rng=None):
     """Partition the support into near-needle cells preserving E's measure.
 
     E is a set descriptor with signed_distance (nonnegative inside).  Each
-    cell draws k hit-and-run samples 2 steps apart after a burn-in of 30 n
-    steps; the root cell warm-starts, every other cell starts from the
-    parent's sample deepest inside it.
-    Returns a NeedleResult with per-cell statistics and the mass-fraction
-    versus variance-threshold curve.
+    cell, the root included, draws k exact samples of the density on the
+    cell: its law on the base body, conditioned on the cell's cuts
+    (walks.exact_sample), so a cell accepts at about its weight.  The
+    budget allows _PROPOSALS_PER_STEP proposals per step of the fallback:
+    when the density has no exact law or the budget runs out, the cell
+    runs hit-and-run instead, k samples 2 steps apart after a burn-in of
+    30 n steps, from the parent's sample deepest inside the cell (the
+    root warm-starts).  Every cell draws from its own substream.
+    Returns a NeedleResult with per-cell statistics, the mass-fraction
+    versus variance-threshold curve, and in meta the count n_exact of
+    cells drawn exactly.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -118,17 +135,24 @@ def needle_decompose(density, E, eps, max_depth, k=256, rng=None):
         raise ValueError("max_depth must be >= 0")
     n = density.n
     stream = as_stream(rng)
+    burn_in = 30 * n
+    max_batches = -(-_PROPOSALS_PER_STEP * (burn_in + 2 * k) // max(k, 256))
 
     cells = []
     # queue rows: (cell_id, depth, weight, body, density, x0 or None)
     queue = [("0", 0, 1.0, density.body, density, None)]
     counter = 0
     n_flagged = 0
+    n_exact = 0
     while queue:
         cell_id, depth, weight, body, cell_density, x0 = queue.pop(0)
         gen = stream.substream(counter).generator()
         counter += 1
-        X = run_chain(cell_density, x0, k, burn_in=30 * n, thin=2, rng=gen)
+        try:
+            X = exact_sample(cell_density, k, gen, max_batches=max_batches)
+            n_exact += 1
+        except (NoExactSampler, WalkError):
+            X = run_chain(cell_density, x0, k, burn_in=burn_in, thin=2, rng=gen)
         inside = E.signed_distance(X) >= 0.0
         a = float(inside.mean())
         if depth == 0 and not (0.25 <= a <= 0.75):
@@ -190,5 +214,5 @@ def needle_decompose(density, E, eps, max_depth, k=256, rng=None):
         curve.append((v, kept / total))
     meta = {"n": n, "eps": eps, "max_depth": max_depth, "k": k,
             "n_cells": len(cells), "n_flagged": n_flagged,
-            "total_weight": total}
+            "n_exact": n_exact, "total_weight": total}
     return NeedleResult(cells=cells, curve=curve, meta=meta)

@@ -14,8 +14,12 @@ to the body (Body.uniform_law, log_volume): closed form on balls, axis
 cubes, the simplex and their affine images, ellipsoids included.  A
 Gaussian on one of those bodies is drawn by rejection from whichever of
 two envelopes, its unrestricted law or the body's uniform law, accepts
-more.  What stays here is the density side: which envelope a density
-takes, and the truncated-normal and rejection samplers that draw it.
+more.  A density on a RestrictedBody (a base body cut by halfspaces,
+such as a needle cell) has the law of the same density on the base,
+conditioned on the cuts: its base's exact law, with the cuts as the
+accept mask.  What stays here is the density side: which envelope a
+density takes, and the truncated-normal and rejection samplers that
+draw it.
 
 Steppers share one convention: they mutate and return a ChainState, they
 draw randomness only from the generator they are handed, and a rejected
@@ -49,7 +53,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .densities import Density, Uniform, Gaussian, Exponential, Tilted
-from .bodies import AxisCube, Ball, ball_cloud
+from .bodies import AxisCube, Ball, RestrictedBody, ball_cloud
 from .rng import as_generator
 
 _DEGENERATE_CHORD = 1e-13
@@ -480,37 +484,65 @@ def exact_sample(density, count, rng, max_batches=10000):
     bounding ball, exponential from its unrestricted law, and a Gaussian
     from whichever of two envelopes accepts more, its unrestricted law or
     the body's uniform law, as body.log_volume() decides
-    (_uniform_envelope).  Raises NoExactSampler for kinds with no safe
-    envelope.
+    (_uniform_envelope).  On a RestrictedBody the proposals are the exact
+    law of the same density on the base body, and the cuts are the
+    accept mask: a cell of mass w accepts at rate w, and the budget
+    bounds every proposal, the base's own rejections included.  Raises
+    NoExactSampler for kinds with no safe envelope.
     """
     count = int(count)
     rng = as_generator(rng)
     if isinstance(density, Tilted):
         density = _tilt_as_gaussian(density)
+    propose, accept = _exact_law(density, rng)
+    if accept is None:
+        return propose(count)
+    return _rejection(propose, accept, count, max_batches)
+
+
+def _exact_law(density, rng):
+    """(propose, accept) for the exact law of an untilted density.
+
+    propose(m) draws m rows and accept(X) is the mask of the rows kept;
+    accept is None when the proposals are the law itself.  A restricted
+    body takes its base's law and masks it with its own membership, so
+    this never calls the public exact_sample, which perfbench's tracer
+    wraps and would then book twice.
+    """
     body = density.body
     n = density.n
+    if isinstance(body, RestrictedBody):
+        propose, accept = _exact_law(density.restricted_to(body.base), rng)
+        if accept is None:
+            return propose, body.contains_many
+
+        def cut(X):
+            keep = accept(X)
+            keep[keep] = body.contains_many(X[keep])
+            return keep
+
+        return propose, cut
     if isinstance(density, Uniform):
         draw = body.uniform_law(rng)
         if draw is not None:
-            return draw(count)
-        return _rejection(lambda m: ball_cloud(rng, m, n, body.x0, body.R),
-                          body.contains_many, count, max_batches)
+            return draw, None
+        return (lambda m: ball_cloud(rng, m, n, body.x0, body.R)), body.contains_many
     if isinstance(density, Gaussian):
         if density.a <= 0:
             raise NoExactSampler("gaussian with a=0 has no proper unrestricted law")
         sd = 1.0 / np.sqrt(density.a)
         if isinstance(body, AxisCube):
-            return _trunc_gauss_many(rng, count, density.center, sd,
-                                     body.center - body.half_width,
-                                     body.center + body.half_width)
+            lo = body.center - body.half_width
+            hi = body.center + body.half_width
+            return (lambda m: _trunc_gauss_many(rng, m, density.center, sd, lo, hi)), None
         envelope = _uniform_envelope(density, rng)
         if envelope is not None:
-            return _rejection(*envelope, count, max_batches)
+            return envelope
 
         def propose(m):
             return density.center + sd * rng.standard_normal((m, n))
 
-        return _rejection(propose, body.contains_many, count, max_batches)
+        return propose, body.contains_many
     if isinstance(density, Exponential):
 
         def propose(m):
@@ -519,7 +551,7 @@ def exact_sample(density, count, rng, max_batches=10000):
             rad = rng.gamma(n, 1.0 / density.alpha, size=m)
             return g * rad[:, None]
 
-        return _rejection(propose, body.contains_many, count, max_batches)
+        return propose, body.contains_many
     raise NoExactSampler(f"no exact sampler for density kind {density.kind!r}")
 
 

@@ -94,6 +94,33 @@ def test_restricted_body_cut_and_chord():
     assert not deeper.contains(np.array([-0.5, 0.5]))
 
 
+def test_restricted_body_bounding_ball_follows_its_moved_center():
+    # the cell {x_1 >= 0} of the 6-cube, centred near a corner: its point
+    # (0, -1, ..., -1) lies 4.46 from x0, beyond the cube's own R = 2.449,
+    # so keeping the base's R breaks body in B(x0, R)
+    from klslab.densities import Uniform
+    from klslab.walks import exact_sample
+
+    n = 6
+    base = AxisCube(n)
+    cell = RestrictedBody(base, -np.eye(n)[:1], [0.0], np.full(n, 0.95))
+    far = np.array([0.0] + [-1.0] * (n - 1))
+    assert cell.contains(far)
+    assert np.linalg.norm(far - cell.x0) == pytest.approx(4.46, abs=0.01)
+    assert cell.R == pytest.approx(base.R + 0.95 * np.sqrt(n))
+    # every vertex of the cell lies in the ball
+    corners = np.array(np.meshgrid(*[[-1.0, 1.0]] * n)).reshape(n, -1).T
+    corners[:, 0] = np.maximum(corners[:, 0], 0.0)
+    assert np.all(np.linalg.norm(corners - cell.x0, axis=1) <= cell.R)
+    # the law is uniform on [0, 1] x [-1, 1]^5: mean (1/2, 0, ..., 0)
+    m = 20000
+    X = exact_sample(Uniform(cell), m, np.random.default_rng(31))
+    assert np.all(cell.contains_many(X))
+    se = np.array([1.0 / np.sqrt(12.0)] + [1.0 / np.sqrt(3.0)] * (n - 1)) / np.sqrt(m)
+    mean = np.array([0.5] + [0.0] * (n - 1))
+    assert np.all(np.abs(X.mean(axis=0) - mean) <= 4.0 * se)
+
+
 def test_transform_body_kinds():
     ball = Ball(3)
     scaled = transform_body(ball, 2.0 * np.eye(3), np.zeros(3))

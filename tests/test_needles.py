@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from klslab.bodies import AxisCube
-from klslab.densities import Uniform
+from klslab.densities import Boltzmann, Uniform
 from klslab.diagnostics import BallSet, HalfspaceSet
 from klslab.needles import NeedleCell, balanced_split, needle_decompose
 from klslab.rng import RngStream
@@ -140,3 +140,48 @@ def test_needle_variance_shrinks_with_depth():
     assert deep.mass_fraction_below(v) >= shallow.mass_fraction_below(v) - 1e-9
     # splitting happened at all
     assert deep.meta["n_cells"] > shallow.meta["n_cells"] - 1
+
+
+def test_needle_cells_are_drawn_exactly_on_a_cube():
+    # uniform on the cube has an exact law, so does every cell of it
+    dens = Uniform(AxisCube(3))
+    E = HalfspaceSet(np.eye(3)[0], 0.0)
+    res = needle_decompose(dens, E, eps=0.4, max_depth=2, k=256,
+                           rng=RngStream(11))
+    drawn = {cid[:i] for cid in (c.cell_id for c in res.cells)
+             for i in range(1, len(cid) + 1)}
+    assert len(drawn) > 1
+    assert res.meta["n_exact"] == len(drawn)
+
+
+def test_needle_cells_fall_back_to_the_chain_without_an_exact_law(monkeypatch):
+    # a Boltzmann density has no exact law: every cell, the root included,
+    # runs the hit-and-run chain, and the run still replays from its stream
+    from klslab import needles
+
+    calls = []
+    chain = needles.run_chain
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return chain(*args, **kwargs)
+
+    monkeypatch.setattr(needles, "run_chain", counted)
+    dens = Boltzmann(AxisCube(3), alpha=0.5, c=np.eye(3)[1])
+    E = HalfspaceSet(np.eye(3)[0], 0.0)
+
+    def run():
+        return needle_decompose(dens, E, eps=0.4, max_depth=2, k=128,
+                                rng=RngStream(12))
+
+    r1 = run()
+    drawn = {cid[:i] for cid in (c.cell_id for c in r1.cells)
+             for i in range(1, len(cid) + 1)}
+    assert len(drawn) > 1
+    assert r1.meta["n_exact"] == 0
+    assert len(calls) == len(drawn)
+    # the root warm-starts, every other cell starts from a parent's sample
+    assert calls[0] is None and all(x0 is not None for x0 in calls[1:])
+    r2 = run()
+    assert [(c.cell_id, c.weight, c.max_variance, c.rel_measure) for c in r1.cells] \
+        == [(c.cell_id, c.weight, c.max_variance, c.rel_measure) for c in r2.cells]

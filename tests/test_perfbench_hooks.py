@@ -140,3 +140,35 @@ def test_tracer_counts_read_the_return_shapes(monkeypatch):
         assert counts["needles.cells"] == len(result.cells) >= 1
     finally:
         tracer.uninstall()
+
+
+def test_tracer_books_one_exact_call_per_needle_cell(monkeypatch):
+    # each cell is one public exact_sample call: its k rows are booked once,
+    # not again for the base-law proposals drawn inside it, and the cut
+    # cells' membership mask books proposals beyond the rows they keep
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    import numpy as np
+
+    from klslab import needles
+    from klslab.bodies import AxisCube
+    from klslab.densities import Uniform
+    from klslab.diagnostics import HalfspaceSet
+    from klslab.rng import RngStream
+
+    k = 128
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        result = needles.needle_decompose(
+            Uniform(AxisCube(3)), HalfspaceSet(np.eye(3)[0], 0.0), eps=0.4,
+            max_depth=2, k=k, rng=RngStream(4))
+    finally:
+        tracer.uninstall()
+    n_exact = result.meta["n_exact"]
+    assert n_exact > 1
+    assert tracer.calls["walks.exact_sample"] == n_exact
+    assert tracer.counts["walks.exact_sample.rows"] == k * n_exact
+    assert (tracer.counts["walks.exact_sample.accepted"]
+            < tracer.counts["walks.exact_sample.proposed"])
+    assert tracer.calls["walks.run_chain"] == 0

@@ -5,7 +5,8 @@ import pytest
 from conftest import ellipsoid, plain_polytope, simplex_moments
 from scipy import integrate, stats
 
-from klslab.bodies import AxisCube, Ball, TransformedBody, simplex, transform_body
+from klslab.bodies import (AxisCube, Ball, Polytope, RestrictedBody, TransformedBody,
+                           simplex, transform_body)
 from klslab.densities import (Boltzmann, Exponential, Gaussian, Tilted,
                                Uniform)
 from klslab.linalg import sym_inv_sqrt
@@ -583,6 +584,66 @@ def test_gaussian_on_cube_in_the_deep_tail_raises():
     dens = Gaussian(AxisCube(2), a=1.0, center=np.array([0.0, -61.0]))
     with pytest.raises(WalkError, match="far tail"):
         exact_sample(dens, 10, RngStream(46).generator())
+
+
+def _box_cell(base):
+    # x_0 <= 0.2 and x_1 >= 0.5 cut [-1, 1]^3 to the box
+    # [-1, 0.2] x [0.5, 1] x [-1, 1]
+    A = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+    return RestrictedBody(base, A, [0.2, -0.5], np.array([-0.4, 0.75, 0.0]))
+
+
+@pytest.mark.parametrize("base", ["cube", "polytope"])
+def test_uniform_on_a_cut_cube_is_the_box_law(base):
+    # the cube's closed-form law, or (as a plain polytope) its rejection
+    # from the bounding ball, conditioned on the cuts: per coordinate the
+    # uniform law on [l, h], mean (l + h)/2 and variance (h - l)^2/12
+    if base == "cube":
+        body = AxisCube(3)
+    else:
+        body = Polytope(np.vstack([np.eye(3), -np.eye(3)]), np.ones(6), 1.0,
+                        math.sqrt(3.0), np.zeros(3))
+    cell = _box_cell(body)
+    m = 20000
+    X = exact_sample(Uniform(cell), m, RngStream(49).generator())
+    assert X.shape == (m, 3) and np.all(cell.contains_many(X))
+    lo, hi = np.array([-1.0, 0.5, -1.0]), np.array([0.2, 1.0, 1.0])
+    w = hi - lo
+    mean_se = w / math.sqrt(12.0 * m)
+    # Var of the sample variance is (mu_4 - sigma^4)/m, mu_4 = w^4/80
+    var_se = w ** 2 * math.sqrt(1.0 / 80.0 - 1.0 / 144.0) / math.sqrt(m)
+    assert np.all(np.abs(X.mean(axis=0) - 0.5 * (lo + hi)) <= 4.0 * mean_se)
+    assert np.all(np.abs(X.var(axis=0) - w ** 2 / 12.0) <= 4.0 * var_se)
+
+
+def test_gaussian_on_a_cut_cube_is_the_truncated_normal():
+    # N(0.3, 1) on [-1, 1] cut at x_0 <= -0.2 is N(0.3, 1) on [-1, -0.2]
+    center = np.array([0.3, 0.0, 0.0])
+    cell = RestrictedBody(AxisCube(3), np.eye(3)[:1], [-0.2], np.array([-0.6, 0.0, 0.0]))
+    m = 20000
+    X = exact_sample(Gaussian(cell, a=1.0, center=center), m, RngStream(50).generator())
+    assert np.all(cell.contains_many(X))
+    law = stats.truncnorm(-1.3, -0.5, loc=0.3, scale=1.0)
+    assert abs(X[:, 0].mean() - law.mean()) <= 4.0 * law.std() / math.sqrt(m)
+    assert stats.kstest(X[:, 0], law.cdf).pvalue > 1e-3
+
+
+def test_a_thin_cell_spends_its_budget_and_raises():
+    # the cell x_0 >= 0.999 holds 1/2000 of the 6-cube: two 256-row
+    # batches hold no 64 of its points.  The budget bounds every proposal
+    cell = RestrictedBody(AxisCube(6), -np.eye(6)[:1], [-0.999], np.full(6, 0.9995))
+    proposed = []
+    member = cell.contains_many
+    cell.contains_many = lambda X: proposed.append(len(X)) or member(X)
+    with pytest.raises(WalkError, match="acceptance rate too low"):
+        exact_sample(Uniform(cell), 64, RngStream(51).generator(), max_batches=2)
+    assert proposed == [256, 256]
+
+
+def test_a_density_without_exact_law_on_a_cut_body_has_none():
+    cell = _box_cell(AxisCube(3))
+    with pytest.raises(NoExactSampler):
+        exact_sample(Boltzmann(cell, 1.0, np.ones(3)), 10, RngStream(52).generator())
 
 
 def test_identity_tilts_are_the_gaussians_they_equal():
