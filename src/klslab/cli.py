@@ -241,6 +241,11 @@ class _Artifacts:
         return path
 
 
+def _rows(columns, records):
+    """One CSV row per record dict, its values in column order."""
+    return [[r[c] for c in columns] for r in records]
+
+
 def _draw_samples(cfg, density, gen):
     walk = cfg.walk
     count = walk.get("n_samples", 1000)
@@ -285,9 +290,8 @@ def _cmd_volume(cfg, art):
     fn = {"dfk": dfk_volume, "lv": lv_annealing_volume,
           "cooling": gaussian_cooling_volume}[method]
     result = fn(body, gen, k=k)
-    art.write_csv(["phase", "param", "ratio", "se", "acceptance", "n_samples"],
-                  [[p["phase"], p["param"], p["ratio"], p["se"],
-                    p["acceptance"], p["n_samples"]] for p in result.phases])
+    columns = ["phase", "param", "ratio", "se", "acceptance", "n_samples"]
+    art.write_csv(columns, _rows(columns, result.phases))
     art.write_json({"volume": result.to_json_dict()})
     return (f"volume[{method}]: {result.value:.6g} +- {result.std_error:.2g} "
             f"({result.n_phases} phases)")
@@ -305,11 +309,9 @@ def _cmd_optimize(cfg, art):
     gen = RngStream(cfg.seed).generator()
     result = anneal_optimize(body, np.asarray(c, float), eps, gen, k=k,
                              alpha0=cfg.schedule.get("alpha0"))
-    art.write_csv(["phase", "alpha", "mean_objective", "se_objective",
-                   "best_so_far", "n_samples"],
-                  [[t["phase"], t["alpha"], t["mean_objective"],
-                    t["se_objective"], t["best_so_far"], t["n_samples"]]
-                   for t in result.trace])
+    columns = ["phase", "alpha", "mean_objective", "se_objective",
+               "best_so_far", "n_samples"]
+    art.write_csv(columns, _rows(columns, result.trace))
     art.write_json({"optimize": {
         "best_value": result.best_value,
         "best_x": result.best_x.tolist(),
@@ -342,9 +344,8 @@ def _cmd_cutplane(cfg, art):
         separation_oracle_for(target), body.n, R=body.radius, r=r, rng=gen,
         m_per_iter=spec.get("m_per_iter"), max_iters=spec.get("max_iters"),
         target_body=target)
-    art.write_csv(["iteration", "discarded", "retained", "feasible"],
-                  [[t["iteration"], t["discarded"], t["retained"],
-                    t["feasible"]] for t in result.trace])
+    columns = ["iteration", "discarded", "retained", "feasible"]
+    art.write_csv(columns, _rows(columns, result.trace))
     art.write_json({"cutplane": {"found": result.found,
                                  "point": result.point.tolist(),
                                  "n_iterations": result.n_iterations}})
@@ -399,9 +400,8 @@ def _cmd_isotropy(cfg, art):
     spec = cfg.isotropy
     (M, shift), _, log = iterated_gaussian_isotropy(
         body, gen, max_iters=spec.get("max_iters", 20), k=spec.get("k"))
-    art.write_csv(["iteration", "min_eig", "max_eig", "samples_used"],
-                  [[r["iteration"], r["min_eig"], r["max_eig"],
-                    r["samples_used"]] for r in log])
+    columns = ["iteration", "min_eig", "max_eig", "samples_used"]
+    art.write_csv(columns, _rows(columns, log))
     art.write_json({"isotropy": {"matrix": M.tolist(), "shift": shift.tolist(),
                                  "iterations": len(log)}})
     last = log[-1]

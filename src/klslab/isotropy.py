@@ -7,9 +7,8 @@ whiten with its inverse square root until every eigenvalue sits inside
 shrink directional variances (Brascamp-Lieb), so the upper edge of the
 window is safe and the loop terminates once the lower edge is reached.
 That holds for the estimates only when the samples follow the
-restricted law, so each iteration draws them exactly (walks.exact_sample)
-and falls back to hit-and-run, whose chord draws are exact, only when
-no exact sampler accepts within the budget.
+restricted law, so each iteration draws them exact first
+(walks.exact_or_chain).
 
 The accumulated rounding map is returned as the pair (M, shift) with
 x -> M x + shift, the form bodies.transform_body takes.
@@ -25,7 +24,7 @@ from .bodies import transform_body
 from .densities import Gaussian
 from .linalg import CovMatrix, sym_inv_sqrt
 from .rng import as_generator
-from .walks import NoExactSampler, WalkError, exact_sample, run_chain
+from .walks import exact_or_chain
 
 EIG_WINDOW = (0.5, 2.0)
 
@@ -54,12 +53,8 @@ def iterated_gaussian_isotropy(body, rng, max_iters=20, k=None):
     Each iteration draws k = 64 n samples (by default) of exp(-|x|^2/2)
     restricted to the current body, estimates the covariance, and whitens
     with W = cov^{-1/2}, x -> W (x - mean), when the smallest eigenvalue
-    falls below EIG_WINDOW.  The draws are one exact_sample call whose
-    budget matches the fallback's step count, as in warm_start; when the
-    density has no exact sampler or the budget runs out, a hit-and-run
-    chain from the body's interior point takes k samples n steps apart
-    after warm_start's 100 n^2 burn-in, so no iteration spends its exact
-    budget twice.  Returns
+    falls below EIG_WINDOW.  The draws are one exact_or_chain call whose
+    fallback chain takes k samples n steps apart.  Returns
     ((M, shift), final_body, log): the composed map x -> M x + shift,
     which carries the input body onto final_body as
     transform_body(body, M, shift) does, the final body, and the
@@ -70,21 +65,12 @@ def iterated_gaussian_isotropy(body, rng, max_iters=20, k=None):
     # normalize once so successive iterations advance one shared stream
     rng = as_generator(rng)
     k = 64 * n if k is None else int(k)
-    # as many proposals as the fallback takes steps at most (a 100 n^2
-    # burn-in, then k n), in batches of max(k, 256)
-    burn_in = 100 * n * n
-    max_batches = -(-(burn_in + k * n) // max(k, 256))
     # the map so far is x -> M (x - center)
     M, center = np.eye(n), np.zeros(n)
     log = []
     current = body
     for it in range(int(max_iters)):
-        density = Gaussian(current, a=1.0)
-        try:
-            X = exact_sample(density, k, rng, max_batches=max_batches)
-        except (NoExactSampler, WalkError):
-            X = run_chain(density, current.x0, k, walk="hit_and_run",
-                          burn_in=burn_in, rng=rng)
+        X, _ = exact_or_chain(Gaussian(current, a=1.0), k, rng, thin=n)
         mean, cov = estimate_mean_cov(X)
         evals = cov.eigvals
         log.append({"iteration": it, "min_eig": float(evals[0]),

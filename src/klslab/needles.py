@@ -9,9 +9,8 @@ on the angle always brackets a zero of the estimate.
 
 Every cell is the base body cut by the halfspaces of its ancestors'
 splits, so its samples are exact draws of the density's law on the
-base, conditioned on those cuts (walks.exact_sample); a hit-and-run
-chain replaces them only when the density has no exact law or a cell
-is too thin for the rejection budget.
+base, conditioned on those cuts, wherever walks.exact_or_chain can
+draw them within its budget.
 
 Recursion stops when the cell's sample covariance has second-largest
 eigenvalue at most eps^2 (the cell is needle-like) or at max_depth.
@@ -26,7 +25,7 @@ import numpy as np
 
 from .bodies import RestrictedBody
 from .rng import as_stream
-from .walks import NoExactSampler, WalkError, exact_sample, run_chain
+from .walks import exact_or_chain
 
 CELL_COLUMNS = ["cell_id", "depth", "weight", "max_variance", "rel_measure"]
 
@@ -117,14 +116,14 @@ def needle_decompose(density, E, eps, max_depth, k=256, rng=None):
     """Partition the support into near-needle cells preserving E's measure.
 
     E is a set descriptor with signed_distance (nonnegative inside).  Each
-    cell, the root included, draws k exact samples of the density on the
-    cell: its law on the base body, conditioned on the cell's cuts
-    (walks.exact_sample), so a cell accepts at about its weight.  The
-    budget allows _PROPOSALS_PER_STEP proposals per step of the fallback:
-    when the density has no exact law or the budget runs out, the cell
-    runs hit-and-run instead, k samples 2 steps apart after a burn-in of
-    30 n steps, from the parent's sample deepest inside the cell (the
-    root warm-starts).  Every cell draws from its own substream.
+    cell, the root included, draws k samples of the density on the cell
+    in one exact_or_chain call: exact draws of its law on the base body,
+    conditioned on the cell's cuts, so a cell accepts at about its
+    weight, on a budget of _PROPOSALS_PER_STEP proposals per step of the
+    fallback chain.  That chain takes k samples 2 steps apart after a
+    burn-in of 30 n steps, from the parent's sample deepest inside the
+    cell (the root from the body's interior point, after exact_or_chain's
+    warm-up).  Every cell draws from its own substream.
     Returns a NeedleResult with per-cell statistics, the mass-fraction
     versus variance-threshold curve, and in meta the count n_exact of
     cells drawn exactly.
@@ -135,8 +134,6 @@ def needle_decompose(density, E, eps, max_depth, k=256, rng=None):
         raise ValueError("max_depth must be >= 0")
     n = density.n
     stream = as_stream(rng)
-    burn_in = 30 * n
-    max_batches = -(-_PROPOSALS_PER_STEP * (burn_in + 2 * k) // max(k, 256))
 
     cells = []
     # queue rows: (cell_id, depth, weight, body, density, x0 or None)
@@ -148,11 +145,9 @@ def needle_decompose(density, E, eps, max_depth, k=256, rng=None):
         cell_id, depth, weight, body, cell_density, x0 = queue.pop(0)
         gen = stream.substream(counter).generator()
         counter += 1
-        try:
-            X = exact_sample(cell_density, k, gen, max_batches=max_batches)
-            n_exact += 1
-        except (NoExactSampler, WalkError):
-            X = run_chain(cell_density, x0, k, burn_in=burn_in, thin=2, rng=gen)
+        X, exact = exact_or_chain(cell_density, k, gen, x0=x0, burn_in=30 * n,
+                                  thin=2, proposals_per_step=_PROPOSALS_PER_STEP)
+        n_exact += exact
         inside = E.signed_distance(X) >= 0.0
         a = float(inside.mean())
         if depth == 0 and not (0.25 <= a <= 0.75):

@@ -2,24 +2,23 @@
 
 run_chain(density, x0, n_samples, walk=...) is the one way to run a
 chain; walk names the step: "ball_walk" (uniform targets only),
-"metropolis", "hit_and_run" or "coordinate_hit_and_run".  warm_start is
-the one way to start it: an exact draw when the density has one
-(exact_sample), else a long hit-and-run burn-in.  exact_sample raises
-NoExactSampler for a density with no exact law, and only that and
-WalkError send a caller to its fallback.  A tilt exp(c.x - t|x|^2/2) of
-a Gaussian, or of a uniform density with t > 0, is a Gaussian on the
-same body and has its exact law; a Gaussian on an axis cube is drawn
-coordinatewise by inverse CDF.  The uniform law and the volume belong
-to the body (Body.uniform_law, log_volume): closed form on balls, axis
-cubes, the simplex and their affine images, ellipsoids included.  A
-Gaussian on one of those bodies is drawn by rejection from whichever of
-two envelopes, its unrestricted law or the body's uniform law, accepts
-more.  A density on a RestrictedBody (a base body cut by halfspaces,
-such as a needle cell) has the law of the same density on the base,
-conditioned on the cuts: its base's exact law, with the cuts as the
-accept mask.  What stays here is the density side: which envelope a
-density takes, and the truncated-normal and rejection samplers that
-draw it.
+"metropolis", "hit_and_run" or "coordinate_hit_and_run".  Draws are
+exact first: exact_or_chain makes one budgeted exact_sample call, and
+runs the hit-and-run chain it replaces only on NoExactSampler (no exact
+law) or WalkError (the budget ran out); warm_start is its one-point
+case.  A tilt exp(c.x - t|x|^2/2) of a Gaussian, or of a uniform density
+with t > 0, is a Gaussian on the same body and has its exact law; a
+Gaussian on an axis cube is drawn coordinatewise by inverse CDF.  The
+uniform law and the volume belong to the body (Body.uniform_law,
+log_volume): closed form on balls, axis cubes, the simplex and their
+affine images, ellipsoids included.  A Gaussian on one of those bodies
+is drawn by rejection from whichever of two envelopes, its unrestricted
+law or the body's uniform law, accepts more.  A density on a
+RestrictedBody (a base body cut by halfspaces, such as a needle cell)
+has the law of the same density on the base, conditioned on the cuts:
+its base's exact law, with the cuts as the accept mask.  What stays here
+is the density side: which envelope a density takes, and the
+truncated-normal and rejection samplers that draw it.
 
 Steppers share one convention: they mutate and return a ChainState, they
 draw randomness only from the generator they are handed, and a rejected
@@ -488,13 +487,16 @@ def exact_sample(density, count, rng, max_batches=10000):
     law of the same density on the base body, and the cuts are the
     accept mask: a cell of mass w accepts at rate w, and the budget
     bounds every proposal, the base's own rejections included.  Raises
-    NoExactSampler for kinds with no safe envelope.
+    NoExactSampler for kinds with no safe envelope; count = 0 draws
+    nothing and returns no rows.
     """
     count = int(count)
     rng = as_generator(rng)
     if isinstance(density, Tilted):
         density = _tilt_as_gaussian(density)
     propose, accept = _exact_law(density, rng)
+    if count == 0:
+        return np.empty((0, density.n))
     if accept is None:
         return propose(count)
     return _rejection(propose, accept, count, max_batches)
@@ -625,21 +627,35 @@ def _rejection(propose, accept_mask, count, max_batches):
     return np.concatenate(out, axis=0)[:count]
 
 
-def warm_start(density, rng, burn_in=None):
-    """A start point distributed as the target, or roughly so.
+def exact_or_chain(density, k, rng, x0=None, burn_in=0, thin=1,
+                   proposals_per_step=1):
+    """(k draws of the density, whether they are exact).
 
-    First one exact rejection draw, with a budget of as many proposals as
-    the fallback takes steps.  When the density has no exact sampler or
-    the budget runs out: hit-and-run from the body's interior point with
-    a long burn-in (default 100 n^2 steps).  The proposals are tested in
-    batches, so a spent budget costs 1-2% of the fallback's time.
+    One exact_sample call, whose budget is proposals_per_step proposals
+    per step of the hit-and-run chain it replaces, rounded up to whole
+    batches.  When the density has no exact law or the budget runs out,
+    that chain runs: from x0, burn_in steps, then k samples thin steps
+    apart.  x0 = None starts it at the body's interior point after
+    warm_start's 100 n^2 step warm-up, which adds one proposal per
+    warm-up step to the budget, so no draw spends an exact budget twice.
     """
     rng = as_generator(rng)
-    n = density.n
-    burn_in = 100 * n * n if burn_in is None else int(burn_in)
+    budget = proposals_per_step * (burn_in + k * thin)
+    if x0 is None:
+        warm_up = 100 * density.n ** 2
+        x0, burn_in, budget = density.body.x0, warm_up + burn_in, warm_up + budget
+    max_batches = -(-budget // max(k, _REJECT_BATCH))
     try:
-        return exact_sample(density, 1, rng,
-                            max_batches=-(-burn_in // _REJECT_BATCH))[0]
+        return exact_sample(density, k, rng, max_batches=max_batches), True
     except (NoExactSampler, WalkError):
         pass
-    return run_chain(density, density.body.x0, 1, thin=burn_in, rng=rng)[0]
+    return run_chain(density, x0, k, burn_in=burn_in, thin=thin, rng=rng), False
+
+
+def warm_start(density, rng, burn_in=None):
+    """A start point distributed as the target, or roughly so: one
+    exact_or_chain draw whose fallback is burn_in hit-and-run steps
+    (default 100 n^2) from the body's interior point."""
+    burn_in = 100 * density.n ** 2 if burn_in is None else int(burn_in)
+    X, _ = exact_or_chain(density, 1, rng, x0=density.body.x0, thin=burn_in)
+    return X[0]

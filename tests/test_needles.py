@@ -157,16 +157,16 @@ def test_needle_cells_are_drawn_exactly_on_a_cube():
 def test_needle_cells_fall_back_to_the_chain_without_an_exact_law(monkeypatch):
     # a Boltzmann density has no exact law: every cell, the root included,
     # runs the hit-and-run chain, and the run still replays from its stream
-    from klslab import needles
+    from klslab import walks
 
     calls = []
-    chain = needles.run_chain
+    chain = walks.run_chain
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return chain(*args, **kwargs)
 
-    monkeypatch.setattr(needles, "run_chain", counted)
+    monkeypatch.setattr(walks, "run_chain", counted)
     dens = Boltzmann(AxisCube(3), alpha=0.5, c=np.eye(3)[1])
     E = HalfspaceSet(np.eye(3)[0], 0.0)
 
@@ -180,8 +180,9 @@ def test_needle_cells_fall_back_to_the_chain_without_an_exact_law(monkeypatch):
     assert len(drawn) > 1
     assert r1.meta["n_exact"] == 0
     assert len(calls) == len(drawn)
-    # the root warm-starts, every other cell starts from a parent's sample
-    assert calls[0] is None and all(x0 is not None for x0 in calls[1:])
+    # the root starts at the body's interior point, every other cell from
+    # a parent's sample
+    assert calls[0] is dens.body.x0 and all(x0 is not None for x0 in calls[1:])
     r2 = run()
     assert [(c.cell_id, c.weight, c.max_variance, c.rel_measure) for c in r1.cells] \
         == [(c.cell_id, c.weight, c.max_variance, c.rel_measure) for c in r2.cells]

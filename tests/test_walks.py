@@ -1,15 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from conftest import ellipsoid, plain_polytope, simplex_moments
 from scipy import integrate, stats
 
+from klslab import walks
 from klslab.bodies import (AxisCube, Ball, Polytope, RestrictedBody, TransformedBody,
                            simplex, transform_body)
 from klslab.densities import (Boltzmann, Exponential, Gaussian, Tilted,
                                Uniform)
+from klslab.diagnostics import HalfspaceSet
+from klslab.isotropy import iterated_gaussian_isotropy
 from klslab.linalg import sym_inv_sqrt
+from klslab.needles import needle_decompose
 from klslab.rng import RngStream
 from klslab.walks import (ChainState, NoExactSampler, WalkError, _ball_point,
                           advance_ensemble, ball_walk_step, default_delta,
@@ -554,6 +559,77 @@ def test_run_chain_without_start_point_warm_starts_on_its_stream():
     X = run_chain(dens, None, 20, walk="metropolis", rng=g1)
     ref = run_chain(dens, warm_start(dens, g2), 20, walk="metropolis", rng=g2)
     np.testing.assert_array_equal(X, ref)
+
+
+@pytest.mark.parametrize("case", ["warm_start", "isotropy", "needle_root"])
+def test_a_spent_exact_budget_is_spent_once(monkeypatch, case):
+    # a standard Gaussian almost never lands in the unrounded simplex, and
+    # as a plain polytope it has no uniform law to propose from, so every
+    # exact draw spends its whole budget, in batches of max(k, 256).  One
+    # rejection call, then the chain it replaces from the body's interior
+    # point
+    proposals, chains = [], []
+    rejection, chain = walks._rejection, walks.run_chain
+
+    def counted_rejection(propose, accept_mask, count, max_batches):
+        def counted_propose(m):
+            proposals[-1] += m
+            return propose(m)
+
+        proposals.append(0)
+        return rejection(counted_propose, accept_mask, count, max_batches)
+
+    def counted_chain(density, x0, n_samples, burn_in=0, **kwargs):
+        chains.append((x0, burn_in))
+        return chain(density, x0, n_samples, burn_in=burn_in, **kwargs)
+
+    monkeypatch.setattr(walks, "_rejection", counted_rejection)
+    monkeypatch.setattr(walks, "run_chain", counted_chain)
+    n = 8
+    body = plain_polytope(simplex(n))
+    dens = Gaussian(body, a=1.0)
+    warm = 100 * n * n
+    if case == "warm_start":
+        x = warm_start(dens, RngStream(60).generator())
+        assert body.contains(x)
+        # warm_start's chain is its burn-in: one sample, 6400 steps apart
+        spent, burn_in = warm, 0
+    elif case == "isotropy":
+        k = 64 * n
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            iterated_gaussian_isotropy(body, RngStream(61), max_iters=1)
+        spent, burn_in = -(-(warm + k * n) // k) * k, warm
+    else:
+        k = 64
+        # x_0 <= x_1 holds on half the simplex, by its symmetry
+        E = HalfspaceSet(np.eye(n)[0] - np.eye(n)[1], 0.0)
+        res = needle_decompose(dens, E, eps=0.1, max_depth=0, k=k,
+                               rng=RngStream(62))
+        assert res.meta["n_exact"] == 0
+        # 64 proposals per step of the cell's own chain, one per step of
+        # the warm-up, 117 batches in all
+        burn_in = warm + 30 * n
+        spent = -(-(warm + 64 * (30 * n + 2 * k)) // 256) * 256
+    assert proposals == [spent]
+    assert len(chains) == 1
+    assert chains[0][0] is body.x0 and chains[0][1] == burn_in
+
+
+@pytest.mark.parametrize("dens", [
+    Uniform(Ball(3)), Uniform(AxisCube(3)), Uniform(simplex(8)),
+    Uniform(plain_polytope(simplex(8))), Gaussian(AxisCube(3), a=1.0),
+    Gaussian(ellipsoid(np.diag([1.0 / 36.0, 1.0, 1.0])), a=1.0),
+    Gaussian(Ball(3, radius=12.0), a=1.0), Exponential(AxisCube(3, 0.01), 1.0),
+    Tilted(Uniform(AxisCube(3)), np.ones(3), 2.0),
+    Uniform(RestrictedBody(AxisCube(3), np.eye(3)[:1], [-0.2],
+                           np.array([-0.6, 0.0, 0.0]))),
+], ids=lambda d: f"{d.kind}-{d.body.kind}")
+def test_exact_sample_of_no_rows_draws_nothing(dens):
+    gen = RngStream(63).generator()
+    X = exact_sample(dens, 0, gen)
+    assert X.shape == (0, dens.n)
+    assert gen.random() == RngStream(63).generator().random()
 
 
 def test_gaussian_on_cube_draws_truncated_normal_coordinates():
