@@ -26,8 +26,8 @@ from .linalg import (CovMatrix, SingularCovarianceError, power_opnorm,
 from .needles import NeedleCell, NeedleResult, balanced_split, needle_decompose
 from .rng import RngStream, as_generator, as_stream
 from .sloc import (LocalizationState, ObservablePool, SlocError,
-                   TrajectoryRecord, moment_inequality_check, sloc_closed_form,
-                   sloc_init, sloc_run, sloc_step)
+                   TrajectoryRecord, moment_inequality_check, sloc_init,
+                   sloc_run, sloc_step)
 from .volume import (AnnealSchedule, CutPlaneResult, OptimizeResult,
                      OracleInconsistencyError, VolumePhaseError, VolumeResult,
                      anneal_optimize, ball_schedule, cutting_plane_feasibility,

@@ -6,27 +6,38 @@ drift needs the current mean, so every step re-estimates the mean and
 covariance of the tilted density and tracks scalar observables of the
 covariance (tr A^2, tr A^q, the operator norm, and the barrier value u).
 
-Every time step pushes a fresh snapshot of k points of the tilted
-density into a pool; recent snapshots are pooled with importance
-reweighting to the current tilt, which cuts the observable noise well
-below what one snapshot of size k could give.
+Snapshots of k points of the tilted density go into a pool; recent
+snapshots are pooled with importance reweighting to the current tilt,
+which cuts the observable noise well below what one snapshot of size k
+could give.
 
-A snapshot is exact where the tilted density has an exact law
-(walks.exact_sample): under the identity control the tilt of a Gaussian
-base is a Gaussian, and the tilt of a uniform base a Gaussian restricted
-to its body.  One exact call per step, on the proposal budget of the
-inner_steps Metropolis steps it replaces, draws it.  When the density
-has no exact law or that budget runs out, the run falls back to an
-ensemble of k inner Metropolis chains advanced inner_steps steps per time
-step, and it stays on the chains from then on, so a failed budget is
-spent at most once per run.  The chains tune their proposal radius when
-they first run.
+The refresh rule.  One function, _refresh, pushes count snapshots and
+re-reads the observables: sloc_init calls it once at t=0, where the tilt
+is zero and the target is the base itself, with count = init_refreshes,
+and every sloc_step calls it with count = 1.
 
-At t=0 the tilt is zero and the target is the base itself.  Where the
-base has an exact law one exact call, on the same budget rule, fills the
-t=0 pool with independent snapshots.  When that budget runs out the
-chains start from k exact draws, and when the base has no exact law from
-one warm-start point; their refreshes then fill the pool.
+- Exact first.  Where the tilted density has an exact law
+  (walks.exact_sample), one exact call draws all count * k points and
+  splits them into the snapshots.  Its budget is inner_steps rejection
+  batches of at least count * k proposals, which is what the inner_steps
+  Metropolis steps of k chains per snapshot it replaces would propose.
+  Under the identity control the tilt of a Gaussian base is a Gaussian,
+  and the tilt of a uniform base a Gaussian restricted to its body.
+- Then the ensemble.  When the density has no exact law or that budget
+  runs out, each snapshot is k Metropolis chains advanced inner_steps
+  steps, and the later refreshes step the chains without another exact
+  call, so a failed budget is not spent again.  With no ensemble yet the
+  chains start from k exact draws on the default budget, else all at one
+  warm-start point.  They tune their proposal radius when they first
+  run, at scale 1 while there is no covariance estimate.
+- The t=0 pool is a trial of its own: sloc_init records its path as
+  meta["t0_pool"] and resets it, so the first t > 0 refresh tries the
+  exact law again.  meta["refresh"] records the t > 0 path: "exact",
+  "chain", or "mixed" for a run that fell back after exact refreshes.
+- In closed-form mode, the discretization oracle, the base is the
+  standard Gaussian under the identity control and no sampler runs:
+  p_t = N(c/(1+t), I/(1+t)), and the refresh writes its moments and the
+  tracked sets' measures.  Both paths read "closed_form".
 """
 
 import math
@@ -166,8 +177,7 @@ def _log_tilt(XT, c, B):
 def _tune_inner_delta(state, scale, gen):
     """Grow or shrink the inner proposal radius from the chain default
     1/sqrt(n), for at most 12 rounds of 4 steps, until the Metropolis
-    acceptance rate at radius state.delta * scale lies in [1/4, 1/2];
-    returns the last round's acceptance rate.
+    acceptance rate at radius state.delta * scale lies in [1/4, 1/2].
 
     The conservative chain default mixes far too slowly on smooth
     targets: successive pool snapshots stay nearly identical and the
@@ -183,7 +193,6 @@ def _tune_inner_delta(state, scale, gen):
             state.delta *= 0.7
         else:
             break
-    return rate
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +209,7 @@ class LocalizationState:
     B: np.ndarray
     tracked: list
     density: Density         # current tilted density
-    # observables at time t, written by the refresh functions
+    # observables at time t, written by _refresh
     t: float = 0.0
     mean: np.ndarray = None
     cov: CovMatrix = None
@@ -295,52 +304,41 @@ def _truncate_support(density, radius):
     return density.restricted_to(new_body), {"radius": radius, "mass_bound": bound}
 
 
-def _refresh_estimates(state, gen):
-    """Push one snapshot of the current tilted density and re-read the pool.
-
-    Until the run falls back, the snapshot is one exact_sample call on a
-    budget of inner_steps rejection batches (accept rate 1.0).  Once that
-    call raises, this and every later refresh step the chains instead;
-    meta["refresh"] records "exact", "chain", or "mixed" for a run that
-    fell back after exact refreshes.
-    """
+def _refresh(state, gen, count=1):
+    """Push count snapshots of the current tilted density and re-read the
+    observables, by the refresh rule in the module docstring."""
+    if state.closed_form:
+        var = 1.0 / (1.0 + state.t)
+        state.mean = state.c * var
+        state.cov = CovMatrix(var * np.eye(state.n))
+        state.phi = state.n * var * var
+        state.phi_q = state.n * var ** state.q
+        state.u = var + 1.0
+        state.g = {name: _gaussian_set_measure(state.mean, var, E)
+                   for name, E in state.tracked}
+        state.g_se = dict.fromkeys(state.g, 0.0)
+        state.accept_rate = 1.0
+        state.meta["refresh"] = "closed_form"
+        return
     path = state.meta.get("refresh")
-    X = None
+    snapshots = None
     if path in (None, "exact"):
         try:
-            X = exact_sample(state.density, state.k, gen,
-                             max_batches=state.inner_steps)
+            snapshots = np.split(exact_sample(state.density, count * state.k, gen,
+                                              max_batches=state.inner_steps), count)
         except (NoExactSampler, WalkError):
             pass
-    if X is not None:
+    if snapshots is not None:
         state.meta["refresh"] = "exact"
-        state.ensemble, state.log_ensemble = X, None
+        for X in snapshots:
+            state.pool.push(state.c, state.B, X)
+        state.ensemble, state.log_ensemble = snapshots[-1], None
         rate = 1.0
     else:
         state.meta["refresh"] = "chain" if path in (None, "chain") else "mixed"
-        rate = _step_chains(state, gen)
-    state.pool.push(state.c, state.B, state.ensemble)
-    _assign_estimates(state, rate)
-
-
-def _step_chains(state, gen):
-    """inner_steps Metropolis steps of the ensemble; the acceptance rate.
-
-    Chains that resume from an exact snapshot first take its
-    log-densities, and chains that have not run yet tune their radius.
-    """
-    if state.log_ensemble is None:
-        state.log_ensemble = state.density.log_density_many(state.ensemble)
-    # proposal radius tracks the shrinking target so acceptance stays useful
-    scale = math.sqrt(min(1.0, max(state.cov.opnorm, 1e-12)))
-    if not state.delta:
-        _tune_inner_delta(state, scale, gen)
-    return advance_ensemble(state.density, state.ensemble, state.log_ensemble,
-                            state.inner_steps, state.delta * scale, gen)
-
-
-def _assign_estimates(state, rate):
-    """Read the pooled observables at the current tilt into the state."""
+        for _ in range(count):
+            rate = _step_chains(state, gen)
+            state.pool.push(state.c, state.B, state.ensemble)
     mu, cov, g, ess = state.pool.estimate(state.c, state.B, state.tracked)
     state.mean = mu
     state.cov = cov
@@ -353,18 +351,30 @@ def _assign_estimates(state, rate):
     state.meta["pool_ess"] = ess
 
 
-def _refresh_closed_form(state):
-    n = state.n
-    state.mean, cov = sloc_closed_form(state.t, state.c)
-    var = float(cov[0, 0])
-    state.cov = CovMatrix(cov)
-    state.phi = n * var * var
-    state.phi_q = n * var ** state.q
-    state.u = var + 1.0
-    state.g = {name: _gaussian_set_measure(state.mean, var, E)
-               for name, E in state.tracked}
-    state.g_se = dict.fromkeys(state.g, 0.0)
-    state.accept_rate = 1.0
+def _step_chains(state, gen):
+    """inner_steps Metropolis steps of the ensemble; the acceptance rate.
+
+    With no ensemble yet the chains start from k exact draws, else all
+    at one warm-start point.  Chains that start, or resume from an exact
+    snapshot, first take their log-densities, and chains that have not
+    run yet tune their radius.
+    """
+    if state.ensemble is None:
+        try:
+            state.ensemble = exact_sample(state.density, state.k, gen)
+        except (NoExactSampler, WalkError):
+            state.ensemble = np.tile(warm_start(state.density, gen), (state.k, 1))
+    if state.log_ensemble is None:
+        state.log_ensemble = state.density.log_density_many(state.ensemble)
+        if not np.all(np.isfinite(state.log_ensemble)):
+            raise SlocError("ensemble contains points outside the support")
+    # proposal radius tracks the shrinking target so acceptance stays useful
+    scale = (1.0 if state.cov is None
+             else math.sqrt(min(1.0, max(state.cov.opnorm, 1e-12))))
+    if not state.delta:
+        _tune_inner_delta(state, scale, gen)
+    return advance_ensemble(state.density, state.ensemble, state.log_ensemble,
+                            state.inner_steps, state.delta * scale, gen)
 
 
 def sloc_init(density, control="identity", tracked_sets=None, q=None, k=None,
@@ -372,18 +382,9 @@ def sloc_init(density, control="identity", tracked_sets=None, q=None, k=None,
               closed_form=False):
     """State at t=0: zero tilt, observables estimated from the base density.
 
-    The t=0 pool holds init_refreshes snapshots of k points.  Where the
-    base has an exact law, one exact_sample call draws all
-    init_refreshes * k points on a budget of inner_steps rejection
-    batches, which is the init_refreshes * inner_steps * k proposals the
-    Metropolis refreshes it replaces would spend whenever the pool holds
-    at least 256 points; the draws are split into the snapshots, no chain
-    runs, and the last snapshot is where the chains would resume (see
-    _step_chains).  When that call raises, the k chains start from
-    k exact draws, or all at one warm-start point when the base has no
-    exact law, tune their proposal radius, and every snapshot comes from
-    inner_steps Metropolis steps of the chains.  meta["t0_pool"] records
-    which path ran ("exact" or "chain").
+    The t=0 pool is one refresh of init_refreshes snapshots of k points
+    (see the refresh rule in the module docstring), and meta["t0_pool"]
+    records its path: "exact", "chain" or "closed_form".
 
     closed_form=True requires a standard-Gaussian base with identity
     control; mean and covariance are then supplied analytically and no
@@ -397,60 +398,22 @@ def sloc_init(density, control="identity", tracked_sets=None, q=None, k=None,
     if q < 2:
         raise ValueError("potential exponent q must be >= 2")
     k = 64 * n if k is None else int(k)
-
     if closed_form:
         if not (isinstance(density, Gaussian) and density.a == 1.0
                 and not np.any(density.center)):
             raise ValueError("closed-form mode needs a standard-Gaussian base")
         if control != "identity":
             raise ValueError("closed-form mode needs the identity control")
-        state = LocalizationState(
-            base=density, control=control, q=q, k=k,
-            c=np.zeros(n), B=np.zeros((n, n)), tracked=tracked,
-            density=density, closed_form=True,
-            meta={"t0_pool": "closed_form", "refresh": "closed_form"})
-        _refresh_closed_form(state)
-        _validate_measures(state)
-        return state
 
     gen = as_generator(rng)
     work, truncation = _truncate_support(density, TRUNCATION_FACTOR * math.sqrt(n))
-    refreshes = max(1, int(init_refreshes))
-    inner_steps = int(inner_steps)
-
-    try:
-        snapshots = np.split(exact_sample(work, refreshes * k, gen,
-                                          max_batches=inner_steps), refreshes)
-    except (NoExactSampler, WalkError):
-        snapshots = []
-        try:
-            X = exact_sample(work, k, gen)
-        except (NoExactSampler, WalkError):
-            X = np.tile(warm_start(work, gen), (k, 1))
-    else:
-        X = snapshots[-1]
-
     state = LocalizationState(
         base=work, control=control, q=q, k=k,
         c=np.zeros(n), B=np.zeros((n, n)), tracked=tracked,
-        density=work, pool=ObservablePool(window=window),
-        ensemble=X, inner_steps=inner_steps,
-        truncation=truncation,
-        meta={"t0_pool": "exact" if snapshots else "chain"})
-    for S in snapshots:
-        state.pool.push(state.c, state.B, S)
-    rate = 1.0
-    if not snapshots:
-        state.log_ensemble = work.log_density_many(state.ensemble)
-        if not np.all(np.isfinite(state.log_ensemble)):
-            raise SlocError("initial ensemble contains points outside the support")
-        rate = _tune_inner_delta(state, 1.0, gen)
-        for _ in range(refreshes):
-            rate = advance_ensemble(state.density, state.ensemble,
-                                    state.log_ensemble, inner_steps,
-                                    state.delta, gen)
-            state.pool.push(state.c, state.B, state.ensemble)
-    _assign_estimates(state, rate)
+        density=work, closed_form=closed_form, pool=ObservablePool(window=window),
+        inner_steps=int(inner_steps), truncation=truncation)
+    _refresh(state, gen, max(1, int(init_refreshes)))
+    state.meta["t0_pool"] = state.meta.pop("refresh")
     _validate_measures(state)
     return state
 
@@ -494,27 +457,9 @@ def sloc_step(state, h, rng, noise=None):
         state.c = state.c + sqh * (inv_sqrt @ gvec) + h * (inv @ state.mean)
         state.B = state.B + h * inv
     state.t += h
-    if state.closed_form:
-        _refresh_closed_form(state)
-    else:
-        state.density = Tilted(state.base, state.c, state.B)
-        _refresh_estimates(state, gen)
+    state.density = Tilted(state.base, state.c, state.B)
+    _refresh(state, gen)
     return state
-
-
-def sloc_closed_form(t, c):
-    """Mean and covariance of p_t for a standard-Gaussian base.
-
-    Completing the square in exp(c.x - t|x|^2/2 - |x|^2/2) gives
-    p_t = N(c/(1+t), I/(1+t)).
-    """
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 1:
-        raise ValueError("tilt c must be a vector")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    var = 1.0 / (1.0 + t)
-    return c * var, var * np.eye(len(c))
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +531,7 @@ def sloc_run(density, T, h=None, k=None, n_runs=1, tracked_sets=None,
     """n_runs independent trajectories plus an across-run summary.
 
     The summary reports the t=0 pool path of the runs (see sloc_init)
-    and how their t > 0 snapshots were drawn (see _refresh_estimates),
+    and how their t > 0 snapshots were drawn (see the module docstring),
     each "mixed" when runs differ; per tracked set the martingale check
     (mean g_T vs g_0 in combined-se units) and the balance frequency
     (fraction of runs with g in [1/4, 3/4] at every recorded time),

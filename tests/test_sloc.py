@@ -13,7 +13,7 @@ from klslab.diagnostics import BallSet, HalfspaceSet
 from klslab.rng import RngStream
 from klslab.sloc import (LocalizationState, ObservablePool, SlocError,
                          default_h, default_q, moment_inequality_check,
-                         sloc_closed_form, sloc_init, sloc_run, sloc_step)
+                         sloc_init, sloc_run, sloc_step)
 from klslab.walks import advance_ensemble, exact_sample
 
 ABS3_GAUSS = 1.5957691216057308  # E|x|^3 for x ~ N(0,1)
@@ -32,22 +32,12 @@ def test_default_q_and_h():
     assert default_h(1e6) == pytest.approx(1e-4)
 
 
-def test_closed_form_map_oracles():
-    c = np.zeros(3)
-    mean, cov = sloc_closed_form(0.0, c)
-    assert np.allclose(mean, 0.0) and np.allclose(cov, np.eye(3))
-    mean, cov = sloc_closed_form(3.0, 4.0 * np.eye(3)[0])
-    assert np.allclose(mean, np.eye(3)[0])
-    assert np.allclose(cov, np.eye(3) / 4.0)
-    with pytest.raises(ValueError):
-        sloc_closed_form(-0.1, c)
-    with pytest.raises(ValueError):
-        sloc_closed_form(1.0, np.zeros((2, 2)))
-
-
 def test_closed_form_run_matches_analytic():
+    # p_t = N(c/(1+t), I/(1+t)) for the standard Gaussian
     state = sloc_init(_std_gaussian(4), closed_form=True,
                       tracked_sets={"E0": HalfspaceSet(np.eye(4)[0], 0.0)})
+    assert np.array_equal(state.mean, np.zeros(4))
+    assert np.array_equal(state.cov.matrix, np.eye(4))
     assert state.phi == pytest.approx(4.0)
     assert state.u == pytest.approx(2.0)
     assert state.g["E0"] == pytest.approx(0.5)
@@ -61,10 +51,12 @@ def test_closed_form_run_matches_analytic():
     assert state.u == pytest.approx(1.0 / (1.0 + t) + 1.0, rel=1e-12)
     var = 1.0 / (1.0 + t)
     assert np.allclose(state.mean, state.c * var)
+    assert np.allclose(state.cov.matrix, var * np.eye(4))
     expected_g = float(ndtr((0.0 - state.mean[0]) / math.sqrt(var)))
     assert state.g["E0"] == pytest.approx(expected_g, rel=1e-12)
     # deterministic part: B accumulated exactly t * I
     assert np.allclose(state.B, t * np.eye(4))
+    assert state.meta["refresh"] == "closed_form"
     state.check_invariants()
 
 
@@ -296,6 +288,30 @@ def test_refresh_work_counts(monkeypatch):
     assert outcomes == ["WalkError"] and proposals == [8 * 256]
     assert state.meta["refresh"] == "chain"
     assert steps.count(8) == 6 and 1 <= steps.count(4) <= 12
+    monkeypatch.undo()
+    # the plain simplex(4) at k = 256 fills its t=0 pool from the chains;
+    # the first t > 0 refresh tries the exact law once more, spends its
+    # 8 batches of 256 proposals, and the tuned chains step from then on
+    state, steps, outcomes, proposals = _count_run_work(
+        monkeypatch, Uniform(plain_polytope(simplex(4))), 6, k=256)
+    assert state.meta["t0_pool"] == "chain"
+    assert outcomes == ["WalkError"] and proposals == [8 * 256]
+    assert state.meta["refresh"] == "chain"
+    assert steps == [8] * 6
+    monkeypatch.undo()
+    # a Boltzmann density has no exact law: one attempt, no proposal
+    state, steps, outcomes, proposals = _count_run_work(
+        monkeypatch, Boltzmann(AxisCube(3), 1.0, np.ones(3)), 6)
+    assert state.meta["t0_pool"] == "chain"
+    assert outcomes == ["NoExactSampler"] and proposals == [0]
+    assert state.meta["refresh"] == "chain"
+    assert steps == [8] * 6
+    monkeypatch.undo()
+    # the closed form samples nothing at any t
+    _, summary = sloc_run(_std_gaussian(4), 0.05, h=0.01, closed_form=True,
+                          rng=RngStream(22))
+    assert summary["t0_pool"] == "closed_form"
+    assert summary["refresh"] == "closed_form"
 
 
 def test_state_invariants_detect_tampering():
