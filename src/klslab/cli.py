@@ -316,7 +316,8 @@ def _cmd_optimize(cfg, art):
         "best_value": result.best_value,
         "best_x": result.best_x.tolist(),
         "final_bound_gap": result.final_bound_gap,
-        "n_phases": result.n_phases}})
+        "n_phases": result.n_phases,
+        "meta": result.meta}})
     return (f"optimize: best objective {result.best_value:.6g} "
             f"(bound gap {result.final_bound_gap:.3g}, {result.n_phases} phases)")
 

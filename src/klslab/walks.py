@@ -7,18 +7,21 @@ exact first: exact_or_chain makes one budgeted exact_sample call, and
 runs the hit-and-run chain it replaces only on NoExactSampler (no exact
 law) or WalkError (the budget ran out); warm_start is its one-point
 case.  A tilt exp(c.x - t|x|^2/2) of a Gaussian, or of a uniform density
-with t > 0, is a Gaussian on the same body and has its exact law; a
-Gaussian on an axis cube is drawn coordinatewise by inverse CDF.  The
-uniform law and the volume belong to the body (Body.uniform_law,
-log_volume): closed form on balls, axis cubes, the simplex and their
-affine images, ellipsoids included.  A Gaussian on one of those bodies
-is drawn by rejection from whichever of two envelopes, its unrestricted
-law or the body's uniform law, accepts more.  A density on a
+with t > 0, is a Gaussian on the same body and has its exact law.  On
+an axis cube a Gaussian, or a Boltzmann density exp(-alpha c.x), is
+drawn coordinatewise by inverse CDF: truncated normals or truncated
+exponentials.  The uniform law and the volume belong to the body
+(Body.uniform_law, log_volume): closed form on balls, axis cubes, the
+simplex and their affine images, ellipsoids included.  A Gaussian on
+one of those bodies is drawn by rejection from whichever of two
+envelopes, its unrestricted law or the body's uniform law, accepts
+more.  A density on a
 RestrictedBody (a base body cut by halfspaces, such as a needle cell)
 has the law of the same density on the base, conditioned on the cuts:
 its base's exact law, with the cuts as the accept mask.  What stays here
 is the density side: which envelope a density takes, and the
-truncated-normal and rejection samplers that draw it.
+truncated-normal, truncated-exponential and rejection samplers that
+draw it.
 
 Steppers share one convention: they mutate and return a ChainState, they
 draw randomness only from the generator they are handed, and a rejected
@@ -51,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .densities import Density, Uniform, Gaussian, Exponential, Tilted
+from .densities import Density, Uniform, Gaussian, Exponential, Boltzmann, Tilted
 from .bodies import AxisCube, Ball, RestrictedBody, ball_cloud
 from .rng import as_generator
 
@@ -249,6 +252,27 @@ def _trunc_exp_neg(rng, beta, L):
     # F(s) = (1 - e^{-beta s}) / (1 - e^{-beta L})
     s = -np.log1p(u * np.expm1(-beta * L)) / beta
     return min(s, L)
+
+
+def _trunc_exp_many(rng, count, slope, lo, hi):
+    """count rows whose coordinate i has density proportional to
+    exp(slope_i t) on [lo_i, hi_i], independently, by inverse CDF.
+
+    As in _trunc_exp, each coordinate is reflected so that its heavy end
+    is the anchor: s = (distance from that end) / (hi_i - lo_i) follows
+    exp(-z s) on [0, 1] with z = |slope_i| (hi_i - lo_i).  Where z is at
+    most the double epsilon the law is uniform to working precision and
+    is drawn as such, so slope 0 is the uniform law and a tiny slope
+    never divides a vanishing log1p by a vanishing z.
+    """
+    L = hi - lo
+    z = np.abs(slope) * L
+    flat = z <= np.finfo(float).eps
+    z = np.where(flat, 1.0, z)
+    U = rng.random((count, len(L)))
+    S = np.where(flat, U, np.log1p(U * np.expm1(-z)) / -z) * L
+    T = np.where(slope > 0.0, hi - S, lo + S)
+    return np.clip(T, lo, hi, out=T)
 
 
 def _trunc_gauss(rng, mean, sd, lo, hi):
@@ -476,8 +500,10 @@ def exact_sample(density, count, rng, max_batches=10000):
     A tilt whose B is exactly t I is first rewritten as the Gaussian it
     equals on the same body (_tilt_as_gaussian).  Uniform on a body that
     owns a uniform law (body.uniform_law: balls, axis cubes, the simplex
-    and their affine images, ellipsoids among them) is that law, and a
-    Gaussian on an axis cube is one truncated normal per coordinate.
+    and their affine images, ellipsoids among them) is that law; on an
+    axis cube a Gaussian is one truncated normal per coordinate and a
+    Boltzmann density exp(-alpha c.x) one truncated exponential of slope
+    -alpha c_i per coordinate.
     Everything else is exact rejection, at most max_batches batches of
     max(count, 256) proposals: uniform on a general body from its
     bounding ball, exponential from its unrestricted law, and a Gaussian
@@ -554,6 +580,11 @@ def _exact_law(density, rng):
             return g * rad[:, None]
 
         return propose, body.contains_many
+    if isinstance(density, Boltzmann) and isinstance(body, AxisCube):
+        lo = body.center - body.half_width
+        hi = body.center + body.half_width
+        slope = -density.alpha * density.c
+        return (lambda m: _trunc_exp_many(rng, m, slope, lo, hi)), None
     raise NoExactSampler(f"no exact sampler for density kind {density.kind!r}")
 
 

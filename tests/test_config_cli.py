@@ -479,8 +479,10 @@ def test_optimize_starts_at_config_alpha0(tmp_path):
         cfg_file.write_text(base + extra)
         out = tmp_path / label
         assert cli.main(["optimize", "--config", str(cfg_file), "--out", str(out)]) == 0
-        phases[label] = json.loads((out / "optimize_seed3.json").read_text())[
-            "optimize"]["n_phases"]
+        res = json.loads((out / "optimize_seed3.json").read_text())["optimize"]
+        # the cube has the Boltzmann law: every phase is drawn exactly
+        assert res["meta"]["n_exact"] == res["n_phases"]
+        phases[label] = res["n_phases"]
     assert phases == {"default": 11, "alpha0": math.ceil(2 * math.log(40 / 30))}
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from klslab.bodies import AxisCube
+from klslab.bodies import AxisCube, Ball
 from klslab.densities import Boltzmann, Uniform
 from klslab.diagnostics import BallSet, HalfspaceSet
 from klslab.needles import NeedleCell, balanced_split, needle_decompose
@@ -155,7 +155,7 @@ def test_needle_cells_are_drawn_exactly_on_a_cube():
 
 
 def test_needle_cells_fall_back_to_the_chain_without_an_exact_law(monkeypatch):
-    # a Boltzmann density has no exact law: every cell, the root included,
+    # a Boltzmann density has no exact law on a ball: every cell, the root included,
     # runs the hit-and-run chain, and the run still replays from its stream
     from klslab import walks
 
@@ -167,7 +167,7 @@ def test_needle_cells_fall_back_to_the_chain_without_an_exact_law(monkeypatch):
         return chain(*args, **kwargs)
 
     monkeypatch.setattr(walks, "run_chain", counted)
-    dens = Boltzmann(AxisCube(3), alpha=0.5, c=np.eye(3)[1])
+    dens = Boltzmann(Ball(3), alpha=0.5, c=np.eye(3)[1])
     E = HalfspaceSet(np.eye(3)[0], 0.0)
 
     def run():

@@ -183,7 +183,7 @@ def test_init_work_counts(monkeypatch):
     assert len(state.pool.groups) == 8
     # no exact law: tuning plus init_refreshes refreshes
     state, tune, refresh, _ = _count_init_work(
-        monkeypatch, Boltzmann(AxisCube(3), 1.0, np.ones(3)))
+        monkeypatch, Boltzmann(Ball(3), 1.0, np.ones(3)))
     assert state.meta["t0_pool"] == "chain"
     assert 1 <= tune <= 12 and refresh == 8
     # the simplex has a closed-form uniform law; the same halfspaces as a
@@ -299,9 +299,9 @@ def test_refresh_work_counts(monkeypatch):
     assert state.meta["refresh"] == "chain"
     assert steps == [8] * 6
     monkeypatch.undo()
-    # a Boltzmann density has no exact law: one attempt, no proposal
+    # a Boltzmann density has no exact law on a ball: one attempt, no proposal
     state, steps, outcomes, proposals = _count_run_work(
-        monkeypatch, Boltzmann(AxisCube(3), 1.0, np.ones(3)), 6)
+        monkeypatch, Boltzmann(Ball(3), 1.0, np.ones(3)), 6)
     assert state.meta["t0_pool"] == "chain"
     assert outcomes == ["NoExactSampler"] and proposals == [0]
     assert state.meta["refresh"] == "chain"

@@ -14,7 +14,7 @@ from klslab.volume import (DFK_CHAINS, OracleInconsistencyError,
                            gaussian_cooling_volume, lv_annealing_volume,
                            optimize_schedule, ratio_estimator,
                            separation_oracle_for)
-from klslab.walks import exact_sample
+from klslab.walks import exact_sample, run_chain
 
 INV_E = 0.36787944117144233
 
@@ -198,6 +198,43 @@ def test_anneal_optimize_cube_linear_objective():
     assert res.final_bound_gap <= 0.1
     # phase means decrease overall as the rate rises
     assert res.trace[-1]["mean_objective"] < res.trace[0]["mean_objective"]
+
+
+def test_anneal_optimize_without_exact_law_runs_the_plain_chains():
+    # a ball has no Boltzmann law: each phase is the hit-and-run chain of
+    # the chain-only optimizer, on the same stream, bit for bit
+    body, c, eps, k = Ball(4), np.array([0.6, -0.8, 0.0, 0.0]), 0.5, 40
+    res = anneal_optimize(body, c, eps, rng=RngStream(67), k=k)
+    gen = RngStream(67).generator()
+    alphas, _, _ = optimize_schedule(4, body.R, 1.0, eps)
+    x, best_x, best_val = body.x0, body.x0.copy(), float(c @ body.x0)
+    trace = []
+    for j, alpha in enumerate(alphas):
+        X = run_chain(Boltzmann(body, alpha, c), x, k, burn_in=200, thin=2, rng=gen)
+        x = X[-1]
+        vals = X @ c
+        i_best = int(np.argmin(vals))
+        if vals[i_best] < best_val:
+            best_val, best_x = float(vals[i_best]), X[i_best].copy()
+        trace.append({"phase": j, "alpha": float(alpha),
+                      "mean_objective": float(vals.mean()),
+                      "se_objective": float(vals.std(ddof=1) / np.sqrt(k)),
+                      "best_so_far": best_val, "n_samples": k})
+    assert res.best_x.tobytes() == best_x.tobytes()
+    assert res.best_value == best_val and res.trace == trace
+    assert res.meta["n_exact"] == 0
+
+
+def test_anneal_optimize_on_cube_draws_each_phase_exactly():
+    # on [-1, 1]^8 with c = e1, phase alpha draws x_1 from exp(-alpha t) on
+    # [-1, 1], whose mean is 1/alpha - coth(alpha)
+    c = np.eye(8)[0]
+    res = anneal_optimize(AxisCube(8), c, eps=0.1, rng=RngStream(68), k=500)
+    assert res.meta["n_exact"] == res.n_phases == len(res.trace)
+    for row in res.trace:
+        alpha = row["alpha"]
+        truth = 1.0 / alpha - 1.0 / np.tanh(alpha)
+        assert abs(row["mean_objective"] - truth) <= 4.0 * row["se_objective"], row
 
 
 def test_grunbaum_centroid_halfspace_simplex():

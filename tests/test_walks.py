@@ -18,8 +18,9 @@ from klslab.needles import needle_decompose
 from klslab.rng import RngStream
 from klslab.walks import (ChainState, NoExactSampler, WalkError, _ball_point,
                           advance_ensemble, ball_walk_step, default_delta,
-                          exact_sample, hit_and_run_step, metropolis_step,
-                          run_chain, sample_chord_point, warm_start)
+                          _trunc_exp_many, exact_sample, hit_and_run_step,
+                          metropolis_step, run_chain, sample_chord_point,
+                          warm_start)
 
 WALKS = ("ball_walk", "metropolis", "hit_and_run", "coordinate_hit_and_run")
 
@@ -622,6 +623,7 @@ def test_a_spent_exact_budget_is_spent_once(monkeypatch, case):
     Gaussian(ellipsoid(np.diag([1.0 / 36.0, 1.0, 1.0])), a=1.0),
     Gaussian(Ball(3, radius=12.0), a=1.0), Exponential(AxisCube(3, 0.01), 1.0),
     Tilted(Uniform(AxisCube(3)), np.ones(3), 2.0),
+    Boltzmann(AxisCube(3), 1.0, np.array([1.0, -2.0, 0.0])),
     Uniform(RestrictedBody(AxisCube(3), np.eye(3)[:1], [-0.2],
                            np.array([-0.6, 0.0, 0.0]))),
 ], ids=lambda d: f"{d.kind}-{d.body.kind}")
@@ -660,6 +662,57 @@ def test_gaussian_on_cube_in_the_deep_tail_raises():
     dens = Gaussian(AxisCube(2), a=1.0, center=np.array([0.0, -61.0]))
     with pytest.raises(WalkError, match="far tail"):
         exact_sample(dens, 10, RngStream(46).generator())
+
+
+def test_trunc_exp_many_draws_truncated_exponential_coordinates():
+    # slopes rising, falling, flat, steep (slope times half-width 80) and
+    # 1e-300, on an off-center cube of half-width 2.5.  The distance from
+    # a coordinate's heavy end (hi for a positive slope, lo for a negative
+    # one) is truncexpon; a flat or 1e-300 slope is the uniform law, which
+    # truncexpon cannot express (its cdf reads 1 at b = 5e-300)
+    w = 2.5
+    slope = np.array([0.8, -1.3, 0.0, 80.0 / w, 1e-300, -1e-300])
+    center = np.array([0.5, -1.0, 2.0, 0.0, 3.0, -2.0])
+    lo, hi = center - w, center + w
+    m = 20000
+    X = _trunc_exp_many(RngStream(64).generator(), m, slope, lo, hi)
+    assert X.shape == (m, 6) and np.all((lo <= X) & (X <= hi))
+    for i, s in enumerate(slope):
+        dist = hi[i] - X[:, i] if s > 0.0 else X[:, i] - lo[i]
+        if abs(s) * 2.0 * w > 1e-12:
+            beta = abs(s)
+            law = stats.truncexpon(b=2.0 * w * beta, scale=1.0 / beta)
+        else:
+            law = stats.uniform(0.0, 2.0 * w)
+        assert stats.kstest(dist, law.cdf).pvalue > 1e-3, i
+
+
+def _boltzmann_box_moments(slope, lo, hi):
+    """Mean and variance per coordinate of exp(slope_i t) on [lo_i, hi_i].
+
+    With y = (t - mid)/h on [-1, 1] the density is exp(-beta y), beta =
+    -slope h: mean 1/beta - coth(beta), variance 1/beta^2 - 1/sinh^2(beta),
+    and 0, 1/3 at beta = 0."""
+    mid, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    beta = -slope * h
+    safe = np.where(beta == 0.0, 1.0, beta)
+    mean = np.where(beta == 0.0, 0.0, 1.0 / safe - 1.0 / np.tanh(safe))
+    var = np.where(beta == 0.0, 1.0 / 3.0, 1.0 / safe ** 2 - 1.0 / np.sinh(safe) ** 2)
+    return mid + h * mean, h * h * var
+
+
+def test_boltzmann_on_cube_is_one_truncated_exponential_per_coordinate():
+    # exp(-alpha c.x) on [center - w, center + w]^4: coordinate i has mean
+    # center_i + w (1/beta - coth beta), beta = alpha c_i w
+    w, alpha = 1.5, 2.0
+    center = np.array([0.0, 1.0, -0.5, 2.0])
+    c = np.array([1.0, -0.4, 0.0, 3.0])
+    body = AxisCube(4, half_width=w, center=center)
+    m = 40000
+    X = exact_sample(Boltzmann(body, alpha, c), m, RngStream(65).generator())
+    assert X.shape == (m, 4) and np.all(body.contains_many(X))
+    mean, var = _boltzmann_box_moments(-alpha * c, center - w, center + w)
+    assert np.all(np.abs(X.mean(axis=0) - mean) <= 4.0 * np.sqrt(var / m))
 
 
 def _box_cell(base):
@@ -704,6 +757,19 @@ def test_gaussian_on_a_cut_cube_is_the_truncated_normal():
     assert stats.kstest(X[:, 0], law.cdf).pvalue > 1e-3
 
 
+def test_boltzmann_on_a_cut_cube_stays_in_the_cell():
+    # the cube's law conditioned on the box cuts is one truncated
+    # exponential per side of the box [-1, 0.2] x [0.5, 1] x [-1, 1]
+    cell = _box_cell(AxisCube(3))
+    alpha, c = 1.5, np.array([1.0, -2.0, 0.5])
+    m = 20000
+    X = exact_sample(Boltzmann(cell, alpha, c), m, RngStream(66).generator())
+    assert X.shape == (m, 3) and np.all(cell.contains_many(X))
+    mean, var = _boltzmann_box_moments(-alpha * c, np.array([-1.0, 0.5, -1.0]),
+                                       np.array([0.2, 1.0, 1.0]))
+    assert np.all(np.abs(X.mean(axis=0) - mean) <= 4.0 * np.sqrt(var / m))
+
+
 def test_a_thin_cell_spends_its_budget_and_raises():
     # the cell x_0 >= 0.999 holds 1/2000 of the 6-cube: two 256-row
     # batches hold no 64 of its points.  The budget bounds every proposal
@@ -717,7 +783,9 @@ def test_a_thin_cell_spends_its_budget_and_raises():
 
 
 def test_a_density_without_exact_law_on_a_cut_body_has_none():
-    cell = _box_cell(AxisCube(3))
+    # a Boltzmann density has its law on a cube (and so on a cut cube),
+    # but none on a ball
+    cell = _box_cell(Ball(3))
     with pytest.raises(NoExactSampler):
         exact_sample(Boltzmann(cell, 1.0, np.ones(3)), 10, RngStream(52).generator())
 
