@@ -11,7 +11,8 @@ inner-to-outer fractions) and adds the ratios' relative variances.
 Schedules:
   * ball sequence: K_i = (2^{i/n} r B) intersect K, m = ceil(n log2(R/r))
     phases; each ratio lies in [1/2, 1] by construction, so a phase ratio
-    estimate below 0.4 is flagged as a warning.
+    estimate below 0.4 is flagged as a warning.  Each phase is drawn
+    exact first (see dfk_volume).
   * exponential annealing: f_i = exp(-alpha_i |x|) on K with alpha cooled
     by the factor (1 + 1/sqrt(n)) per phase from alpha_0 down to 1/R,
     then one final phase to the uniform density.  alpha_0 is raised above
@@ -26,8 +27,9 @@ per phase until alpha >= n/eps, at which point the sampled mean of c.x
 sits within n/alpha of the minimum.  The multiplicative step is the
 exponential form of the usual (1 + 1/sqrt(n)) so that the reported phase
 count is exactly ceil(sqrt(n) ln(alpha_f/alpha_0)).  Its phases are
-drawn exact first, while the annealed volumes run hit-and-run chains
-(see anneal_optimize).
+drawn exact first, as the ball sequence's are, while the exponential
+and Gaussian annealed volumes run hit-and-run chains (see
+anneal_optimize).
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ from .densities import Uniform, Exponential, Gaussian, Boltzmann
 from .estimates import Estimate
 from .rng import as_generator
 from .walks import (run_chain, exact_sample, exact_or_chain, default_delta,
-                    advance_ensemble, hit_and_run_step, ChainState, WalkError)
+                    advance_ensemble, hit_and_run_step, proposal_batches,
+                    ChainState, WalkError)
 
 TRUNCATION_TOL = 1e-6
 REL_VARIANCE_ABORT = 10.0
@@ -132,18 +135,32 @@ def ball_schedule(body) -> AnnealSchedule:
 
 
 def dfk_volume(body, rng, k=1000) -> VolumeResult:
-    """Volume by the ball sequence: sample each K_i uniformly with the
-    ball walk and count the fraction landing in K_{i-1}.
+    """Volume by the ball sequence: draw k uniform points of each K_i and
+    count the fraction landing in K_{i-1}.
 
-    K = min(k, DFK_CHAINS) chains walk in lockstep (walks.advance_ensemble).
-    They start from K exact draws in K_1 and carry their states from each
-    phase into the next.  In every phase each chain first takes 50 n ball
-    walk steps of size default_delta(n), then ceil(k / K) samples n steps
-    apart; the first k samples give the phase ratio.
+    Every phase is exact first: one exact_sample call draws the k points
+    of Uniform(K_i), from the uniform law of K or of the ball, whichever
+    has the smaller volume, masked by the other's membership (a base
+    without a closed-form law is drawn from its bounding ball).  The
+    phase ratio is the hit fraction q and its standard error the
+    binomial sqrt(q (1 - q) / k), and fresh draws make the phases
+    independent.
 
-    A phase's standard error is taken across the chains: the K chains,
-    not the k correlated samples, are the independent units
-    (_across_chain_se).
+    The call's budget is the work of the chains it replaces, one
+    proposal per ball-walk step (walks.proposal_batches).  When it runs
+    out, the phase falls back to K = min(k, DFK_CHAINS) chains in
+    lockstep (walks.advance_ensemble), started from the last K rows of
+    the previous phase's points, which lie in K_{i-1} inside K_i, or
+    from K exact draws in K_1 in the first phase; later fallbacks carry
+    the chain states on.  Each chain takes 50 n ball-walk steps of size
+    default_delta(n), then ceil(k / K) samples n steps apart; the first
+    k samples give the ratio, and its standard error is taken across
+    the chains (_across_chain_se), the independent units.
+
+    Each phase record carries "exact" and the ball walk's "acceptance"
+    rate, which is NaN on an exact phase (no walk step is taken); the
+    phases stay out of to_json_dict, whose meta holds k, the fallback
+    ensemble size "chains" and "n_exact", the count of exact phases.
     """
     sched = ball_schedule(body)
     radii = sched.params
@@ -155,34 +172,50 @@ def dfk_volume(body, rng, k=1000) -> VolumeResult:
     delta = default_delta(n)
     chains = min(int(k), DFK_CHAINS)
     per_chain = -(-int(k) // chains)
+    max_batches = proposal_batches(chains * (burn_in + per_chain * thin), k)
     phases = []
     X = None
+    n_exact = 0
     for i in range(1, len(radii)):
         density_i = Uniform(BallIntersection(body, radii[i], x0))
-        if X is None:
-            # exact start: K_1 fills at least half of its bounding ball
-            X = exact_sample(density_i, chains, rng)
-        logf = density_i.log_density_many(X)
-        accepted = burn_in * advance_ensemble(density_i, X, logf, burn_in,
-                                              delta, rng)
-        samples = np.empty((per_chain, chains, n))
-        for j in range(per_chain):
-            accepted += thin * advance_ensemble(density_i, X, logf, thin, delta, rng)
-            samples[j] = X
-        samples = samples.reshape(-1, n)[:k]
+        try:
+            samples = exact_sample(density_i, k, rng, max_batches=max_batches)
+        except WalkError:
+            samples = None
+        exact = samples is not None
+        if not exact:
+            if X is None:
+                # exact start: K_1 fills at least half of its bounding ball
+                X = exact_sample(density_i, chains, rng)
+            logf = density_i.log_density_many(X)
+            accepted = burn_in * advance_ensemble(density_i, X, logf, burn_in,
+                                                  delta, rng)
+            samples = np.empty((per_chain, chains, n))
+            for j in range(per_chain):
+                accepted += thin * advance_ensemble(density_i, X, logf, thin, delta, rng)
+                samples[j] = X
+            samples = samples.reshape(-1, n)[:k]
         hit = np.linalg.norm(samples - x0, axis=1) <= radii[i - 1]
         q = float(np.mean(hit))
+        if exact:
+            se = float(np.sqrt(q * (1.0 - q) / k))
+            acceptance = float("nan")
+            X = samples[-chains:]
+            n_exact += 1
+        else:
+            se = _across_chain_se(hit, q, chains)
+            acceptance = accepted / (burn_in + per_chain * thin)
         if q <= 0.0:
             raise VolumePhaseError(i, float("inf"))
         if q < 0.4:
             warnings.warn(f"phase {i}: ratio {q:.3f} below 0.4; the nesting "
                           "property looks violated empirically")
         phases.append({"phase": i, "param": float(radii[i]), "ratio": q,
-                       "se": _across_chain_se(hit, q, chains),
-                       "acceptance": accepted / (burn_in + per_chain * thin),
-                       "n_samples": k})
+                       "se": se, "acceptance": acceptance, "n_samples": k,
+                       "exact": exact})
     return _telescope(sched, phases, -1, "ball_sequence",
-                      {"factor": sched.factor, "k": k, "chains": chains})
+                      {"factor": sched.factor, "k": k, "chains": chains,
+                       "n_exact": n_exact})
 
 
 def _across_chain_se(hit, q, chains):
@@ -264,7 +297,12 @@ def gaussian_cooling_schedule(body) -> AnnealSchedule:
 
 def _telescope(schedule, phases, sign, method, meta) -> VolumeResult:
     """exp(log_start) times each phase ratio raised to sign, with the
-    delta-method standard error: the relative variances of the ratios add."""
+    delta-method standard error: the relative variances of the ratios add.
+
+    The sum is the log variance when the phase estimates are independent,
+    as fresh exact draws make them.  Phases estimated on chains that carry
+    their states from one phase into the next (lv and cooling, and dfk's
+    fallback phases) may covary, which the sum ignores."""
     log_v = schedule.log_start
     var_log = 0.0
     for phase in phases:

@@ -15,7 +15,10 @@ exponentials.  The uniform law and the volume belong to the body
 simplex and their affine images, ellipsoids included.  A Gaussian on
 one of those bodies is drawn by rejection from whichever of two
 envelopes, its unrestricted law or the body's uniform law, accepts
-more.  A density on a
+more.  Uniform on such a body cut by a ball (a BallIntersection, the
+dfk phase body) is drawn the same way, from the uniform law of the
+body or of the ball, whichever has the smaller volume, masked by the
+other's membership.  A density on a
 RestrictedBody (a base body cut by halfspaces, such as a needle cell)
 has the law of the same density on the base, conditioned on the cuts:
 its base's exact law, with the cuts as the accept mask.  What stays here
@@ -31,9 +34,9 @@ so with a uniform target they produce the same trajectory from the same
 stream; the tests pin that equivalence down.
 
 advance_ensemble is the one batched stepper: Metropolis ball-walk steps
-on K chains in lockstep, stored as the rows of a (K, n) array.  The dfk
-volume phases run on it, and so does the sloc ensemble wherever its
-tilted density has no exact law.
+on K chains in lockstep, stored as the rows of a (K, n) array.  A dfk
+volume phase whose exact budget runs out falls back to it, and the sloc
+ensemble runs on it wherever its tilted density has no exact law.
 
 Hit-and-run resamples the target restricted to a random chord, and the
 1-D restriction is always drawn exactly.  When it is truncated Gaussian,
@@ -55,7 +58,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .densities import Density, Uniform, Gaussian, Exponential, Boltzmann, Tilted
-from .bodies import AxisCube, Ball, RestrictedBody, ball_cloud
+from .bodies import AxisCube, Ball, BallIntersection, RestrictedBody, ball_cloud
 from .rng import as_generator
 
 _DEGENERATE_CHORD = 1e-13
@@ -505,8 +508,11 @@ def exact_sample(density, count, rng, max_batches=10000):
     Boltzmann density exp(-alpha c.x) one truncated exponential of slope
     -alpha c_i per coordinate.
     Everything else is exact rejection, at most max_batches batches of
-    max(count, 256) proposals: uniform on a general body from its
-    bounding ball, exponential from its unrestricted law, and a Gaussian
+    max(count, 256) proposals: uniform on a body with a closed-form law
+    cut by a ball (BallIntersection) from whichever of the two has the
+    smaller log_volume(), masked by the other's membership
+    (_intersection_law), uniform on any other body from its bounding
+    ball, exponential from its unrestricted law, and a Gaussian
     from whichever of two envelopes accepts more, its unrestricted law or
     the body's uniform law, as body.log_volume() decides
     (_uniform_envelope).  On a RestrictedBody the proposals are the exact
@@ -554,6 +560,10 @@ def _exact_law(density, rng):
         draw = body.uniform_law(rng)
         if draw is not None:
             return draw, None
+        if isinstance(body, BallIntersection):
+            law = _intersection_law(body, rng)
+            if law is not None:
+                return law
         return (lambda m: ball_cloud(rng, m, n, body.x0, body.R)), body.contains_many
     if isinstance(density, Gaussian):
         if density.a <= 0:
@@ -586,6 +596,24 @@ def _exact_law(density, rng):
         slope = -density.alpha * density.c
         return (lambda m: _trunc_exp_many(rng, m, slope, lo, hi)), None
     raise NoExactSampler(f"no exact sampler for density kind {density.kind!r}")
+
+
+def _intersection_law(body, rng):
+    """(propose, accept) for the uniform law on a base body cut by a ball,
+    or None when the base has no closed-form uniform law.
+
+    Both the base and the ball own a uniform law, and either one, masked
+    by the other's membership, draws the intersection exactly.  The one
+    with the smaller log_volume() is proposed from, so the accept rate
+    vol(base & ball) / min(vol(base), vol(ball)) is the larger of the
+    two: the rule _uniform_envelope applies to the Gaussian.
+    """
+    draw = body.base.uniform_law(rng)
+    if draw is None:
+        return None
+    if body.base.log_volume() <= body.ball.log_volume():
+        return draw, body.ball.contains_many
+    return body.ball.uniform_law(rng), body.base.contains_many
 
 
 def _uniform_envelope(density, rng):
@@ -658,6 +686,13 @@ def _rejection(propose, accept_mask, count, max_batches):
     return np.concatenate(out, axis=0)[:count]
 
 
+def proposal_batches(proposals, count):
+    """The max_batches of an exact_sample call for count rows that may
+    spend `proposals` proposals: the whole batches of max(count, 256)
+    rows that cover them."""
+    return -(-proposals // max(count, _REJECT_BATCH))
+
+
 def exact_or_chain(density, k, rng, x0=None, burn_in=0, thin=1,
                    proposals_per_step=1):
     """(k draws of the density, whether they are exact).
@@ -675,7 +710,7 @@ def exact_or_chain(density, k, rng, x0=None, burn_in=0, thin=1,
     if x0 is None:
         warm_up = 100 * density.n ** 2
         x0, burn_in, budget = density.body.x0, warm_up + burn_in, warm_up + budget
-    max_batches = -(-budget // max(k, _REJECT_BATCH))
+    max_batches = proposal_batches(budget, k)
     try:
         return exact_sample(density, k, rng, max_batches=max_batches), True
     except (NoExactSampler, WalkError):

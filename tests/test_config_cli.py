@@ -366,13 +366,30 @@ def test_volume_run_writes_artifacts_with_metadata(tmp_path, capsys):
     assert lines[1] == f"# config_hash={cfg.config_hash()}"
     assert lines[2] == "# seed=7"
     assert lines[3].split(",") == ["phase", "param", "ratio", "se",
-                                   "acceptance", "n_samples"]
+                                   "acceptance", "n_samples", "exact"]
 
     payload = json.loads((out / "volume_seed7.json").read_text())
     assert payload["meta"] == {"version": __version__,
                                "config_hash": cfg.config_hash(), "seed": 7}
     assert payload["volume"]["value"] == pytest.approx(4 / 3 * np.pi, rel=1e-9)
     assert payload["volume"]["n_phases"] == 0
+    assert payload["volume"]["meta"]["n_exact"] == 0
+
+
+def test_dfk_csv_marks_its_exact_phases(tmp_path):
+    # an exact phase takes no ball-walk step: its acceptance is nan in the
+    # CSV, and the JSON counts the exact phases without writing any nan
+    cfg_file = tmp_path / "v.cfg"
+    cfg_file.write_text(RERUN_CFGS["volume-dfk"])
+    out = tmp_path / "out"
+    assert cli.main(["volume", "--config", str(cfg_file), "--out", str(out)]) == 0
+    lines = (out / "volume_seed0.csv").read_text().splitlines()
+    header, rows = lines[3].split(","), [ln.split(",") for ln in lines[4:]]
+    assert rows and all(row[header.index("exact")] == "true"
+                        and row[header.index("acceptance")] == "nan" for row in rows)
+    volume = json.loads((out / "volume_seed0.json").read_text(),
+                        parse_constant=_no_constant)["volume"]
+    assert volume["meta"]["n_exact"] == volume["n_phases"] == len(rows)
 
 
 def test_sample_chain_run_row_count_and_roundtrip(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from conftest import ellipsoid
 from scipy.special import gammainccinv
 
-from klslab.bodies import AxisCube, Ball, RestrictedBody, simplex
+from klslab.bodies import AxisCube, Ball, Polytope, RestrictedBody, simplex
 from klslab.densities import Boltzmann, Exponential, Uniform
 from klslab.rng import RngStream
 from klslab.volume import (DFK_CHAINS, OracleInconsistencyError,
@@ -97,9 +97,9 @@ def test_dfk_volume_square():
 
 
 def test_dfk_cube3_unbiased_over_seeds():
-    # 64 lockstep chains per phase; the log error averages out to 0, and
-    # the across-chain se covers it: z = ln(V / 8) / (se / V) has sd near 1
-    # (1.56 when the se treated every sample as independent)
+    # every phase is one exact draw of k points; the log error averages
+    # out to 0, and the binomial se covers it: z = ln(V / 8) / (se / V)
+    # has sd near 1.  meta["chains"] is the fallback ensemble's size
     errs, zs = [], []
     for seed in range(24):
         res = dfk_volume(AxisCube(3), RngStream(100 + seed), k=2000)
@@ -110,6 +110,48 @@ def test_dfk_cube3_unbiased_over_seeds():
     se = errs.std(ddof=1) / np.sqrt(errs.size)
     assert abs(errs.mean()) <= 3 * se
     assert np.std(zs, ddof=1) <= 1.35
+
+
+def test_dfk_cube4_exact_phases_unbiased_over_seeds():
+    # the cube's law or the ball's, whichever is smaller, draws every
+    # phase within the budget of the chains it replaces; the phases are
+    # independent, so the summed relative variances are the log variance
+    errs, zs = [], []
+    for seed in range(30):
+        res = dfk_volume(AxisCube(4), RngStream(600 + seed), k=4000)
+        assert res.meta["n_exact"] == res.n_phases == 4
+        assert all(row["exact"] and np.isnan(row["acceptance"])
+                   for row in res.phases)
+        errs.append(np.log(res.value / 16.0))
+        zs.append(errs[-1] / (res.std_error / res.value))
+    errs = np.array(errs)
+    se = errs.std(ddof=1) / np.sqrt(errs.size)
+    assert abs(errs.mean()) <= 3 * se
+    assert np.std(zs, ddof=1) <= 1.35
+
+
+def _cube_polytope(n):
+    """[-1, 1]^n as a plain Polytope, which has no closed-form uniform
+    law: its ball-sequence phases propose from their bounding balls."""
+    A = np.vstack([np.eye(n), -np.eye(n)])
+    return Polytope(A, np.ones(2 * n), 1.0, np.sqrt(n), np.zeros(n))
+
+
+def test_dfk_falls_back_to_chains_when_the_budget_runs_out():
+    # the outer phases (r = 2.59 and 2.83) keep 1.5-3% of their bounding
+    # ball's proposals, below the 2,000 in 42,000 the budget allows: they
+    # run the lockstep chains from the last exact draw's points
+    res = dfk_volume(_cube_polytope(8), RngStream(9), k=2000)
+    exact = [row["exact"] for row in res.phases]
+    assert 0 < res.meta["n_exact"] == sum(exact) < res.n_phases
+    assert exact == sorted(exact, reverse=True) and exact[0]
+    for row in res.phases:
+        assert np.isnan(row["acceptance"]) == row["exact"]
+        assert row["exact"] or 0.0 < row["acceptance"] < 1.0
+    assert res.meta["chains"] == DFK_CHAINS
+    assert res.value == pytest.approx(256.0, abs=4 * res.std_error)
+    again = dfk_volume(_cube_polytope(8), RngStream(9), k=2000)
+    assert again.value == res.value and again.std_error == res.std_error
 
 
 def test_across_chain_se_weights_the_short_chains():

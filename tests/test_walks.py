@@ -7,8 +7,8 @@ from conftest import ellipsoid, plain_polytope, simplex_moments
 from scipy import integrate, stats
 
 from klslab import walks
-from klslab.bodies import (AxisCube, Ball, Polytope, RestrictedBody, TransformedBody,
-                           simplex, transform_body)
+from klslab.bodies import (AxisCube, Ball, BallIntersection, Polytope, RestrictedBody,
+                           TransformedBody, simplex, transform_body)
 from klslab.densities import (Boltzmann, Exponential, Gaussian, Tilted,
                                Uniform)
 from klslab.diagnostics import HalfspaceSet
@@ -491,6 +491,53 @@ def test_gaussian_on_a_wide_ball_keeps_gaussian_proposals():
     assert X.tobytes() == P[body.contains_many(P)][:3000].tobytes()
 
 
+@pytest.mark.parametrize("rho", [1.05, 1.3])
+def test_uniform_on_square_and_disc_proposes_from_the_smaller(rho, monkeypatch):
+    # [-1, 1]^2 cut by the disc of radius rho: at 1.05 the disc (area
+    # 3.46) is the envelope, at 1.3 the square (area 4 < 5.31); the
+    # envelope's own membership is never tested.  The unit disc lies in
+    # both, so the share of draws in it is pi over the area of the
+    # intersection, the disc less its four segments beyond the sides
+    body = BallIntersection(AxisCube(2), rho)
+    envelope = body.ball if math.pi * rho ** 2 < 4.0 else body.base
+
+    def no_membership(X):
+        raise AssertionError("the larger body was proposed from")
+
+    monkeypatch.setattr(envelope, "contains_many", no_membership)
+    m = 20000
+    X = exact_sample(Uniform(body), m, RngStream(28).generator())
+    monkeypatch.undo()
+    assert body.ball.contains_many(X).all() and body.base.contains_many(X).all()
+    segment = rho ** 2 * math.acos(1.0 / rho) - math.sqrt(rho ** 2 - 1.0)
+    p = math.pi / (math.pi * rho ** 2 - 4.0 * segment)
+    share = np.mean(np.einsum("ij,ij->i", X, X) <= 1.0)
+    assert abs(share - p) <= 4.0 * math.sqrt(p * (1.0 - p) / m)
+
+
+def test_uniform_on_a_ball_inside_a_cube_is_the_ball_law():
+    # B(0, 0.9) lies in [-1, 1]^4, so P(|x| <= r) = (r / 0.9)^4
+    body = BallIntersection(AxisCube(4), 0.9)
+    X = exact_sample(Uniform(body), 5000, RngStream(29).generator())
+    radii = np.linalg.norm(X, axis=1)
+    cdf = lambda r: (np.clip(r, 0.0, 0.9) / 0.9) ** 4
+    assert stats.kstest(radii, cdf).statistic < 0.025
+
+
+def test_gaussian_on_a_ball_intersection_keeps_gaussian_proposals():
+    # the intersection owns no uniform law, so a Gaussian on it is drawn
+    # from its unrestricted law however small the body: sloc's truncated
+    # supports rely on that
+    body = BallIntersection(AxisCube(3), 1.2)
+    X = exact_sample(Gaussian(body, 1.0), 3000, RngStream(30).generator())
+    gen = RngStream(30).generator()
+    kept = []
+    while sum(len(K) for K in kept) < 3000:
+        P = gen.standard_normal((3000, 3))
+        kept.append(P[body.contains_many(P)])
+    assert X.tobytes() == np.concatenate(kept)[:3000].tobytes()
+
+
 def test_warm_start_inside_support():
     for n in (2, 8):
         dens = Uniform(AxisCube(n))
@@ -626,6 +673,7 @@ def test_a_spent_exact_budget_is_spent_once(monkeypatch, case):
     Boltzmann(AxisCube(3), 1.0, np.array([1.0, -2.0, 0.0])),
     Uniform(RestrictedBody(AxisCube(3), np.eye(3)[:1], [-0.2],
                            np.array([-0.6, 0.0, 0.0]))),
+    Uniform(BallIntersection(AxisCube(3), 1.5)),
 ], ids=lambda d: f"{d.kind}-{d.body.kind}")
 def test_exact_sample_of_no_rows_draws_nothing(dens):
     gen = RngStream(63).generator()
