@@ -26,10 +26,10 @@ Optimization anneals exp(-alpha c.x) with alpha rising by e^{1/sqrt(n)}
 per phase until alpha >= n/eps, at which point the sampled mean of c.x
 sits within n/alpha of the minimum.  The multiplicative step is the
 exponential form of the usual (1 + 1/sqrt(n)) so that the reported phase
-count is exactly ceil(sqrt(n) ln(alpha_f/alpha_0)).  Its phases are
-drawn exact first, as the ball sequence's are, while the exponential
-and Gaussian annealed volumes run hit-and-run chains (see
-anneal_optimize).
+count is exactly ceil(sqrt(n) ln(alpha_f/alpha_0)).  Every method
+draws its phases through one driver, _anneal: optimization and the ball
+sequence exact first, the exponential and Gaussian annealed volumes on
+hit-and-run chains (see _annealed_volume).
 """
 
 from __future__ import annotations
@@ -45,14 +45,11 @@ from .bodies import (Ball, BallIntersection, BodyError, Polytope,
 from .densities import Uniform, Exponential, Gaussian, Boltzmann
 from .estimates import Estimate
 from .rng import as_generator
-from .walks import (run_chain, exact_sample, exact_or_chain, default_delta,
-                    advance_ensemble, hit_and_run_step, proposal_batches,
-                    ChainState, WalkError)
+from .walks import (run_chain, exact_or_chain, hit_and_run_step, ChainState,
+                    WalkError)
 
 TRUNCATION_TOL = 1e-6
 REL_VARIANCE_ABORT = 10.0
-# lockstep chains per dfk phase
-DFK_CHAINS = 64
 
 
 class VolumePhaseError(RuntimeError):
@@ -138,73 +135,36 @@ def dfk_volume(body, rng, k=1000) -> VolumeResult:
     """Volume by the ball sequence: draw k uniform points of each K_i and
     count the fraction landing in K_{i-1}.
 
-    Every phase is exact first: one exact_sample call draws the k points
-    of Uniform(K_i), from the uniform law of K or of the ball, whichever
-    has the smaller volume, masked by the other's membership (a base
-    without a closed-form law is drawn from its bounding ball).  The
-    phase ratio is the hit fraction q and its standard error the
-    binomial sqrt(q (1 - q) / k), and fresh draws make the phases
-    independent.
+    Every phase is exact first (_anneal): Uniform(K_i) is drawn from the
+    uniform law of K or of the ball, whichever has the smaller volume,
+    masked by the other's membership (a base without a closed-form law
+    is drawn from its bounding ball).  The phase ratio is the hit
+    fraction q, with the binomial standard error sqrt(q (1 - q) / k),
+    and fresh draws make the phases independent.  A phase whose exact
+    budget runs out is a hit-and-run chain from the previous phase's
+    last point, which lies in K_{i-1} inside K_i, with n steps between
+    samples; its standard error is the batch-means one (_batch_means_se).
 
-    The call's budget is the work of the chains it replaces, one
-    proposal per ball-walk step (walks.proposal_batches).  When it runs
-    out, the phase falls back to K = min(k, DFK_CHAINS) chains in
-    lockstep (walks.advance_ensemble), started from the last K rows of
-    the previous phase's points, which lie in K_{i-1} inside K_i, or
-    from K exact draws in K_1 in the first phase; later fallbacks carry
-    the chain states on.  Each chain takes 50 n ball-walk steps of size
-    default_delta(n), then ceil(k / K) samples n steps apart; the first
-    k samples give the ratio, and its standard error is taken across
-    the chains (_across_chain_se), the independent units.
-
-    Each phase record carries "exact" and the ball walk's "acceptance"
-    rate, which is NaN on an exact phase (no walk step is taken); the
-    phases stay out of to_json_dict, whose meta holds k, the fallback
-    ensemble size "chains" and "n_exact", the count of exact phases.
+    Each phase record carries "exact" and the walk's "acceptance" rate:
+    NaN on an exact phase, 1.0 on a chain phase (hit-and-run moves on
+    every step).  The phases stay out of to_json_dict, whose meta holds
+    k and "n_exact", the count of exact phases.
     """
     sched = ball_schedule(body)
     radii = sched.params
-    n = body.n
-    rng = as_generator(rng)
     x0 = body.x0
-    thin = n
-    burn_in = 50 * n
-    delta = default_delta(n)
-    chains = min(int(k), DFK_CHAINS)
-    per_chain = -(-int(k) // chains)
-    max_batches = proposal_batches(chains * (burn_in + per_chain * thin), k)
+    densities = [Uniform(BallIntersection(body, r, x0)) for r in radii[1:]]
     phases = []
-    X = None
-    n_exact = 0
-    for i in range(1, len(radii)):
-        density_i = Uniform(BallIntersection(body, radii[i], x0))
-        try:
-            samples = exact_sample(density_i, k, rng, max_batches=max_batches)
-        except WalkError:
-            samples = None
-        exact = samples is not None
-        if not exact:
-            if X is None:
-                # exact start: K_1 fills at least half of its bounding ball
-                X = exact_sample(density_i, chains, rng)
-            logf = density_i.log_density_many(X)
-            accepted = burn_in * advance_ensemble(density_i, X, logf, burn_in,
-                                                  delta, rng)
-            samples = np.empty((per_chain, chains, n))
-            for j in range(per_chain):
-                accepted += thin * advance_ensemble(density_i, X, logf, thin, delta, rng)
-                samples[j] = X
-            samples = samples.reshape(-1, n)[:k]
-        hit = np.linalg.norm(samples - x0, axis=1) <= radii[i - 1]
+    draws = _anneal(densities, k, rng, x0, body.n, exact_first=True)
+    for i, (X, exact) in enumerate(draws, start=1):
+        hit = np.linalg.norm(X - x0, axis=1) <= radii[i - 1]
         q = float(np.mean(hit))
         if exact:
             se = float(np.sqrt(q * (1.0 - q) / k))
             acceptance = float("nan")
-            X = samples[-chains:]
-            n_exact += 1
         else:
-            se = _across_chain_se(hit, q, chains)
-            acceptance = accepted / (burn_in + per_chain * thin)
+            se = _batch_means_se(hit, q, int(np.sqrt(k)))
+            acceptance = 1.0
         if q <= 0.0:
             raise VolumePhaseError(i, float("inf"))
         if q < 0.4:
@@ -214,24 +174,24 @@ def dfk_volume(body, rng, k=1000) -> VolumeResult:
                        "se": se, "acceptance": acceptance, "n_samples": k,
                        "exact": exact})
     return _telescope(sched, phases, -1, "ball_sequence",
-                      {"factor": sched.factor, "k": k, "chains": chains,
-                       "n_exact": n_exact})
+                      {"factor": sched.factor, "k": k,
+                       "n_exact": sum(p["exact"] for p in phases)})
 
 
-def _across_chain_se(hit, q, chains):
-    """Standard error of the hit fraction q = mean(hit) over chains.
+def _batch_means_se(hit, q, batches):
+    """Batch-means standard error of the hit fraction q = mean(hit) of a
+    chain (Flegal and Jones 2010).
 
-    Sample t came from chain t % chains, so the [:k] cut leaves some chains
-    one sample short.  With H_c and k_c chain c's hits and samples, the
-    chains' totals are the independent units: se^2 = K/(K-1) sum_c
-    (H_c - q k_c)^2 / k^2, the spread of the per-chain fractions weighted
-    by k_c.  A single chain (k = 1, so q is 0 or 1) gets se 0, as the
-    binomial form would give.
+    The samples are cut into `batches` contiguous batches whose sizes
+    differ by at most one.  With H_b and k_b batch b's hits and samples,
+    the batch totals are the nearly independent units: se^2 = B/(B-1)
+    sum_b (H_b - q k_b)^2 / k^2, the spread of the batch fractions
+    weighted by k_b.  A single batch gets se 0.
     """
-    chain = np.arange(hit.size) % chains
-    resid = (np.bincount(chain, weights=hit, minlength=chains)
-             - q * np.bincount(chain, minlength=chains))
-    scale = chains / max(chains - 1, 1)
+    batch = np.arange(hit.size) * batches // hit.size
+    resid = (np.bincount(batch, weights=hit, minlength=batches)
+             - q * np.bincount(batch, minlength=batches))
+    scale = batches / max(batches - 1, 1)
     return float(np.sqrt(scale * np.sum(resid * resid)) / hit.size)
 
 
@@ -300,9 +260,9 @@ def _telescope(schedule, phases, sign, method, meta) -> VolumeResult:
     delta-method standard error: the relative variances of the ratios add.
 
     The sum is the log variance when the phase estimates are independent,
-    as fresh exact draws make them.  Phases estimated on chains that carry
-    their states from one phase into the next (lv and cooling, and dfk's
-    fallback phases) may covary, which the sum ignores."""
+    as fresh exact draws make them.  Phases estimated on chains that start
+    where the previous phase ended (lv and cooling, and dfk's chain
+    phases) may covary, which the sum ignores."""
     log_v = schedule.log_start
     var_log = 0.0
     for phase in phases:
@@ -313,28 +273,42 @@ def _telescope(schedule, phases, sign, method, meta) -> VolumeResult:
                         len(phases), method, phases, meta=meta)
 
 
-def _phase_chains(densities, x_start, k, thin, rng):
-    """Yield k hit-and-run states of each density in turn, after a burn-in
-    of 50 n steps; each chain starts where the previous one ended."""
+def _anneal(densities, k, rng, x_start, thin, exact_first):
+    """The one annealing driver: yield (X, exact), k draws of each density
+    in turn and whether they are exact.  With exact_first a phase is one
+    walks.exact_or_chain call, else the hit-and-run chain that call falls
+    back to: 50 n burn-in steps from x_start, then k samples thin steps
+    apart.  Each phase starts at the previous phase's last draw."""
     rng = as_generator(rng)
     for density in densities:
-        X = run_chain(density, x_start, k, burn_in=50 * density.n, thin=thin,
-                      rng=rng)
+        burn_in = 50 * density.n
+        if exact_first:
+            X, exact = exact_or_chain(density, k, rng, x0=x_start,
+                                      burn_in=burn_in, thin=thin)
+        else:
+            X, exact = run_chain(density, x_start, k, burn_in=burn_in,
+                                 thin=thin, rng=rng), False
         x_start = X[-1]
-        yield X
+        yield X, exact
 
 
 def _annealed_volume(body, rng, schedule, make_density, k, thin, method):
-    """Common driver: telescope E[f_{i+1}/f_i] along the schedule, then a
-    final phase from the last annealed density to the uniform one."""
+    """lv and Gaussian cooling: telescope E[f_{i+1}/f_i] along the
+    schedule, then a final phase from the last annealed density to the
+    uniform one.  The phases stay on hit-and-run chains: lv's phase-0
+    ratio y = e^{(alpha_0 - alpha_1)|x|} has a heavy tail (no finite
+    fourth moment without the body's truncation), so the sample relative
+    variance of exact draws crosses REL_VARIANCE_ABORT on some seeds
+    where the chains' does not."""
     centered = _centered(body)
     n = centered.n
     thin = max(1, n // 2) if thin is None else int(thin)
     densities = [make_density(centered, p) for p in schedule.params]
     densities.append(Uniform(centered))
     phases = []
-    chains = _phase_chains(densities[:-1], np.zeros(n), k, thin, rng)
-    for i, X in enumerate(chains):
+    draws = _anneal(densities[:-1], k, rng, np.zeros(n), thin,
+                    exact_first=False)
+    for i, (X, _) in enumerate(draws):
         est = ratio_estimator(X, densities[i + 1], densities[i])
         rel_var = (est.std_error * np.sqrt(k) / est.value) ** 2 if est.value > 0 else float("inf")
         if rel_var > REL_VARIANCE_ABORT:
@@ -398,31 +372,25 @@ def anneal_optimize(body, c, eps, rng, k=500, alpha0=None) -> OptimizeResult:
     phase statistics, and the full value trace; meta["n_exact"] counts
     the phases drawn exactly.
 
-    Each phase is exact first: one walks.exact_or_chain call draws k
-    points of exp(-alpha c.x), exactly where the body has that law (an
-    axis cube, or a cube cut by halfspaces), else by a hit-and-run chain
-    from where the previous phase ended, 50 n burn-in steps and then
-    max(1, n // 2) steps between samples.  A body without the law raises
-    NoExactSampler before any draw, so its chains see the same stream
-    as a chain-only run.  The annealed volumes stay on chains
-    (_phase_chains): lv's phase-0 ratio y = e^{(alpha_0 - alpha_1)|x|}
-    has a heavy tail (no finite fourth moment without the body's
-    truncation), so the sample relative variance of exact draws crosses
-    REL_VARIANCE_ABORT on some seeds where the chains' does not.
+    Each phase is exact first (_anneal): k points of exp(-alpha c.x),
+    drawn exactly where the body has that law (an axis cube, or a cube
+    cut by halfspaces), else by a hit-and-run chain from where the
+    previous phase ended, 50 n burn-in steps and then max(1, n // 2)
+    steps between samples.  A body without the law raises NoExactSampler
+    before any draw, so its chains see the same stream as a chain-only
+    run.
     """
     c = np.asarray(c, dtype=float).reshape(body.n)
     n = body.n
-    rng = as_generator(rng)
     alphas, a0, a_f = optimize_schedule(n, body.R, float(np.linalg.norm(c)),
                                         eps, alpha0)
     best_x, best_val = body.x0.copy(), float(c @ body.x0)
     trace = []
-    x_start = body.x0
     n_exact = 0
-    for j, alpha in enumerate(alphas):
-        X, exact = exact_or_chain(Boltzmann(body, alpha, c), k, rng, x0=x_start,
-                                  burn_in=50 * n, thin=max(1, n // 2))
-        x_start = X[-1]
+    densities = [Boltzmann(body, alpha, c) for alpha in alphas]
+    draws = _anneal(densities, k, rng, body.x0, max(1, n // 2),
+                    exact_first=True)
+    for j, (alpha, (X, exact)) in enumerate(zip(alphas, draws)):
         n_exact += exact
         vals = X @ c
         i_best = int(np.argmin(vals))

@@ -34,8 +34,7 @@ so with a uniform target they produce the same trajectory from the same
 stream; the tests pin that equivalence down.
 
 advance_ensemble is the one batched stepper: Metropolis ball-walk steps
-on K chains in lockstep, stored as the rows of a (K, n) array.  A dfk
-volume phase whose exact budget runs out falls back to it, and the sloc
+on K chains in lockstep, stored as the rows of a (K, n) array.  The sloc
 ensemble runs on it wherever its tilted density has no exact law.
 
 Hit-and-run resamples the target restricted to a random chord, and the
@@ -686,31 +685,26 @@ def _rejection(propose, accept_mask, count, max_batches):
     return np.concatenate(out, axis=0)[:count]
 
 
-def proposal_batches(proposals, count):
-    """The max_batches of an exact_sample call for count rows that may
-    spend `proposals` proposals: the whole batches of max(count, 256)
-    rows that cover them."""
-    return -(-proposals // max(count, _REJECT_BATCH))
-
-
 def exact_or_chain(density, k, rng, x0=None, burn_in=0, thin=1,
                    proposals_per_step=1):
     """(k draws of the density, whether they are exact).
 
     One exact_sample call, whose budget is proposals_per_step proposals
     per step of the hit-and-run chain it replaces, rounded up to whole
-    batches.  When the density has no exact law or the budget runs out,
-    that chain runs: from x0, burn_in steps, then k samples thin steps
-    apart.  x0 = None starts it at the body's interior point after
-    warm_start's 100 n^2 step warm-up, which adds one proposal per
-    warm-up step to the budget, so no draw spends an exact budget twice.
+    batches of max(k, 256) proposals.  When the density has no exact law
+    or the budget runs out, that chain runs: from x0, burn_in steps, then
+    k samples thin steps apart.  x0 = None starts it at the body's
+    interior point after warm_start's 100 n^2 step warm-up, which adds
+    one proposal per warm-up step to the budget, so no draw spends an
+    exact budget twice.  Every exact-first phase of volume's annealing
+    driver is one such call.
     """
     rng = as_generator(rng)
     budget = proposals_per_step * (burn_in + k * thin)
     if x0 is None:
         warm_up = 100 * density.n ** 2
         x0, burn_in, budget = density.body.x0, warm_up + burn_in, warm_up + budget
-    max_batches = proposal_batches(budget, k)
+    max_batches = -(-budget // max(k, _REJECT_BATCH))
     try:
         return exact_sample(density, k, rng, max_batches=max_batches), True
     except (NoExactSampler, WalkError):

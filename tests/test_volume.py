@@ -6,8 +6,7 @@ from scipy.special import gammainccinv
 from klslab.bodies import AxisCube, Ball, Polytope, RestrictedBody, simplex
 from klslab.densities import Boltzmann, Exponential, Uniform
 from klslab.rng import RngStream
-from klslab.volume import (DFK_CHAINS, OracleInconsistencyError,
-                           _across_chain_se,
+from klslab.volume import (OracleInconsistencyError, _batch_means_se,
                            VolumePhaseError, anneal_optimize, ball_schedule,
                            cutting_plane_feasibility, dfk_volume,
                            exponential_schedule, gaussian_cooling_schedule,
@@ -99,11 +98,10 @@ def test_dfk_volume_square():
 def test_dfk_cube3_unbiased_over_seeds():
     # every phase is one exact draw of k points; the log error averages
     # out to 0, and the binomial se covers it: z = ln(V / 8) / (se / V)
-    # has sd near 1.  meta["chains"] is the fallback ensemble's size
+    # has sd near 1
     errs, zs = [], []
     for seed in range(24):
         res = dfk_volume(AxisCube(3), RngStream(100 + seed), k=2000)
-        assert res.meta["chains"] == DFK_CHAINS
         errs.append(np.log(res.value / 8.0))
         zs.append(errs[-1] / (res.std_error / res.value))
     errs = np.array(errs)
@@ -138,44 +136,43 @@ def _cube_polytope(n):
 
 
 def test_dfk_falls_back_to_chains_when_the_budget_runs_out():
-    # the outer phases (r = 2.59 and 2.83) keep 1.5-3% of their bounding
-    # ball's proposals, below the 2,000 in 42,000 the budget allows: they
-    # run the lockstep chains from the last exact draw's points
+    # the outer phases keep too few of their bounding ball's proposals
+    # for 2,000 rows in the 18,000 the budget allows (one proposal per
+    # step of a 400 + 2,000 x 8 step chain, in whole 2,000-row batches):
+    # they run hit-and-run chains from the last exact draw's last point
     res = dfk_volume(_cube_polytope(8), RngStream(9), k=2000)
     exact = [row["exact"] for row in res.phases]
     assert 0 < res.meta["n_exact"] == sum(exact) < res.n_phases
     assert exact == sorted(exact, reverse=True) and exact[0]
     for row in res.phases:
         assert np.isnan(row["acceptance"]) == row["exact"]
-        assert row["exact"] or 0.0 < row["acceptance"] < 1.0
-    assert res.meta["chains"] == DFK_CHAINS
+        assert row["exact"] or row["acceptance"] == 1.0
     assert res.value == pytest.approx(256.0, abs=4 * res.std_error)
     again = dfk_volume(_cube_polytope(8), RngStream(9), k=2000)
     assert again.value == res.value and again.std_error == res.std_error
 
 
-def test_across_chain_se_weights_the_short_chains():
-    # 10 samples over 4 chains: chains 0 and 1 hold 3, chains 2 and 3 hold 2
+def test_batch_means_se_weights_the_short_batches():
+    # 10 samples in 4 contiguous batches of sizes 3, 2, 3, 2
     hit = np.array([1, 1, 0, 1, 0, 1, 1, 0, 1, 1], dtype=bool)
     q = hit.mean()
-    fracs, sizes = [], []
-    for c in range(4):
-        mine = hit[c::4]
-        fracs.append(mine.mean())
-        sizes.append(mine.size)
-    w = np.array(sizes) / hit.size
-    want = np.sqrt(4 / 3 * np.sum(w * w * (np.array(fracs) - q) ** 2))
-    assert _across_chain_se(hit, q, 4) == pytest.approx(want, rel=1e-12)
-    # equal chain sizes: the sd of the per-chain fractions over sqrt(K)
+    batches = [hit[0:3], hit[3:5], hit[5:8], hit[8:10]]
+    fracs = np.array([b.mean() for b in batches])
+    w = np.array([b.size for b in batches]) / hit.size
+    want = np.sqrt(4 / 3 * np.sum(w * w * (fracs - q) ** 2))
+    assert _batch_means_se(hit, q, 4) == pytest.approx(want, rel=1e-12)
+    # equal batch sizes: the sd of the batch fractions over sqrt(B)
     hit = hit[:8]
-    fracs = [hit[c::4].mean() for c in range(4)]
-    assert _across_chain_se(hit, hit.mean(), 4) == pytest.approx(
+    fracs = [hit[2 * b:2 * b + 2].mean() for b in range(4)]
+    assert _batch_means_se(hit, hit.mean(), 4) == pytest.approx(
         np.std(fracs, ddof=1) / 2.0, rel=1e-12)
+    # one batch, or one sample: no spread to measure
+    assert _batch_means_se(hit[:1], 1.0, 1) == 0.0
 
 
-def test_dfk_fewer_samples_than_chains():
+def test_dfk_few_samples():
     res = dfk_volume(AxisCube(2), RngStream(8), k=10)
-    assert res.meta["chains"] == 10
+    assert res.meta["k"] == 10 and res.meta["n_exact"] == res.n_phases
     assert all(row["n_samples"] == 10 for row in res.phases)
     again = dfk_volume(AxisCube(2), RngStream(8), k=10)
     assert again.value == res.value
