@@ -171,11 +171,14 @@ class AxisCube(Body):
 
     def chord(self, x, u):
         # per coordinate, the faces at +w and -w bound t by (w - d_i)/u_i
-        # and (w + d_i)/-u_i, one from above and one from below
+        # and (w + d_i)/-u_i, one from above and one from below, with
+        # d = x - center
         w = self.half_width
-        d = (np.asarray(x, dtype=float) - self.center).tolist()
+        x = x.tolist() if isinstance(x, np.ndarray) else [float(v) for v in x]
+        u = u.tolist() if isinstance(u, np.ndarray) else [float(v) for v in u]
         t_lo, t_hi = -math.inf, math.inf
-        for di, ui in zip(d, np.asarray(u, dtype=float).tolist()):
+        for xi, ci, ui in zip(x, self.center.tolist(), u):
+            di = xi - ci
             if ui == 0.0:
                 # no face bounds t here, but a NaN anchor must still raise
                 if di != di:

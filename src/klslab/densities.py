@@ -143,13 +143,20 @@ class Exponential(Density):
 
     def _chord_coeffs(self, x, u):
         # |x + t u| = |u| sqrt((t - t*)^2 + d^2), t* the closest point to the
-        # origin; d^2 from that point avoids cancelling |x|^2 - (x.u)^2/|u|^2
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        uu = float(u @ u)
-        tstar = -float(x @ u) / uu
-        r = x + tstar * u
-        return (self.alpha * math.sqrt(uu), tstar, float(r @ r) / uu, 0.0, 0.0)
+        # origin; d^2 from that point avoids cancelling |x|^2 - (x.u)^2/|u|^2.
+        # Once per hit-and-run step on a handful of entries, so on floats
+        x = x.tolist() if isinstance(x, np.ndarray) else [float(v) for v in x]
+        u = u.tolist() if isinstance(u, np.ndarray) else [float(v) for v in u]
+        uu = xu = 0.0
+        for xi, ui in zip(x, u):
+            uu += ui * ui
+            xu += xi * ui
+        tstar = -xu / uu
+        rr = 0.0
+        for xi, ui in zip(x, u):
+            ri = xi + tstar * ui
+            rr += ri * ri
+        return (self.alpha * math.sqrt(uu), tstar, rr / uu, 0.0, 0.0)
 
 
 class Boltzmann(Density):

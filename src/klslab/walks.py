@@ -46,6 +46,16 @@ it is logconcave but has no usable CDF, so the draw is by rejection
 exponentially beyond the points where the log-density has dropped by one,
 which concavity makes a true upper bound with acceptance at least
 1/(1 + e) on every chord.
+
+A scalar step works on vectors of a handful of entries, where numpy's
+per-call overhead outweighs the arithmetic.  So inside a hit-and-run step
+the chord ends, the chord coefficients and the 1-D draw are Python
+floats, and arrays appear only at the boundary: the direction drawn from
+the generator and the position x + t u the step stores.  The draws are
+fixed by the stream: every 1-D sampler takes its uniforms from the
+generator in one fixed order, the logconcave rejection exactly two per
+try, so how the float arithmetic is written moves the last bits of a
+chain, not the variates it consumes.
 """
 
 from __future__ import annotations
@@ -209,8 +219,10 @@ def coordinate_hit_and_run_step(density: Density, state: ChainState, rng) -> Cha
 def _chord_move(density, state, rng, u):
     lo, hi = density.body.chord(state.x, u)
     state.steps_taken += 1
-    scale = max(1.0, abs(lo), abs(hi))
-    if hi - lo <= _DEGENERATE_CHORD * scale:
+    # chord ends are finite, and for lo <= hi max(-lo, hi) = max(|lo|, |hi|);
+    # lo > hi counts as degenerate at any scale
+    scale = -lo if -lo > hi else hi
+    if hi - lo <= _DEGENERATE_CHORD * (scale if scale > 1.0 else 1.0):
         # zero-length chord: resampling is a no-op
         state.proposals_accepted += 1
         return state
@@ -348,33 +360,29 @@ def _logconcave_chord(rng, alpha, tstar, d, a, b, lo, hi):
     (r, phi(r)), where l < m < r are the points at which phi has dropped
     by one (clipped to the chord).  A concave phi lies below those lines.
     """
-    radial_only = a == 0.0 and b == 0.0
-    if radial_only:
-        m = min(max(tstar, lo), hi)
-    else:
-        m = _chord_mode(alpha, tstar, d, a, b, lo, hi)
-    hm = math.hypot(m - tstar, d)
-
-    def rise(t):
-        """phi(t) - phi(m), factored so that nearby t and m do not cancel."""
-        ht = math.hypot(t - tstar, d)
-        radial = (t + m - 2.0 * tstar) / (ht + hm) if ht + hm > 0.0 else 0.0
-        return (t - m) * (b - 0.5 * a * (t + m) - alpha * radial)
-
-    if radial_only:
+    if a == 0.0 and b == 0.0:
+        # radial only: the mode is t* clipped to the chord, and
         # phi(t) = phi(m) - 1 at t* -/+ sqrt((m - t*)^2 + 2 hm/alpha + 1/alpha^2);
         # the width on the side of m facing t* is written as rest / (root + off)
         # so that it does not cancel when alpha d is large
+        m = lo if tstar < lo else (hi if tstar > hi else tstar)
+        hm = math.hypot(m - tstar, d)
         off = abs(m - tstar)
         rest = (2.0 * hm + 1.0 / alpha) / alpha
         root = math.sqrt(off * off + rest)
         near = rest / (root + off)
         wl, wr = (root + off, near) if m >= tstar else (near, root + off)
-        fl, lam_l = max(m - wl, lo), 1.0 / wl
-        fr, lam_r = min(m + wr, hi), 1.0 / wr
+        fl, lam_l = m - wl, 1.0 / wl
+        if fl < lo:
+            fl = lo
+        fr, lam_r = m + wr, 1.0 / wr
+        if fr > hi:
+            fr = hi
     else:
-        fl, lam_l = _unit_drop(rise, m, lo)
-        fr, lam_r = _unit_drop(rise, m, hi)
+        m = _chord_mode(alpha, tstar, d, a, b, lo, hi)
+        hm = math.hypot(m - tstar, d)
+        fl, lam_l = _unit_drop(alpha, tstar, d, a, b, m, hm, lo)
+        fr, lam_r = _unit_drop(alpha, tstar, d, a, b, m, hm, hi)
 
     # envelope masses relative to exp(phi(m)), laid out left tail, flat
     # piece, right tail; a tail exists only where the flat piece stops short
@@ -386,19 +394,34 @@ def _logconcave_chord(rng, alpha, tstar, d, a, b, lo, hi):
     right = -math.exp(-lam_r * (fr - m)) * cut_r / lam_r if cut_r else 0.0
     flat = fr - fl
     total = left + flat + right
+    random, exp, hypot, log1p = rng.random, math.exp, math.hypot, math.log1p
     for _ in range(_REJECT_CAP):
-        v = rng.random() * total
+        v = random() * total
         if v < left:
-            t = max(fl + math.log1p(cut_l * (v / left)) / lam_l, lo)
+            t = fl + log1p(cut_l * (v / left)) / lam_l
+            if t < lo:
+                t = lo
             log_env = -lam_l * (m - t)
         elif v < left + flat:
-            t = min(fl + (v - left), fr)
+            t = fl + (v - left)
+            if t > fr:
+                t = fr
             log_env = 0.0
         else:
-            w = min((v - left - flat) / right, 1.0)
-            t = min(fr - math.log1p(cut_r * w) / lam_r, hi)
+            w = (v - left - flat) / right
+            if w > 1.0:
+                w = 1.0
+            t = fr - log1p(cut_r * w) / lam_r
+            if t > hi:
+                t = hi
             log_env = -lam_r * (t - m)
-        if rng.random() < math.exp(min(rise(t) - log_env, 0.0)):
+        # accept with probability exp(min(_rise(t) - log_env, 0)), _rise inlined
+        ht = hypot(t - tstar, d)
+        radial = (t + m - 2.0 * tstar) / (ht + hm) if ht + hm > 0.0 else 0.0
+        z = (t - m) * (b - 0.5 * a * (t + m) - alpha * radial) - log_env
+        if z > 0.0:
+            z = 0.0
+        if random() < exp(z):
             return t
     raise WalkError("logconcave chord rejection failed to accept")
 
@@ -417,17 +440,26 @@ def _chord_mode(alpha, tstar, d, a, b, lo, hi):
     return _bisect(slope, lo, hi)
 
 
-def _unit_drop(rise, m, end):
+def _rise(t, alpha, tstar, d, a, b, m, hm):
+    """phi(t) - phi(m), hm = hypot(m - t*, d), factored so that nearby t
+    and m do not cancel."""
+    ht = math.hypot(t - tstar, d)
+    radial = (t + m - 2.0 * tstar) / (ht + hm) if ht + hm > 0.0 else 0.0
+    return (t - m) * (b - 0.5 * a * (t + m) - alpha * radial)
+
+
+def _unit_drop(alpha, tstar, d, a, b, m, hm, end):
     """Flat-piece end and tail rate on the side of the mode m facing `end`.
 
     The end is the first point past which phi has dropped by at least one
     below phi(m), and the rate is that drop over the distance from m;
     (end, 0.0) when phi stays within one of phi(m) all the way to `end`.
     """
-    if rise(end) > -1.0:
+    coeffs = (alpha, tstar, d, a, b, m, hm)
+    if _rise(end, *coeffs) > -1.0:
         return end, 0.0
-    t = _bisect(lambda s: rise(s) + 1.0, m, end)
-    return t, -rise(t) / abs(t - m)
+    t = _bisect(lambda s: _rise(s, *coeffs) + 1.0, m, end)
+    return t, -_rise(t, *coeffs) / abs(t - m)
 
 
 def _bisect(f, inside, outside):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,39 @@ def test_chord_profile_quadratic_classification():
     kind, g = chord_profile(Exponential(ball, alpha=1.0), x, u)
     assert kind == "generic"
     assert g(np.array([0.0]))[0] == pytest.approx(-0.5)
+
+
+def test_exponential_chord_coeffs_match_the_numpy_formula():
+    # the coefficients are computed on floats; up to the summation order of
+    # the dot products they are the vector formulas: t* = -x.u/u.u and
+    # d^2 = |x + t* u|^2/u.u, each compared on its own scale
+    dens = Exponential(Ball(5, radius=3.0), alpha=1.7)
+    gen = np.random.default_rng(12)
+    cases = [(gen.uniform(-1.5, 1.5, 5), s * gen.standard_normal(5))
+             for s in (0.01, 1.0, 40.0) for _ in range(100)]
+    v = gen.standard_normal(5)
+    cases += [
+        (gen.standard_normal(5), np.array([0.0, 0.6, 0.0, -0.8, 0.0])),
+        (gen.standard_normal(5), np.array([0.0, 0.0, 2.5, 0.0, 0.0])),
+        (-0.3 * v, v),                                   # line through the origin
+        (np.zeros(5), v),
+        ([0.2, -0.1, 0.4, 0.0, 0.3], [1.0, 2.0, 0.0, -1.0, 0.5]),   # lists
+    ]
+    for x, u in cases:
+        xa, ua = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+        uu = float(ua @ ua)
+        tstar = -float(xa @ ua) / uu
+        r = xa + tstar * ua
+        alpha, t, d2, a, b = dens._chord_coeffs(x, u)
+        assert (a, b) == (0.0, 0.0)
+        assert abs(alpha - 1.7 * math.sqrt(uu)) <= 1e-13 * alpha
+        scale = float(xa @ xa) / uu + 1e-300
+        assert abs(t - tstar) <= 1e-13 * math.sqrt(scale)
+        assert abs(d2 - float(r @ r) / uu) <= 1e-13 * scale
+        assert d2 >= 0.0
+    # the line through the origin passes at distance zero, to rounding
+    _, t, d2, _, _ = dens._chord_coeffs(-0.3 * v, v)
+    assert t == pytest.approx(0.3, rel=1e-13) and d2 <= 1e-26
 
 
 def test_tilted_scalar_vs_matrix():

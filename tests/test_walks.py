@@ -303,9 +303,11 @@ def _quad_chord_cdf(dens, x, u, lo, hi, cells=512):
     return lambda s: np.interp(s, ts, cdf / cdf[-1])
 
 
-@pytest.mark.parametrize("case", ["mode-inside", "mode-outside", "laplace-kink",
-                                  "far-line", "near-uniform", "tilted",
-                                  "pushforward"])
+_CHORD_CASES = ("mode-inside", "mode-outside", "laplace-kink", "far-line",
+                "near-uniform", "tilted", "pushforward")
+
+
+@pytest.mark.parametrize("case", _CHORD_CASES)
 def test_logconcave_chord_sampler_against_quadrature_oracle(case):
     # an exponential's chord profile -alpha sqrt((t - t*)^2 + d^2) has no
     # usable CDF, so the sampler rejects; the oracle integrates log_density
@@ -316,6 +318,116 @@ def test_logconcave_chord_sampler_against_quadrature_oracle(case):
     assert draws.min() >= lo and draws.max() <= hi
     oracle = _quad_chord_cdf(dens, x, u, lo, hi)
     assert stats.kstest(draws, oracle).statistic < 0.035
+
+
+def _reference_chord_coeffs(density, x, u):
+    """Chord coefficients of an exponential, or of a tilt of one, from
+    numpy vector products."""
+    if isinstance(density, Tilted):
+        alpha, tstar, d2, a, b = _reference_chord_coeffs(density.base, x, u)
+        Bu = density.B @ u
+        return (alpha, tstar, d2, a + float(u @ Bu),
+                b + float(density.c @ u) - float(x @ Bu))
+    uu = float(u @ u)
+    tstar = -float(x @ u) / uu
+    r = x + tstar * u
+    return (density.alpha * math.sqrt(uu), tstar, float(r @ r) / uu, 0.0, 0.0)
+
+
+def _reference_logconcave_chord(rng, alpha, tstar, d, a, b, lo, hi):
+    """The logconcave chord rejection written with a rise closure, one
+    envelope per branch and min/max clipping."""
+    radial_only = a == 0.0 and b == 0.0
+    if radial_only:
+        m = min(max(tstar, lo), hi)
+    else:
+        m = walks._chord_mode(alpha, tstar, d, a, b, lo, hi)
+    hm = math.hypot(m - tstar, d)
+
+    def rise(t):
+        ht = math.hypot(t - tstar, d)
+        radial = (t + m - 2.0 * tstar) / (ht + hm) if ht + hm > 0.0 else 0.0
+        return (t - m) * (b - 0.5 * a * (t + m) - alpha * radial)
+
+    def unit_drop(end):
+        if rise(end) > -1.0:
+            return end, 0.0
+        t = walks._bisect(lambda s: rise(s) + 1.0, m, end)
+        return t, -rise(t) / abs(t - m)
+
+    if radial_only:
+        off = abs(m - tstar)
+        rest = (2.0 * hm + 1.0 / alpha) / alpha
+        root = math.sqrt(off * off + rest)
+        near = rest / (root + off)
+        wl, wr = (root + off, near) if m >= tstar else (near, root + off)
+        fl, lam_l = max(m - wl, lo), 1.0 / wl
+        fr, lam_r = min(m + wr, hi), 1.0 / wr
+    else:
+        fl, lam_l = unit_drop(lo)
+        fr, lam_r = unit_drop(hi)
+    cut_l = math.expm1(-lam_l * (fl - lo)) if fl > lo else 0.0
+    cut_r = math.expm1(-lam_r * (hi - fr)) if fr < hi else 0.0
+    left = -math.exp(-lam_l * (m - fl)) * cut_l / lam_l if cut_l else 0.0
+    right = -math.exp(-lam_r * (fr - m)) * cut_r / lam_r if cut_r else 0.0
+    flat = fr - fl
+    total = left + flat + right
+    while True:
+        v = rng.random() * total
+        if v < left:
+            t = max(fl + math.log1p(cut_l * (v / left)) / lam_l, lo)
+            log_env = -lam_l * (m - t)
+        elif v < left + flat:
+            t = min(fl + (v - left), fr)
+            log_env = 0.0
+        else:
+            w = min((v - left - flat) / right, 1.0)
+            t = min(fr - math.log1p(cut_r * w) / lam_r, hi)
+            log_env = -lam_r * (t - m)
+        if rng.random() < math.exp(min(rise(t) - log_env, 0.0)):
+            return t
+
+
+def _reference_chord_point(density, x, u, lo, hi, rng):
+    alpha, tstar, d2, a, b = _reference_chord_coeffs(density, x, u)
+    return _reference_logconcave_chord(rng, alpha, tstar, math.sqrt(d2),
+                                       max(a, 0.0), b, lo, hi)
+
+
+def _reference_hit_and_run_step(density, state, rng):
+    u = walks.unit_direction(rng, density.n)
+    lo, hi = density.body.chord(state.x, u)
+    if hi - lo > walks._DEGENERATE_CHORD * max(1.0, abs(lo), abs(hi)):
+        state.x = state.x + _reference_chord_point(density, state.x, u, lo, hi, rng) * u
+
+
+@pytest.mark.parametrize("case", ["cube4", "ball5", "tilted"])
+def test_hit_and_run_on_exponentials_makes_the_reference_draws(case):
+    # the float-native step computes what the numpy formulas do up to the
+    # summation order of the dot products, and draws the same uniforms in
+    # the same order: same chain to rounding, same generator state after
+    if case == "tilted":
+        dens = _chord_case("tilted")[0]
+    else:
+        dens = Exponential(AxisCube(4) if case == "cube4" else Ball(5), alpha=3.0)
+    gen, ref_gen = RngStream(31).generator(), RngStream(31).generator()
+    state, ref = _chain_state(dens.body.x0), _chain_state(dens.body.x0)
+    for _ in range(2000):
+        hit_and_run_step(dens, state, gen)
+        _reference_hit_and_run_step(dens, ref, ref_gen)
+        assert np.linalg.norm(state.x - ref.x) <= 1e-12 * max(1.0, np.linalg.norm(ref.x))
+    np.testing.assert_equal(gen.bit_generator.state, ref_gen.bit_generator.state)
+
+
+@pytest.mark.parametrize("case", _CHORD_CASES)
+def test_chord_draws_match_the_reference_sampler(case):
+    dens, x, u, lo, hi = _chord_case(case)
+    gen, ref_gen = RngStream(32).generator(), RngStream(32).generator()
+    for _ in range(200):
+        t = sample_chord_point(dens, x, u, lo, hi, gen)
+        want = _reference_chord_point(dens, x, u, lo, hi, ref_gen)
+        assert abs(t - want) <= 1e-12 * max(abs(lo), abs(hi))
+    np.testing.assert_equal(gen.bit_generator.state, ref_gen.bit_generator.state)
 
 
 def test_one_step_stationarity_uniform_cube():
