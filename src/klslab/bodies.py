@@ -19,15 +19,15 @@ this interval contains 0.  Degenerate (zero-length) chords are legal.
 Every body is bounded, so a chord end that comes out infinite or NaN (a
 zero, NaN or unbounded direction, or a NaN anchor) raises BodyError.
 
-A walk asks for one chord and a few membership tests per step on vectors
-of a handful of entries, where numpy's per-call overhead outweighs the
-arithmetic.  The built-in kinds therefore compute their scalar chords
-and membership on Python floats, keeping numpy only for dot and
-matrix-vector products, whose summation order fixes the bits.  Python's
-float + - * / are the same IEEE-754 double operations as numpy's
-elementwise ones, so the results are bit for bit those of the vectorized
-form (masks, np.min/np.max, np.all), which tests/test_bodies.py keeps as
-its oracle.
+Membership is contains_many, on the rows of an array; the one-point
+contains is its row 0.  Chords stay scalar, one per hit-and-run step on
+vectors of a handful of entries, where numpy's per-call overhead
+outweighs the arithmetic.  The built-in kinds therefore compute them on
+Python floats, keeping numpy only for dot and matrix-vector products,
+whose summation order fixes the bits.  Python's float + - * / are the
+same IEEE-754 double operations as numpy's elementwise ones, so the
+results are bit for bit those of the vectorized form (masks,
+np.min/np.max), which tests/test_bodies.py keeps as its oracle.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ class BodyError(ValueError):
 
 
 class Body:
-    """Base class; concrete kinds override membership and chord."""
+    """Base class.  A kind defines contains_many and chord, and
+    uniform_law and log_volume where it has a closed-form uniform law."""
 
     kind = "abstract"
 
@@ -58,6 +59,10 @@ class Body:
         self.x0 = np.asarray(x0, dtype=float).reshape(n)
 
     def contains(self, x) -> bool:
+        """Membership of one point: row 0 of contains_many."""
+        return bool(self.contains_many(np.asarray(x, dtype=float)[None, :])[0])
+
+    def contains_many(self, X):
         raise NotImplementedError
 
     def chord(self, x, u):
@@ -118,10 +123,6 @@ class Ball(Body):
         self.radius = float(radius)
         self.center = center
 
-    def contains(self, x):
-        d = x - self.center
-        return float(np.dot(d, d)) <= self.radius**2 * (1 + 1e-12)
-
     def contains_many(self, X):
         d = X - self.center
         return np.einsum("ij,ij->i", d, d) <= self.radius**2 * (1 + 1e-12)
@@ -162,9 +163,6 @@ class AxisCube(Body):
         super().__init__(n, half_width, half_width * np.sqrt(n), center)
         self.half_width = float(half_width)
         self.center = center
-
-    def contains(self, x):
-        return bool(np.abs(x - self.center).max() <= self.half_width * (1 + 1e-12))
 
     def contains_many(self, X):
         return np.all(np.abs(X - self.center) <= self.half_width * (1 + 1e-12), axis=1)
@@ -217,9 +215,6 @@ class Polytope(Body):
         self.A = A
         self.b = b
 
-    def contains(self, x):
-        return bool((self.A @ x <= self.b + 1e-12).all())
-
     def contains_many(self, X):
         return np.all(X @ self.A.T <= self.b + 1e-12, axis=1)
 
@@ -266,23 +261,15 @@ def simplex(n):
 
 
 class BallIntersection(Body):
-    """base body intersected with a ball; the DFK phase bodies."""
+    """base body intersected with the ball of the given radius around the
+    base's x0, so r and R are the smaller of each pair; the DFK phase bodies."""
 
     kind = "ball_intersection"
 
-    def __init__(self, base, radius, center=None):
-        center = base.x0 if center is None else np.asarray(center, dtype=float)
-        self.ball = Ball(base.n, radius, center)
-        # x0 of the base works whenever the ball is centered at it.
-        if not (base.contains(center) and self.ball.contains(center)):
-            raise BodyError("ball center must lie inside the base body")
-        r = min(base.r, radius)
-        R = min(base.R, radius)
-        super().__init__(base.n, r, R, center)
+    def __init__(self, base, radius):
+        self.ball = Ball(base.n, radius, base.x0)
+        super().__init__(base.n, min(base.r, radius), min(base.R, radius), base.x0)
         self.base = base
-
-    def contains(self, x):
-        return self.ball.contains(x) and self.base.contains(x)
 
     def contains_many(self, X):
         return self.ball.contains_many(X) & self.base.contains_many(X)
@@ -324,9 +311,6 @@ class RestrictedBody(Body):
         b = np.concatenate([self.b, [float(beta)]])
         return RestrictedBody(self.base, A, b, x0)
 
-    def contains(self, x):
-        return self.base.contains(x) and bool((self.A @ x <= self.b + 1e-12).all())
-
     def contains_many(self, X):
         return self.base.contains_many(X) & np.all(X @ self.A.T <= self.b + 1e-12, axis=1)
 
@@ -355,9 +339,6 @@ class TransformedBody(Body):
         self.M = M
         self.shift = shift
         self._Minv = np.linalg.inv(M)
-
-    def contains(self, x):
-        return self.base.contains(self._Minv @ (np.asarray(x, dtype=float) - self.shift))
 
     def contains_many(self, X):
         return self.base.contains_many((X - self.shift) @ self._Minv.T)

@@ -37,6 +37,10 @@ _NEG_INF = float("-inf")
 
 
 class Density:
+    """Base class.  A kind defines _log_inside_many, its log-density on
+    rows inside the body, and _chord_coeffs, its chord restriction;
+    log_density and log_density_many add the body's -inf outside."""
+
     kind = "abstract"
 
     def __init__(self, body: Body):
@@ -47,7 +51,7 @@ class Density:
         """Unnormalized log-density; -inf outside the body."""
         if not self.body.contains(x):
             return _NEG_INF
-        return self._log_inside(np.asarray(x, dtype=float))
+        return float(self._log_inside_many(np.asarray(x, dtype=float)[None, :])[0])
 
     def log_density_many(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -57,7 +61,7 @@ class Density:
             out[inside] = self._log_inside_many(X[inside])
         return out
 
-    def _log_inside(self, x) -> float:
+    def _log_inside_many(self, X) -> np.ndarray:
         raise NotImplementedError
 
     def _chord_coeffs(self, x, u):
@@ -88,9 +92,6 @@ class Density:
 class Uniform(Density):
     kind = "uniform"
 
-    def _log_inside(self, x):
-        return 0.0
-
     def _log_inside_many(self, X):
         return np.zeros(X.shape[0])
 
@@ -109,10 +110,6 @@ class Gaussian(Density):
             raise ValueError("gaussian coefficient a must be >= 0")
         self.a = float(a)
         self.center = np.zeros(body.n) if center is None else np.asarray(center, dtype=float)
-
-    def _log_inside(self, x):
-        d = x - self.center
-        return -0.5 * self.a * float(d @ d)
 
     def _log_inside_many(self, X):
         D = X - self.center
@@ -134,9 +131,6 @@ class Exponential(Density):
         if alpha <= 0:
             raise ValueError("exponential rate alpha must be positive")
         self.alpha = float(alpha)
-
-    def _log_inside(self, x):
-        return -self.alpha * float(np.linalg.norm(x))
 
     def _log_inside_many(self, X):
         return -self.alpha * np.linalg.norm(X, axis=1)
@@ -171,9 +165,6 @@ class Boltzmann(Density):
         self.alpha = float(alpha)
         self.c = np.asarray(c, dtype=float).reshape(body.n)
 
-    def _log_inside(self, x):
-        return -self.alpha * float(self.c @ x)
-
     def _log_inside_many(self, X):
         return -self.alpha * (X @ self.c)
 
@@ -200,9 +191,6 @@ class Tilted(Density):
                 raise ValueError("scalar tilt t must be >= 0")
             B = float(B) * np.eye(base.n)
         self.B = 0.5 * (np.asarray(B, dtype=float) + np.asarray(B, dtype=float).T)
-
-    def _log_inside(self, x):
-        return self.base._log_inside(x) + float(self.c @ x) - 0.5 * float(x @ self.B @ x)
 
     def _log_inside_many(self, X):
         return self.base._log_inside_many(X) + X @ self.c - 0.5 * quad_rows(X, self.B)

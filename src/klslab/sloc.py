@@ -294,7 +294,7 @@ def _truncate_support(density, radius):
     if body.R <= radius:
         return density, None
     center = body.x0
-    new_body = BallIntersection(body, radius, center=center)
+    new_body = BallIntersection(body, radius)
     bound = None
     if isinstance(density, Gaussian):
         # |x - center|^2 is chi-square_n / a under N(center, I/a)

@@ -153,7 +153,7 @@ def dfk_volume(body, rng, k=1000) -> VolumeResult:
     sched = ball_schedule(body)
     radii = sched.params
     x0 = body.x0
-    densities = [Uniform(BallIntersection(body, r, x0)) for r in radii[1:]]
+    densities = [Uniform(BallIntersection(body, r)) for r in radii[1:]]
     phases = []
     draws = _anneal(densities, k, rng, x0, body.n, exact_first=True)
     for i, (X, exact) in enumerate(draws, start=1):

@@ -116,17 +116,6 @@ class ChainState:
         return self.proposals_accepted / max(1, self.steps_taken)
 
 
-def _ball_point(rng, n):
-    """Uniform point in the unit ball (direction times radius^(1/n))."""
-    g = rng.standard_normal(n)
-    norm = math.sqrt(g.dot(g))
-    if norm == 0.0:
-        g[0] = 1.0
-        norm = 1.0
-    rad = rng.random() ** (1.0 / n)
-    return g * (rad / norm)
-
-
 def unit_direction(rng, n):
     g = rng.standard_normal(n)
     norm = math.sqrt(g.dot(g))
@@ -137,10 +126,10 @@ def unit_direction(rng, n):
 
 
 def ball_walk_step(body, state: ChainState, rng, delta=None) -> ChainState:
-    """One ball-walk step: uniform proposal in the delta-ball, stay if it
-    lands outside the body."""
+    """One ball-walk step: a uniform proposal in the delta-ball around x,
+    drawn by ball_cloud; stay if it lands outside the body."""
     delta = state.delta if delta is None else delta
-    y = state.x + delta * _ball_point(rng, body.n)
+    y = ball_cloud(rng, 1, body.n, state.x, delta)[0]
     state.steps_taken += 1
     if body.contains(y):
         state.x = y
@@ -149,7 +138,8 @@ def ball_walk_step(body, state: ChainState, rng, delta=None) -> ChainState:
 
 
 def metropolis_step(density: Density, state: ChainState, rng, delta=None) -> ChainState:
-    """Metropolis-filtered ball walk: accept y with min{1, f(y)/f(x)}.
+    """Metropolis-filtered ball walk: accept y with min{1, f(y)/f(x)}, the
+    proposal y uniform in the delta-ball around x, drawn by ball_cloud.
 
     The comparison runs in log scale.  No uniform variate is consumed when
     the ratio decides by itself (certain accept or certain reject), which
@@ -158,7 +148,7 @@ def metropolis_step(density: Density, state: ChainState, rng, delta=None) -> Cha
     step evaluates only log f(y).
     """
     delta = state.delta if delta is None else delta
-    y = state.x + delta * _ball_point(rng, density.n)
+    y = ball_cloud(rng, 1, density.n, state.x, delta)[0]
     state.steps_taken += 1
     cached = state._log_f
     if cached is not None and cached[0] is density and cached[1] is state.x:

@@ -79,6 +79,11 @@ def test_ball_intersection():
     assert not bi.contains(np.array([2.0, 0.0]))
     lo, hi = bi.chord(np.zeros(2), np.array([1.0, 0.0]))
     assert (lo, hi) == (pytest.approx(-1.0), pytest.approx(1.0))
+    # the ball is centered at the base's x0, around which r and R are measured
+    moved = BallIntersection(AxisCube(2, half_width=3.0, center=np.array([1.0, -1.0])), 1.0)
+    assert np.array_equal(moved.x0, [1.0, -1.0]) and (moved.r, moved.R) == (1.0, 1.0)
+    assert moved.contains(np.array([1.5, -0.5]))
+    assert not moved.contains(np.array([0.5, 0.5]))
 
 
 def test_restricted_body_cut_and_chord():
@@ -224,7 +229,9 @@ def test_every_body_kind_has_its_own_chord():
     setters = [cls for cls in classes if "kind" in cls.__dict__]
     assert len({cls.kind for cls in classes}) == len(setters) == 6
     for cls in setters:
-        assert "chord" in cls.__dict__ and "contains" in cls.__dict__, cls.__name__
+        assert "chord" in cls.__dict__ and "contains_many" in cls.__dict__, cls.__name__
+    # membership has one form: contains is row 0 of contains_many, on Body
+    assert [cls.__name__ for cls in classes if "contains" in cls.__dict__] == []
     with pytest.raises(NotImplementedError):
         Body(2, 1.0, 1.0, np.zeros(2)).chord(np.zeros(2), np.ones(2))
 
@@ -484,7 +491,7 @@ def test_interval_from_rows_matches_vectorized_oracle():
 
 
 def test_walk_norms_match_linalg_norm_bit_for_bit():
-    from klslab.walks import _ball_point, unit_direction
+    from klslab.walks import unit_direction
     for n in (1, 2, 5, 8, 20):
         g1 = np.random.default_rng(n)
         g2 = np.random.default_rng(n)
@@ -492,7 +499,3 @@ def test_walk_norms_match_linalg_norm_bit_for_bit():
             v = unit_direction(g1, n)
             g = g2.standard_normal(n)
             assert v.tobytes() == (g / np.linalg.norm(g)).tobytes()
-            p = _ball_point(g1, n)
-            g = g2.standard_normal(n)
-            rad = g2.random() ** (1.0 / n)
-            assert p.tobytes() == (g * (rad / np.linalg.norm(g))).tobytes()

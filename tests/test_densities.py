@@ -3,11 +3,25 @@ import math
 import numpy as np
 import pytest
 
+from klslab import densities
 from klslab.bodies import AxisCube, Ball, BallIntersection
-from klslab.densities import (Boltzmann, Exponential, Gaussian, Tilted,
+from klslab.densities import (Boltzmann, Density, Exponential, Gaussian, Tilted,
                               Uniform, chord_profile)
 from klslab.rng import RngStream
 from klslab.walks import exact_sample
+
+
+def test_every_density_kind_has_one_log_density():
+    # a kind writes its log-density once, on rows; log_density is row 0
+    kinds = [cls for cls in vars(densities).values()
+             if isinstance(cls, type) and issubclass(cls, Density) and cls is not Density]
+    assert len(kinds) == 5
+    for cls in kinds:
+        assert "_log_inside_many" in cls.__dict__ and "_chord_coeffs" in cls.__dict__, \
+            cls.__name__
+        assert "_log_inside" not in cls.__dict__ and "log_density" not in cls.__dict__, \
+            cls.__name__
+    assert "_log_inside" not in Density.__dict__
 
 
 def test_uniform_outside_support():
@@ -93,8 +107,11 @@ def test_tilted_many_matches_rowwise():
     base = Gaussian(Ball(4, radius=6.0), a=0.7, center=np.array([0.5, -1.0, 0.2, 0.0]))
     til = Tilted(base, gen.standard_normal(4), L @ L.T)
     X = gen.uniform(-1.5, 1.5, size=(300, 4))
-    rowwise = np.array([til._log_inside(x) for x in X])
+    # the base's -(a/2)|x - center|^2, plus c.x - x^T B x / 2
+    rowwise = np.array([-0.35 * float((x - base.center) @ (x - base.center))
+                        + float(til.c @ x) - 0.5 * float(x @ til.B @ x) for x in X])
     np.testing.assert_allclose(til._log_inside_many(X), rowwise, rtol=1e-12)
+    np.testing.assert_allclose([til.log_density(x) for x in X], rowwise, rtol=1e-12)
 
 
 def test_tilted_chord_profile():

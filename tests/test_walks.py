@@ -8,7 +8,7 @@ from scipy import integrate, stats
 
 from klslab import walks
 from klslab.bodies import (AxisCube, Ball, BallIntersection, Polytope, RestrictedBody,
-                           TransformedBody, simplex, transform_body)
+                           TransformedBody, ball_cloud, simplex, transform_body)
 from klslab.densities import (Boltzmann, Exponential, Gaussian, Tilted,
                                Uniform)
 from klslab.diagnostics import HalfspaceSet
@@ -16,11 +16,10 @@ from klslab.isotropy import iterated_gaussian_isotropy
 from klslab.linalg import sym_inv_sqrt
 from klslab.needles import needle_decompose
 from klslab.rng import RngStream
-from klslab.walks import (ChainState, NoExactSampler, WalkError, _ball_point,
-                          advance_ensemble, ball_walk_step, default_delta,
-                          _trunc_exp_many, exact_sample, hit_and_run_step,
-                          metropolis_step, run_chain, sample_chord_point,
-                          warm_start)
+from klslab.walks import (ChainState, NoExactSampler, WalkError, advance_ensemble,
+                          ball_walk_step, default_delta, _trunc_exp_many,
+                          exact_sample, hit_and_run_step, metropolis_step,
+                          run_chain, sample_chord_point, warm_start)
 
 WALKS = ("ball_walk", "metropolis", "hit_and_run", "coordinate_hit_and_run")
 
@@ -47,7 +46,7 @@ def test_ball_walk_and_metropolis_identical_on_uniform():
 
 def _reference_metropolis_step(density, state, rng, delta):
     """metropolis_step with both log-densities evaluated on every step."""
-    y = state.x + delta * _ball_point(rng, density.n)
+    y = ball_cloud(rng, 1, density.n, state.x, delta)[0]
     state.steps_taken += 1
     log_ratio = density.log_density(y) - density.log_density(state.x)
     if log_ratio >= 0:
@@ -87,6 +86,42 @@ def test_metropolis_cached_log_density_matches_reference():
     assert s1.steps_taken == s2.steps_taken == 1000
     # the filter both accepted and rejected
     assert 100 < s1.proposals_accepted - 100 < 800
+
+
+def _reference_ball_step(density, state, rng, delta, walk):
+    """A ball-walk or Metropolis step whose proposal is the unit-ball point
+    g (U^(1/n) / |g|), from n normals and then one uniform."""
+    n = density.n
+    g = rng.standard_normal(n)
+    rad = rng.random() ** (1.0 / n)
+    y = state.x + delta * (g * (rad / math.sqrt(g.dot(g))))
+    if walk == "ball_walk":
+        if density.body.contains(y):
+            state.x = y
+        return state
+    log_ratio = density.log_density(y) - density.log_density(state.x)
+    if log_ratio >= 0 or (log_ratio > -np.inf and np.log(rng.random()) < log_ratio):
+        state.x = y
+    return state
+
+
+@pytest.mark.parametrize("walk, density", [
+    ("ball_walk", Uniform(Ball(4))),
+    ("metropolis", Gaussian(AxisCube(5), a=2.0, center=np.full(5, 0.3))),
+])
+def test_ball_proposals_replay_the_unit_ball_point_draws(walk, density):
+    # the steppers propose through ball_cloud; that consumes the variates
+    # of g (U^(1/n) / |g|) in the same order, so only last bits may move
+    g1, g2 = RngStream(77).generator(), RngStream(77).generator()
+    x0 = density.body.x0
+    X = run_chain(density, x0, 2000, walk=walk, thin=1, rng=g1, delta=0.6)
+    state = _chain_state(x0)
+    for x in X:
+        _reference_ball_step(density, state, g2, 0.6, walk)
+        assert np.linalg.norm(x - state.x) <= 1e-12 * max(1.0, np.linalg.norm(state.x))
+    np.testing.assert_equal(g1.bit_generator.state, g2.bit_generator.state)
+    moved = np.any(np.diff(X, axis=0) != 0.0, axis=1).mean()
+    assert 0.1 < moved < 0.9
 
 
 def test_run_chain_deterministic_and_bookkeeping():
