@@ -481,6 +481,9 @@ def main(argv=None):
             cfg = parse_config(text)
         else:
             cfg = ExperimentConfig()
+        if cfg.subcommand not in (None, args.subcommand):
+            raise ConfigError([f"config names subcommand {cfg.subcommand!r} but "
+                               f"the command line runs {args.subcommand!r}"])
         cfg.subcommand = args.subcommand
 
         seed = args.seed if args.seed is not None else _env("SEED")

@@ -18,9 +18,10 @@ Every kind above gives that restriction in closed form,
 
 where the first term is the exponential's radial part (alpha = 0 for the
 other kinds) and the rest is quadratic.  The walk draws from it exactly:
-by inverse CDF when alpha = 0 (truncated Gaussian, exponential or
-uniform) and by logconcave rejection otherwise.  chord_profile() names
-the case for callers that only need to tell the two apart.
+one uniform when it is flat, else by logconcave rejection from a
+closed-form envelope for quadratic and radial-only profiles and a
+bisection envelope for mixed ones.  chord_profile() names the
+quadratic case (alpha = 0) for callers that only need to tell it apart.
 """
 
 from __future__ import annotations

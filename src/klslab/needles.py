@@ -25,7 +25,7 @@ import numpy as np
 
 from .bodies import RestrictedBody
 from .rng import as_stream
-from .walks import exact_or_chain
+from .walks import WalkError, exact_or_chain
 
 CELL_COLUMNS = ["cell_id", "depth", "weight", "max_variance", "rel_measure"]
 
@@ -126,7 +126,8 @@ def needle_decompose(density, E, eps, max_depth, k=256, rng=None):
     warm-up).  Every cell draws from its own substream.
     Returns a NeedleResult with per-cell statistics, the mass-fraction
     versus variance-threshold curve, and in meta the count n_exact of
-    cells drawn exactly.
+    cells drawn exactly.  A root E-measure estimate outside [0.25, 0.75]
+    raises ValueError from exact draws and WalkError from chain draws.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -151,8 +152,8 @@ def needle_decompose(density, E, eps, max_depth, k=256, rng=None):
         inside = E.signed_distance(X) >= 0.0
         a = float(inside.mean())
         if depth == 0 and not (0.25 <= a <= 0.75):
-            raise ValueError(
-                f"E has estimated root measure {a:.3f}, outside [0.25, 0.75]")
+            error = ValueError if exact else WalkError
+            raise error(f"E has estimated root measure {a:.3f}, outside [0.25, 0.75]")
         Xc = X - X.mean(axis=0)
         lam = np.linalg.eigvalsh(Xc.T @ Xc / len(X))
         max_var = float(lam[-1])

@@ -22,7 +22,7 @@ other's membership.  A density on a
 RestrictedBody (a base body cut by halfspaces, such as a needle cell)
 has the law of the same density on the base, conditioned on the cuts:
 its base's exact law, with the cuts as the accept mask.  What stays here
-is the density side: which envelope a density takes, and the
+is the density side: which envelope a density takes, and the batched
 truncated-normal, truncated-exponential and rejection samplers that
 draw it.
 
@@ -38,24 +38,22 @@ on K chains in lockstep, stored as the rows of a (K, n) array.  The sloc
 ensemble runs on it wherever its tilted density has no exact law.
 
 Hit-and-run resamples the target restricted to a random chord, and the
-1-D restriction is always drawn exactly.  When it is truncated Gaussian,
-exponential, or uniform in the line parameter the draw is by inverse CDF.
-When it carries an exponential's radial term -alpha sqrt((t - t*)^2 + d^2)
-it is logconcave but has no usable CDF, so the draw is by rejection
-(Devroye 1984): the envelope is flat around the mode and falls
-exponentially beyond the points where the log-density has dropped by one,
-which concavity makes a true upper bound with acceptance at least
-1/(1 + e) on every chord.
+1-D restriction is always drawn exactly: one uniform when it is flat,
+else by one rejection sampler (Devroye 1984), as every restriction is
+logconcave.  The envelope is flat around the mode and falls exponentially
+beyond the points where the log-density has dropped by one (closed forms
+for quadratic and radial-only profiles, bisection for mixed ones), which
+concavity makes a true upper bound with acceptance at least 1/(1 + e).
 
 A scalar step works on vectors of a handful of entries, where numpy's
 per-call overhead outweighs the arithmetic.  So inside a hit-and-run step
 the chord ends, the chord coefficients and the 1-D draw are Python
 floats, and arrays appear only at the boundary: the direction drawn from
 the generator and the position x + t u the step stores.  The draws are
-fixed by the stream: every 1-D sampler takes its uniforms from the
-generator in one fixed order, the logconcave rejection exactly two per
-try, so how the float arithmetic is written moves the last bits of a
-chain, not the variates it consumes.
+fixed by the stream: the 1-D draw takes its uniforms from the
+generator in one fixed order, one for a flat chord and exactly two per
+try of the rejection, so how the float arithmetic is written moves the
+last bits of a chain, not the variates it consumes.
 """
 
 from __future__ import annotations
@@ -231,43 +229,22 @@ def sample_chord_point(density, x, u, lo, hi, rng) -> float:
     alpha, tstar, d2, a, b = density._chord_coeffs(x, u)
     if a < -1e-12:
         raise WalkError("chord restriction is log-convex; density is not logconcave")
-    if alpha > 0.0:
-        return _logconcave_chord(rng, alpha, tstar, math.sqrt(d2), max(a, 0.0), b,
-                                 float(lo), float(hi))
-    if a > 1e-300:
-        return _trunc_gauss(rng, b / a, 1.0 / np.sqrt(a), lo, hi)
-    return _trunc_exp(rng, b, lo, hi)
-
-
-def _trunc_exp(rng, slope, lo, hi):
-    """t on [lo, hi] with density proportional to exp(slope * t)."""
-    L = hi - lo
-    if slope == 0.0:
-        return lo + L * rng.random()
-    if slope > 0:
-        # reflect so the heavy end is at the left anchor
-        return hi - _trunc_exp_neg(rng, slope, L)
-    return lo + _trunc_exp_neg(rng, -slope, L)
-
-
-def _trunc_exp_neg(rng, beta, L):
-    """s on [0, L] with density proportional to exp(-beta s), beta > 0."""
-    u = rng.random()
-    # F(s) = (1 - e^{-beta s}) / (1 - e^{-beta L})
-    s = -np.log1p(u * np.expm1(-beta * L)) / beta
-    return min(s, L)
+    if alpha == 0.0 and a <= 0.0 and b == 0.0:
+        return lo + (hi - lo) * rng.random()
+    return _logconcave_chord(rng, alpha, tstar, math.sqrt(d2), max(a, 0.0), b,
+                             float(lo), float(hi))
 
 
 def _trunc_exp_many(rng, count, slope, lo, hi):
     """count rows whose coordinate i has density proportional to
     exp(slope_i t) on [lo_i, hi_i], independently, by inverse CDF.
 
-    As in _trunc_exp, each coordinate is reflected so that its heavy end
-    is the anchor: s = (distance from that end) / (hi_i - lo_i) follows
-    exp(-z s) on [0, 1] with z = |slope_i| (hi_i - lo_i).  Where z is at
-    most the double epsilon the law is uniform to working precision and
-    is drawn as such, so slope 0 is the uniform law and a tiny slope
-    never divides a vanishing log1p by a vanishing z.
+    Each coordinate is reflected so that its heavy end is the anchor:
+    s = (distance from that end) / (hi_i - lo_i) follows exp(-z s) on
+    [0, 1] with z = |slope_i| (hi_i - lo_i).  Where z is at most the
+    double epsilon the law is uniform to working precision and is drawn
+    as such, so slope 0 is the uniform law and a tiny slope never divides
+    a vanishing log1p by a vanishing z.
     """
     L = hi - lo
     z = np.abs(slope) * L
@@ -279,50 +256,14 @@ def _trunc_exp_many(rng, count, slope, lo, hi):
     return np.clip(T, lo, hi, out=T)
 
 
-def _trunc_gauss(rng, mean, sd, lo, hi):
-    a = (lo - mean) / sd
-    b = (hi - mean) / sd
-    if a > 0.0:
-        # reflect into the lower tail where ndtr/ndtri stay accurate
-        z = -_std_trunc_gauss(rng, -b, -a)
-    else:
-        z = _std_trunc_gauss(rng, a, b)
-    return float(min(max(mean + sd * z, lo), hi))
-
-
-def _std_trunc_gauss(rng, a, b):
-    """Standard normal conditioned on [a, b], with a <= 0 or b <= 0."""
-    Fa = ndtr(a)
-    Fb = ndtr(b)
-    if Fb - Fa > 0.0:
-        return float(ndtri(Fa + (Fb - Fa) * rng.random()))
-    # both bounds in the far lower tail: sample the reflected upper tail
-    return -_tail_trunc_gauss(rng, -b, -a)
-
-
-def _tail_trunc_gauss(rng, a, b):
-    """Standard normal conditioned on [a, b] with a large positive;
-    Robert's exponential-proposal rejection."""
-    lam = 0.5 * (a + np.sqrt(a * a + 4.0))
-    for _ in range(100000):
-        x = a - np.log1p(-rng.random()) / lam
-        if x > b:
-            continue
-        if np.log1p(-rng.random()) <= -0.5 * (x - lam) ** 2:
-            return x
-    raise WalkError("tail truncated-normal rejection failed to accept")
-
-
 def _trunc_gauss_many(rng, count, mean, sd, lo, hi):
     """count rows whose coordinate i is N(mean_i, sd^2) conditioned on
     [lo_i, hi_i], independently, by inverse CDF.
 
-    As in _trunc_gauss, a coordinate whose lower bound lies above its mean
-    is reflected into the lower tail, where ndtr and ndtri keep their
-    relative accuracy.  A coordinate whose interval has no mass left in
-    double precision even there raises WalkError: the scalar sampler's
-    tail rejection is not vectorized, and clipping would put every draw
-    on the bound.
+    A coordinate whose lower bound lies above its mean is reflected into
+    the lower tail, where ndtr and ndtri keep their relative accuracy.  A
+    coordinate with no mass left in double precision even there raises
+    WalkError, as clipping would put every draw on the bound.
     """
     a = (lo - mean) / sd
     b = (hi - mean) / sd
@@ -343,14 +284,28 @@ def _trunc_gauss_many(rng, count, mean, sd, lo, hi):
 
 def _logconcave_chord(rng, alpha, tstar, d, a, b, lo, hi):
     """t on [lo, hi] with log-density
-    phi(t) = -alpha hypot(t - t*, d) - (a/2) t^2 + b t, alpha > 0, a >= 0.
+    phi(t) = -alpha hypot(t - t*, d) - (a/2) t^2 + b t, alpha, a >= 0, not flat.
 
     Exact rejection from an envelope built at the mode m: flat on [l, r]
     and, beyond l and r, the lines through (m, phi(m)) and (l, phi(l)) or
     (r, phi(r)), where l < m < r are the points at which phi has dropped
-    by one (clipped to the chord).  A concave phi lies below those lines.
+    by one (clipped to the chord), in closed form unless both alpha and
+    (a, b) are nonzero.  A concave phi lies below those lines.
     """
-    if a == 0.0 and b == 0.0:
+    if alpha == 0.0:
+        # quadratic: with g = phi'(m) and h = hypot(g, sqrt(2a)), phi drops by
+        # one at m + 2/(h - g) and m - 2/(h + g), forms that do not cancel; a
+        # denominator can vanish only on a side the chord does not extend to
+        m = b / a if a > 0.0 else (hi if b > 0.0 else lo)
+        m = lo if m < lo else (hi if m > hi else m)
+        hm = math.hypot(m - tstar, d)
+        g = b - a * m
+        h = math.hypot(g, math.sqrt(2.0 * a))
+        wl = 2.0 / (h + g) if m > lo else math.inf
+        wr = 2.0 / (h - g) if m < hi else math.inf
+        fl, lam_l = max(m - wl, lo), 1.0 / wl
+        fr, lam_r = min(m + wr, hi), 1.0 / wr
+    elif a == 0.0 and b == 0.0:
         # radial only: the mode is t* clipped to the chord, and
         # phi(t) = phi(m) - 1 at t* -/+ sqrt((m - t*)^2 + 2 hm/alpha + 1/alpha^2);
         # the width on the side of m facing t* is written as rest / (root + off)

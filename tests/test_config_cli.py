@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import klslab
-from klslab import __version__, cli, config, walks
+from klslab import __version__, cli, config, needles, walks
 from klslab.bodies import AxisCube, Ball
 from klslab.config import (ConfigError, ExperimentConfig, make_body,
                            make_density, make_tracked_sets, parse_config,
@@ -578,6 +578,24 @@ def test_env_config_path_and_flag_override(tmp_path, monkeypatch):
     assert cli.main(["sample", "--config", str(good), "--out", str(out)]) == 0
 
 
+def test_config_subcommand_must_match_the_command_line(tmp_path, capsys):
+    cfg_file = tmp_path / "s.cfg"
+    cfg_file.write_text(SAMPLE_CFG.replace("seed = 1", 'subcommand = "volume"\nseed = 1'))
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--config", str(cfg_file), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'volume'" in err and "'sample'" in err
+    assert not out.exists()
+
+
+def test_config_subcommand_matching_the_command_line_runs(tmp_path):
+    cfg_file = tmp_path / "s.cfg"
+    cfg_file.write_text(SAMPLE_CFG.replace("seed = 1", 'subcommand = "sample"\nseed = 1'))
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--config", str(cfg_file), "--out", str(out)]) == 0
+    assert (out / "sample_seed1.csv").exists()
+
+
 def test_usage_errors_exit_one(capsys):
     assert cli.main([]) == 1
     assert "config error:" in capsys.readouterr().err
@@ -634,6 +652,21 @@ def test_unbalanced_needle_root_exits_one(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "root measure" in err
+
+
+def test_unbalanced_needle_root_from_the_chain_exits_two(tmp_path, monkeypatch, capsys):
+    # the same check on chain draws is an estimation failure, not bad input
+    X = np.zeros((64, 2))
+    X[:56, 0] = -1.0
+    monkeypatch.setattr(needles, "exact_or_chain", lambda *args, **kwargs: (X, False))
+    cfg_file = tmp_path / "n.cfg"
+    cfg_file.write_text('[body]\nkind = "cube"\nn = 2\n'
+                        '[needles]\nset = "halfspace 0 0.0"\nk = 64\n'
+                        "max_depth = 1\n")
+    rc = cli.main(["needles", "--config", str(cfg_file), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("estimation failure:") and "root measure" in err
 
 
 def test_ball_walk_on_gaussian_exits_one(tmp_path, capsys, monkeypatch):

@@ -4,8 +4,10 @@ import pytest
 from klslab.bodies import AxisCube, Ball
 from klslab.densities import Boltzmann, Uniform
 from klslab.diagnostics import BallSet, HalfspaceSet
+from klslab import needles
 from klslab.needles import NeedleCell, balanced_split, needle_decompose
 from klslab.rng import RngStream
+from klslab.walks import WalkError
 
 
 def test_balanced_split_zeroes_the_signed_excess():
@@ -105,6 +107,22 @@ def test_needle_root_measure_validation():
     with pytest.raises(ValueError, match="substream"):
         needle_decompose(dens, tiny, eps=0.3, max_depth=2,
                          rng=RngStream(7).generator())
+
+
+@pytest.mark.parametrize("exact, error", [(True, ValueError), (False, WalkError)])
+def test_unbalanced_root_error_names_how_the_root_was_drawn(monkeypatch, exact, error):
+    # 0.8 of the root's draws land in E: exact draws make that E's own
+    # measure (bad input), chain draws only an estimate of it (an
+    # estimation failure, which is not a ValueError)
+    X = np.zeros((100, 2))
+    X[:80, 0] = -1.0
+    X[80:, 0] = 1.0
+    monkeypatch.setattr(needles, "exact_or_chain", lambda *args, **kwargs: (X, exact))
+    E = HalfspaceSet(np.eye(2)[0], 0.0)
+    with pytest.raises(error, match="root measure 0.800") as info:
+        needle_decompose(Uniform(AxisCube(2)), E, eps=0.3, max_depth=2, k=100,
+                         rng=RngStream(7))
+    assert isinstance(info.value, ValueError) == exact
 
 
 def test_needle_depth_zero_returns_root_cell():

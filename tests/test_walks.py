@@ -270,9 +270,10 @@ def test_sample_chord_point_extreme_tail_window():
 
 @pytest.mark.parametrize("x0, lo, hi", [(45.0, -5.0, -4.0), (-45.0, 4.0, 5.0)])
 def test_sample_chord_point_far_tail_window(x0, lo, hi):
-    # x + t lies in [40, 41] (or its mirror), where ndtr underflows to 0,
-    # so the draw comes from the exponential-proposal tail sampler.  The
-    # standard normal tail beyond a has mean a + 1/a - 2/a^3 + O(a^-5).
+    # x + t lies in [40, 41] (or its mirror), where ndtr underflows to 0;
+    # the logconcave rejection's envelope there is flat for about 1/40 and
+    # then falls at rate about 40.  The standard normal tail beyond a has
+    # mean a + 1/a - 2/a^3 + O(a^-5).
     dens = Gaussian(AxisCube(1, half_width=50.0), a=1.0)
     gen = RngStream(8).generator()
     x = np.array([x0])
@@ -320,6 +321,32 @@ def _chord_case(name):
         z, v = np.linalg.solve(M, y - shift), np.linalg.solve(M, slant)
         dens = Exponential(Ball(2, radius=2.0), alpha=2.0)
         return (dens, z, v) + dens.body.chord(z, v)
+    # quadratic profiles, alpha = 0
+    if name == "gauss-interior":
+        dens = Gaussian(AxisCube(2, half_width=3.0), a=2.0, center=np.array([0.3, -0.2]))
+        return (dens, x, slant) + dens.body.chord(x, slant)
+    line = Gaussian(AxisCube(1, half_width=50.0), a=1.0)
+    if name == "gauss-mode-left":
+        # mode t = 0 left of the window: clipped to lo
+        return line, np.zeros(1), np.ones(1), 1.0, 2.5
+    if name == "gauss-mode-right":
+        return line, np.zeros(1), np.ones(1), -2.5, -1.0
+    if name == "gauss-far-tail":
+        # x + t in [40, 41], 40 standard deviations out
+        return line, np.array([45.0]), np.ones(1), -5.0, -4.0
+    if name in ("boltzmann-rising", "boltzmann-falling"):
+        # slope b = -alpha c.u along e1 of either sign: mode at hi or lo
+        c = np.array([-1.0, 0.5]) if name == "boltzmann-rising" else np.array([1.0, 0.5])
+        dens = Boltzmann(Ball(2, radius=2.0), alpha=3.0, c=c)
+        return (dens, x, e1) + dens.body.chord(x, e1)
+    if name == "tiny-a":
+        # a = 1e-200 next to b = -2: the mode b/a lies far beyond lo
+        dens = Tilted(Boltzmann(Ball(2, radius=2.0), alpha=2.0, c=e1), np.zeros(2), 1e-200)
+        return (dens, x, e1) + dens.body.chord(x, e1)
+    if name == "huge-a":
+        # a = 1e12: standard deviation 1e-6, mode at t = -1e-6
+        dens = Gaussian(AxisCube(2), a=1e12, center=np.array([0.1, 0.2]))
+        return dens, np.array([0.1 + 1e-6, 0.2]), e1, -4e-6, 3e-6
     raise KeyError(name)
 
 
@@ -339,13 +366,17 @@ def _quad_chord_cdf(dens, x, u, lo, hi, cells=512):
 
 
 _CHORD_CASES = ("mode-inside", "mode-outside", "laplace-kink", "far-line",
-                "near-uniform", "tilted", "pushforward")
+                "near-uniform", "tilted", "pushforward",
+                "gauss-interior", "gauss-mode-left", "gauss-mode-right",
+                "gauss-far-tail", "boltzmann-rising", "boltzmann-falling",
+                "tiny-a", "huge-a")
 
 
 @pytest.mark.parametrize("case", _CHORD_CASES)
 def test_logconcave_chord_sampler_against_quadrature_oracle(case):
-    # an exponential's chord profile -alpha sqrt((t - t*)^2 + d^2) has no
-    # usable CDF, so the sampler rejects; the oracle integrates log_density
+    # every non-flat chord profile is drawn by the logconcave rejection,
+    # an exponential's radial one and a quadratic one alike; the oracle
+    # integrates log_density
     dens, x, u, lo, hi = _chord_case(case)
     gen = RngStream(8).generator()
     draws = np.array([sample_chord_point(dens, x, u, lo, hi, gen)
@@ -356,13 +387,18 @@ def test_logconcave_chord_sampler_against_quadrature_oracle(case):
 
 
 def _reference_chord_coeffs(density, x, u):
-    """Chord coefficients of an exponential, or of a tilt of one, from
-    numpy vector products."""
+    """Chord coefficients of an exponential, a Gaussian, a Boltzmann
+    density, or a tilt of one, from numpy vector products."""
     if isinstance(density, Tilted):
         alpha, tstar, d2, a, b = _reference_chord_coeffs(density.base, x, u)
         Bu = density.B @ u
         return (alpha, tstar, d2, a + float(u @ Bu),
                 b + float(density.c @ u) - float(x @ Bu))
+    if isinstance(density, Gaussian):
+        return (0.0, 0.0, 0.0, density.a * float(u @ u),
+                -density.a * float(u @ (x - density.center)))
+    if isinstance(density, Boltzmann):
+        return (0.0, 0.0, 0.0, 0.0, -density.alpha * float(density.c @ u))
     uu = float(u @ u)
     tstar = -float(x @ u) / uu
     r = x + tstar * u
@@ -371,7 +407,9 @@ def _reference_chord_coeffs(density, x, u):
 
 def _reference_logconcave_chord(rng, alpha, tstar, d, a, b, lo, hi):
     """The logconcave chord rejection written with a rise closure, one
-    envelope per branch and min/max clipping."""
+    envelope per branch and min/max clipping.  Every profile but the
+    radial-only one, quadratic ones (alpha = 0) included, takes its mode
+    and its unit-drop points by bisection."""
     radial_only = a == 0.0 and b == 0.0
     if radial_only:
         m = min(max(tstar, lo), hi)
