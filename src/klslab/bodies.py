@@ -261,14 +261,19 @@ def simplex(n):
 
 
 class BallIntersection(Body):
-    """base body intersected with the ball of the given radius around the
-    base's x0, so r and R are the smaller of each pair; the DFK phase bodies."""
+    """base body intersected with the ball of the given radius around
+    center, by default the base's x0; the DFK phase bodies, and the
+    cutting plane's enclosing ellipsoid cut by its outer ball.  r and R,
+    around the base's x0, are the smaller of each pair, the ball's pair
+    being its radius less and plus its center's distance from x0."""
 
     kind = "ball_intersection"
 
-    def __init__(self, base, radius):
-        self.ball = Ball(base.n, radius, base.x0)
-        super().__init__(base.n, min(base.r, radius), min(base.R, radius), base.x0)
+    def __init__(self, base, radius, center=None):
+        self.ball = Ball(base.n, radius, base.x0 if center is None else center)
+        offset = float(np.linalg.norm(self.ball.center - base.x0))
+        super().__init__(base.n, max(0.0, min(base.r, radius - offset)),
+                         min(base.R, radius + offset), base.x0)
         self.base = base
 
     def contains_many(self, X):

@@ -290,9 +290,7 @@ def _cmd_volume(cfg, art):
     fn = {"dfk": dfk_volume, "lv": lv_annealing_volume,
           "cooling": gaussian_cooling_volume}[method]
     result = fn(body, gen, k=k)
-    columns = ["phase", "param", "ratio", "se", "acceptance", "n_samples"]
-    if method == "dfk":
-        columns.append("exact")
+    columns = ["phase", "param", "ratio", "se", "acceptance", "n_samples", "exact"]
     art.write_csv(columns, _rows(columns, result.phases))
     art.write_json({"volume": result.to_json_dict()})
     return (f"volume[{method}]: {result.value:.6g} +- {result.std_error:.2g} "

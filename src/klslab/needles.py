@@ -25,16 +25,11 @@ import numpy as np
 
 from .bodies import RestrictedBody
 from .rng import as_stream
-from .walks import WalkError, exact_or_chain
+from .walks import PROPOSALS_PER_STEP, WalkError, exact_or_chain
 
 CELL_COLUMNS = ["cell_id", "depth", "weight", "max_variance", "rel_measure"]
 
 _MIN_SIDE = 8
-# proposals a cell's exact draw may spend per hit-and-run step of the
-# chain it replaces.  At n = 6 one 256-row proposal batch costs about
-# 66 us and one restricted hit-and-run step about 21 us, so a spent
-# budget costs no more than the chain that then runs
-_PROPOSALS_PER_STEP = 64
 
 
 @dataclass(frozen=True)
@@ -119,7 +114,7 @@ def needle_decompose(density, E, eps, max_depth, k=256, rng=None):
     cell, the root included, draws k samples of the density on the cell
     in one exact_or_chain call: exact draws of its law on the base body,
     conditioned on the cell's cuts, so a cell accepts at about its
-    weight, on a budget of _PROPOSALS_PER_STEP proposals per step of the
+    weight, on a budget of PROPOSALS_PER_STEP proposals per step of the
     fallback chain.  That chain takes k samples 2 steps apart after a
     burn-in of 30 n steps, from the parent's sample deepest inside the
     cell (the root from the body's interior point, after exact_or_chain's
@@ -147,7 +142,7 @@ def needle_decompose(density, E, eps, max_depth, k=256, rng=None):
         gen = stream.substream(counter).generator()
         counter += 1
         X, exact = exact_or_chain(cell_density, k, gen, x0=x0, burn_in=30 * n,
-                                  thin=2, proposals_per_step=_PROPOSALS_PER_STEP)
+                                  thin=2, proposals_per_step=PROPOSALS_PER_STEP)
         n_exact += exact
         inside = E.signed_distance(X) >= 0.0
         a = float(inside.mean())

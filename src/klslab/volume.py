@@ -21,19 +21,23 @@ Schedules:
   * Gaussian cooling: the same shape with exp(-(a_i/2)|x|^2), a_0 near
     4n/r^2 cooled to 1/R^2.  The cooling factor is the exponential
     schedule's; result metadata flags this as a stand-in schedule.
+    On exact draws the schedule alone bounds the relative variance of
+    each phase ratio of either (_phase_bound).
 
 Optimization anneals exp(-alpha c.x) with alpha rising by e^{1/sqrt(n)}
 per phase until alpha >= n/eps, at which point the sampled mean of c.x
 sits within n/alpha of the minimum.  The multiplicative step is the
 exponential form of the usual (1 + 1/sqrt(n)) so that the reported phase
-count is exactly ceil(sqrt(n) ln(alpha_f/alpha_0)).  Every method
-draws its phases through one driver, _anneal: optimization and the ball
-sequence exact first, the exponential and Gaussian annealed volumes on
-hit-and-run chains (see _annealed_volume).
+count is exactly ceil(sqrt(n) ln(alpha_f/alpha_0)).  Every method draws
+its phases through one driver, _anneal, exact first: a phase is a
+hit-and-run chain only where its density has no exact law or the exact
+draw outruns its budget.  The cutting plane draws each localizer the
+same way, proposing from an ellipsoid that encloses it.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -45,8 +49,8 @@ from .bodies import (Ball, BallIntersection, BodyError, Polytope,
 from .densities import Uniform, Exponential, Gaussian, Boltzmann
 from .estimates import Estimate
 from .rng import as_generator
-from .walks import (run_chain, exact_or_chain, hit_and_run_step, ChainState,
-                    WalkError)
+from .walks import (PROPOSALS_PER_STEP, exact_or_chain, hit_and_run_step,
+                    ChainState, WalkError)
 
 TRUNCATION_TOL = 1e-6
 REL_VARIANCE_ABORT = 10.0
@@ -155,7 +159,7 @@ def dfk_volume(body, rng, k=1000) -> VolumeResult:
     x0 = body.x0
     densities = [Uniform(BallIntersection(body, r)) for r in radii[1:]]
     phases = []
-    draws = _anneal(densities, k, rng, x0, body.n, exact_first=True)
+    draws = _anneal(densities, k, rng, x0, body.n)
     for i, (X, exact) in enumerate(draws, start=1):
         hit = np.linalg.norm(X - x0, axis=1) <= radii[i - 1]
         q = float(np.mean(hit))
@@ -260,9 +264,8 @@ def _telescope(schedule, phases, sign, method, meta) -> VolumeResult:
     delta-method standard error: the relative variances of the ratios add.
 
     The sum is the log variance when the phase estimates are independent,
-    as fresh exact draws make them.  Phases estimated on chains that start
-    where the previous phase ended (lv and cooling, and dfk's chain
-    phases) may covary, which the sum ignores."""
+    as fresh exact draws make them.  Chain phases, which start where the
+    previous phase ended, may covary, which the sum ignores."""
     log_v = schedule.log_start
     var_log = 0.0
     for phase in phases:
@@ -273,62 +276,101 @@ def _telescope(schedule, phases, sign, method, meta) -> VolumeResult:
                         len(phases), method, phases, meta=meta)
 
 
-def _anneal(densities, k, rng, x_start, thin, exact_first):
+def _anneal(densities, k, rng, x_start, thin):
     """The one annealing driver: yield (X, exact), k draws of each density
-    in turn and whether they are exact.  With exact_first a phase is one
-    walks.exact_or_chain call, else the hit-and-run chain that call falls
-    back to: 50 n burn-in steps from x_start, then k samples thin steps
-    apart.  Each phase starts at the previous phase's last draw."""
+    in turn and whether they are exact.  A phase is one
+    walks.exact_or_chain call on a budget of PROPOSALS_PER_STEP
+    proposals per step of the hit-and-run chain it falls back to: 50 n
+    burn-in steps from x_start, then k samples thin steps apart.  Each
+    phase starts at the previous phase's last draw."""
     rng = as_generator(rng)
     for density in densities:
-        burn_in = 50 * density.n
-        if exact_first:
-            X, exact = exact_or_chain(density, k, rng, x0=x_start,
-                                      burn_in=burn_in, thin=thin)
-        else:
-            X, exact = run_chain(density, x_start, k, burn_in=burn_in,
-                                 thin=thin, rng=rng), False
+        X, exact = exact_or_chain(density, k, rng, x0=x_start,
+                                  burn_in=50 * density.n, thin=thin,
+                                  proposals_per_step=PROPOSALS_PER_STEP)
         x_start = X[-1]
         yield X, exact
+
+
+def _phase_bound(cur, nxt, R):
+    """A bound, proven for exact draws of cur, on the relative variance
+    of an lv or cooling phase ratio y = f_next(X) / f_cur(X); inf where
+    none holds.
+
+    With Z(a) the integral of exp(-a|x|) over a body K that contains 0,
+    a^n Z(a) = int 1[y in aK] e^{-|y|} dy is logconcave in a (Prekopa:
+    {(a, y) : y in aK} is a convex cone).  For rates a > b,
+    E y^2 / (E y)^2 = Z(a) Z(2b - a) / Z(b)^2 is then at most
+    (b^2 / (a (2b - a)))^p with p = n, with equality on R^n; there is no
+    bound when 2b <= a.  The Gaussian exp(-(a/2)|x|^2) gives p = n/2, as
+    a^(n/2) Z(a) is logconcave and nondecreasing in sqrt(a), so
+    logconcave in a.  The last phase, to the uniform density, has
+    y = 1 / f_cur(X) in [1, U], U = 1 / f_cur at distance R from 0 (K
+    lies in that ball), whose relative variance is at most (U - 1)^2 / 4.
+    """
+    if isinstance(cur, Exponential):
+        a, p, log_top = cur.alpha, cur.n, cur.alpha * R
+    else:
+        a, p, log_top = cur.a, 0.5 * cur.n, 0.5 * cur.a * R * R
+    if isinstance(nxt, Uniform):
+        return math.expm1(log_top) ** 2 / 4.0
+    b = nxt.alpha if isinstance(nxt, Exponential) else nxt.a
+    if 2.0 * b <= a:
+        return math.inf
+    return (b * b / (a * (2.0 * b - a))) ** p - 1.0
 
 
 def _annealed_volume(body, rng, schedule, make_density, k, thin, method):
     """lv and Gaussian cooling: telescope E[f_{i+1}/f_i] along the
     schedule, then a final phase from the last annealed density to the
-    uniform one.  The phases stay on hit-and-run chains: lv's phase-0
-    ratio y = e^{(alpha_0 - alpha_1)|x|} has a heavy tail (no finite
-    fourth moment without the body's truncation), so the sample relative
-    variance of exact draws crosses REL_VARIANCE_ABORT on some seeds
-    where the chains' does not."""
+    uniform one.  Every phase is exact first (_anneal).  An exact phase
+    whose _phase_bound is at most REL_VARIANCE_ABORT is proven safe and
+    skips the sample check; a chain phase, or an exact one with a larger
+    bound (n = 1, where 2b = a), raises VolumePhaseError when its sample
+    relative variance exceeds REL_VARIANCE_ABORT.  The sample statistic
+    of exact draws measures tail noise only: lv's phase-0 ratio has no
+    finite fourth moment without the body's truncation, so it crosses
+    the threshold on some seeds while the true variance stays bounded.
+
+    Each phase record carries "exact" and "acceptance", NaN on an exact
+    phase and 1.0 on a chain phase, and meta "n_exact", the count of
+    exact phases, as dfk_volume's do."""
     centered = _centered(body)
     n = centered.n
     thin = max(1, n // 2) if thin is None else int(thin)
     densities = [make_density(centered, p) for p in schedule.params]
     densities.append(Uniform(centered))
     phases = []
-    draws = _anneal(densities[:-1], k, rng, np.zeros(n), thin,
-                    exact_first=False)
-    for i, (X, _) in enumerate(draws):
+    draws = _anneal(densities[:-1], k, rng, np.zeros(n), thin)
+    for i, (X, exact) in enumerate(draws):
         est = ratio_estimator(X, densities[i + 1], densities[i])
-        rel_var = (est.std_error * np.sqrt(k) / est.value) ** 2 if est.value > 0 else float("inf")
-        if rel_var > REL_VARIANCE_ABORT:
-            raise VolumePhaseError(i, rel_var)
+        proven = exact and _phase_bound(densities[i], densities[i + 1],
+                                        centered.R) <= REL_VARIANCE_ABORT
+        if not proven:
+            rel_var = ((est.std_error * np.sqrt(k) / est.value) ** 2
+                       if est.value > 0 else float("inf"))
+            if rel_var > REL_VARIANCE_ABORT:
+                raise VolumePhaseError(i, rel_var)
         phases.append({"phase": i, "param": float(schedule.params[i]),
                        "ratio": est.value, "se": est.std_error,
-                       # hit-and-run moves on every step
-                       "acceptance": 1.0, "n_samples": k})
+                       # a chain phase moves on every hit-and-run step
+                       "acceptance": float("nan") if exact else 1.0,
+                       "n_samples": k, "exact": exact})
     return _telescope(schedule, phases, 1, method,
-                      dict(schedule.meta, factor=schedule.factor, k=k))
+                      dict(schedule.meta, factor=schedule.factor, k=k,
+                           n_exact=sum(p["exact"] for p in phases)))
 
 
 def lv_annealing_volume(body, rng, k=1000, thin=None) -> VolumeResult:
-    """Volume by exponential-rate annealing with hit-and-run sampling."""
+    """Volume by exponential-rate annealing, each phase exact first
+    (_annealed_volume); thin spaces the samples of a chain phase."""
     return _annealed_volume(body, rng, exponential_schedule(body), Exponential,
                             k, thin, "exponential_annealing")
 
 
 def gaussian_cooling_volume(body, rng, k=1000) -> VolumeResult:
-    """Volume by Gaussian cooling with hit-and-run sampling."""
+    """Volume by Gaussian cooling, each phase exact first
+    (_annealed_volume)."""
     return _annealed_volume(body, rng, gaussian_cooling_schedule(body), Gaussian,
                             k, None, "gaussian_cooling")
 
@@ -388,8 +430,7 @@ def anneal_optimize(body, c, eps, rng, k=500, alpha0=None) -> OptimizeResult:
     trace = []
     n_exact = 0
     densities = [Boltzmann(body, alpha, c) for alpha in alphas]
-    draws = _anneal(densities, k, rng, body.x0, max(1, n // 2),
-                    exact_first=True)
+    draws = _anneal(densities, k, rng, body.x0, max(1, n // 2))
     for j, (alpha, (X, exact)) in enumerate(zip(alphas, draws)):
         n_exact += exact
         vals = X @ c
@@ -454,10 +495,18 @@ def cutting_plane_feasibility(oracle, n, R, r, rng, m_per_iter=None,
     """Find a point of a convex set K given only a separation oracle.
 
     Maintains an outer localizer (ball of radius R cut by the returned
-    halfspaces), queries the oracle at the sampled mean of the localizer
-    (m = 10 n hit-and-run samples), and stops after ceil(3 n ln(R/r))
-    iterations.  Works whenever K contains a ball of radius r inside the
-    initial ball.
+    halfspaces), queries the oracle at the sampled mean of the localizer,
+    and stops after ceil(3 n ln(R/r)) iterations.  Works whenever K
+    contains a ball of radius r inside the initial ball.  Each iteration
+    draws m = 10 n uniform points of the localizer in one exact_or_chain
+    call, on a budget of PROPOSALS_PER_STEP proposals per step of the
+    fallback hit-and-run chain, 50 n burn-in steps from the last interior
+    point and then m samples 2 steps apart.  The exact law proposes from
+    an ellipsoid that encloses the localizer (_enclose_cuts), or from the
+    ball while that is smaller, and masks by the ball and the cuts.  The
+    ball alone would accept at the localizer's share of its volume, which
+    shrinks with every cut until the budget runs out and the chain takes
+    over at a cost that varies from seed to seed.
     """
     center = np.zeros(n)
     rng = as_generator(rng)
@@ -465,14 +514,19 @@ def cutting_plane_feasibility(oracle, n, R, r, rng, m_per_iter=None,
     max_iters = int(np.ceil(3.0 * n * np.log(R / r))) if max_iters is None else int(max_iters)
     outer = RestrictedBody(Ball(n, R, center), np.zeros((0, n)), np.zeros(0), center)
     x_interior = center.copy()
+    ell_center, ell_shape = center.copy(), R * R * np.eye(n)
     trace = []
     for it in range(max_iters):
-        X = run_chain(Uniform(outer), x_interior, m_per_iter, burn_in=50 * n,
-                      thin=2, rng=rng)
+        ellipsoid = transform_body(Ball(n), np.linalg.cholesky(ell_shape), ell_center)
+        localizer = RestrictedBody(BallIntersection(ellipsoid, R, center),
+                                   outer.A, outer.b, x_interior)
+        X, _ = exact_or_chain(Uniform(localizer), m_per_iter, rng, x0=x_interior,
+                              burn_in=50 * n, thin=2,
+                              proposals_per_step=PROPOSALS_PER_STEP)
         x_bar = X.mean(axis=0)
         if not outer.contains(x_bar):
             # convexity guarantees this; numerical slack can break it at the
-            # boundary, in which case fall back to the chain's end point
+            # boundary, in which case fall back to the last sample
             x_bar = X[-1].copy()
         answer = oracle(x_bar)
         if answer is None:
@@ -495,8 +549,42 @@ def cutting_plane_feasibility(oracle, n, R, r, rng, m_per_iter=None,
                       "retained": int(retained.shape[0]), "feasible": False})
         x_interior = _interior_after_cut(outer, retained, X, x_bar, a, b, rng)
         outer = outer.with_cut(a, b, x_interior)
+        ell_center, ell_shape = _enclose_cuts(ell_center, ell_shape, outer.A, outer.b)
     return CutPlaneResult(False, x_interior, max_iters, trace,
                           meta={"max_iters": max_iters})
+
+
+def _enclose_cuts(c, P, A, b):
+    """The ellipsoid {(x - c)^T P^{-1} (x - c) <= 1} after the deep-cut
+    step of the ellipsoid method with each row a . x <= beta of A, b,
+    newest first.
+
+    A step maps the ellipsoid to the least-volume one that contains its
+    part on the kept side, so whatever the ellipsoid contains of the
+    cuts' intersection it keeps.  The newest cut runs first; the older
+    ones follow, since the shrunken ellipsoid may reach past them again.
+    A cut at depth alpha = (a . c - beta) / |a|_P, in ellipsoid radii
+    beyond the center, changes nothing unless -1/n < alpha < 1: below,
+    the least-volume ellipsoid is the old one; at 1 or more, the kept
+    part is at most a point, which a valid cut of a localizer with an
+    interior point never leaves.  In one dimension the step's
+    n^2 / (n^2 - 1) is undefined, and the ellipsoid stays as it is.
+    """
+    n = len(c)
+    if n == 1:
+        return c, P
+    for a, beta in zip(A[::-1], b[::-1]):
+        Pa = P @ a
+        norm = math.sqrt(float(a @ Pa))
+        alpha = (float(a @ c) - beta) / norm
+        if not -1.0 / n < alpha < 1.0:
+            continue
+        tau = (1.0 + n * alpha) / (n + 1.0)
+        sigma = 2.0 * tau / (1.0 + alpha)
+        delta = n * n * (1.0 - alpha * alpha) / (n * n - 1.0)
+        c = c - tau * Pa / norm
+        P = delta * (P - sigma * np.outer(Pa, Pa) / (norm * norm))
+    return c, P
 
 
 def _interior_after_cut(outer, retained, X, x_bar, a, b, rng):

@@ -12,13 +12,13 @@ an axis cube a Gaussian, or a Boltzmann density exp(-alpha c.x), is
 drawn coordinatewise by inverse CDF: truncated normals or truncated
 exponentials.  The uniform law and the volume belong to the body
 (Body.uniform_law, log_volume): closed form on balls, axis cubes, the
-simplex and their affine images, ellipsoids included.  A Gaussian on
-one of those bodies is drawn by rejection from whichever of two
-envelopes, its unrestricted law or the body's uniform law, accepts
-more.  Uniform on such a body cut by a ball (a BallIntersection, the
-dfk phase body) is drawn the same way, from the uniform law of the
-body or of the ball, whichever has the smaller volume, masked by the
-other's membership.  A density on a
+simplex and their affine images, ellipsoids included.  A Gaussian or
+an Exponential on one of those bodies is drawn by rejection from
+whichever of two envelopes, its unrestricted law or the body's uniform
+law, accepts more.  Uniform on such a body cut by a ball (a
+BallIntersection, the dfk phase body) is drawn the same way, from the
+uniform law of the body or of the ball, whichever has the smaller
+volume, masked by the other's membership.  A density on a
 RestrictedBody (a base body cut by halfspaces, such as a needle cell)
 has the law of the same density on the base, conditioned on the cuts:
 its base's exact law, with the cuts as the accept mask.  What stays here
@@ -77,6 +77,12 @@ _BISECT_CAP = 2200
 _REJECT_CAP = 1000
 # rows per proposal batch of the exact rejection samplers
 _REJECT_BATCH = 256
+# proposals an exact draw of many rows (an annealing phase, a needle cell,
+# a cutting-plane iteration) may spend per hit-and-run step of the chain
+# it replaces.  At n = 6 one 256-row proposal batch costs about 66 us and
+# one restricted hit-and-run step about 21 us, so a spent budget costs no
+# more than the chain that then runs
+PROPOSALS_PER_STEP = 64
 
 
 class WalkError(RuntimeError):
@@ -488,15 +494,16 @@ def exact_sample(density, count, rng, max_batches=10000):
     cut by a ball (BallIntersection) from whichever of the two has the
     smaller log_volume(), masked by the other's membership
     (_intersection_law), uniform on any other body from its bounding
-    ball, exponential from its unrestricted law, and a Gaussian
-    from whichever of two envelopes accepts more, its unrestricted law or
-    the body's uniform law, as body.log_volume() decides
-    (_uniform_envelope).  On a RestrictedBody the proposals are the exact
-    law of the same density on the base body, and the cuts are the
-    accept mask: a cell of mass w accepts at rate w, and the budget
-    bounds every proposal, the base's own rejections included.  Raises
-    NoExactSampler for kinds with no safe envelope; count = 0 draws
-    nothing and returns no rows.
+    ball, and a Gaussian or an Exponential from whichever of two
+    envelopes accepts more, as body.log_volume() decides
+    (_uniform_envelope): the body's uniform law, or the unrestricted
+    law, a normal for the Gaussian and for exp(-alpha |x|) a uniform
+    direction times a Gamma(n, 1/alpha) radius.  On a RestrictedBody the
+    proposals are the exact law of the same density on the base body,
+    and the cuts are the accept mask: a cell of mass w accepts at rate
+    w, and the budget bounds every proposal, the base's own rejections
+    included.  Raises NoExactSampler for kinds with no safe envelope;
+    count = 0 draws nothing and returns no rows.
     """
     count = int(count)
     rng = as_generator(rng)
@@ -558,6 +565,9 @@ def _exact_law(density, rng):
 
         return propose, body.contains_many
     if isinstance(density, Exponential):
+        envelope = _uniform_envelope(density, rng)
+        if envelope is not None:
+            return envelope
 
         def propose(m):
             g = rng.standard_normal((m, n))
@@ -593,33 +603,47 @@ def _intersection_law(body, rng):
 
 
 def _uniform_envelope(density, rng):
-    """(propose, accept) for drawing a Gaussian density by rejection from
-    its body's uniform law, or None when its unrestricted law is the
-    better envelope or the body has no closed-form uniform law.
+    """(propose, accept) for drawing a Gaussian or an Exponential density
+    by rejection from its body's uniform law, or None when its
+    unrestricted law is the better envelope or the body has no
+    closed-form uniform law.
 
-    For f(x) = exp(-(a/2)|x - m|^2) with mass Z on the body, Gaussian
-    proposals accept with probability Z / (2 pi / a)^(n/2); uniform
-    proposals, each kept with probability f(x) / s for s >= sup f on the
-    body, accept with probability Z / (s vol(body)).  The envelope with
-    the larger rate is taken, a rule that draws nothing.  s is 1, except
-    on a ball of center c and radius r, where the sup is exactly
-    exp(-(a/2) max(0, |m - c| - r)^2).
+    For f with mass Z on the body and Z0 on R^n, proposals from the
+    unrestricted law accept with probability Z / Z0; uniform proposals,
+    each kept with probability f(x) / s for s >= sup f on the body,
+    accept with probability Z / (s vol(body)).  The envelope with the
+    larger rate is taken, a rule that draws nothing.  Z0 is
+    (2 pi / a)^(n/2) for exp(-(a/2)|x - m|^2) and Gamma(n) n vol(B_n) /
+    alpha^n for exp(-alpha |x|) (m = 0).  s is 1, the sup of f over R^n
+    and so a bound on any body; the rates compared are those of the s
+    the accept step divides by, so the rule picks the better envelope
+    even where the body misses m.  On a ball of center c and radius r
+    the sup is exact: f at distance gap = max(0, |m - c| - r) from m,
+    exp(-(a/2) gap^2) or exp(-alpha gap).
     """
-    body, a, center, n = density.body, density.a, density.center, density.n
+    body, n = density.body, density.n
     draw = body.uniform_law(rng)
     if draw is None:
         return None
+    if isinstance(density, Gaussian):
+        center = density.center
+        log_mass = 0.5 * n * math.log(2.0 * math.pi / density.a)
+    else:
+        center = np.zeros(n)
+        log_mass = (math.lgamma(n) + math.log(n) + Ball(n).log_volume()
+                    - n * math.log(density.alpha))
     log_sup = 0.0
     if isinstance(body, Ball):
         gap = max(0.0, float(np.linalg.norm(center - body.center)) - body.radius)
-        log_sup = -0.5 * a * gap * gap
-    if body.log_volume() + log_sup >= 0.5 * n * math.log(2.0 * math.pi / a):
+        if isinstance(density, Gaussian):
+            log_sup = -0.5 * density.a * gap * gap
+        else:
+            log_sup = -density.alpha * gap
+    if body.log_volume() + log_sup >= log_mass:
         return None
 
     def accept(X):
-        D = X - center
-        log_ratio = -0.5 * a * np.einsum("ij,ij->i", D, D) - log_sup
-        return np.log(rng.random(len(X))) < log_ratio
+        return np.log(rng.random(len(X))) < density._log_inside_many(X) - log_sup
 
     return draw, accept
 
@@ -673,8 +697,9 @@ def exact_or_chain(density, k, rng, x0=None, burn_in=0, thin=1,
     k samples thin steps apart.  x0 = None starts it at the body's
     interior point after warm_start's 100 n^2 step warm-up, which adds
     one proposal per warm-up step to the budget, so no draw spends an
-    exact budget twice.  Every exact-first phase of volume's annealing
-    driver is one such call.
+    exact budget twice.  Every phase of volume's annealing driver, every
+    cutting-plane iteration and every needle cell is one such call, on
+    PROPOSALS_PER_STEP proposals per step.
     """
     rng = as_generator(rng)
     budget = proposals_per_step * (burn_in + k * thin)

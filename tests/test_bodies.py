@@ -84,6 +84,12 @@ def test_ball_intersection():
     assert np.array_equal(moved.x0, [1.0, -1.0]) and (moved.r, moved.R) == (1.0, 1.0)
     assert moved.contains(np.array([1.5, -0.5]))
     assert not moved.contains(np.array([0.5, 0.5]))
+    # a ball around another center: r and R, around the base's x0, lose
+    # and gain the offset
+    off = BallIntersection(AxisCube(2, half_width=3.0), 1.0, center=np.array([0.6, 0.0]))
+    assert (off.r, off.R) == (pytest.approx(0.4), pytest.approx(1.6))
+    assert off.contains(np.array([1.5, 0.0]))
+    assert not off.contains(np.array([-0.5, 0.0]))
 
 
 def test_restricted_body_cut_and_chord():

@@ -377,19 +377,21 @@ def test_volume_run_writes_artifacts_with_metadata(tmp_path, capsys):
 
 
 def test_dfk_csv_marks_its_exact_phases(tmp_path):
-    # an exact phase takes no ball-walk step: its acceptance is nan in the
-    # CSV, and the JSON counts the exact phases without writing any nan
-    cfg_file = tmp_path / "v.cfg"
-    cfg_file.write_text(RERUN_CFGS["volume-dfk"])
-    out = tmp_path / "out"
-    assert cli.main(["volume", "--config", str(cfg_file), "--out", str(out)]) == 0
-    lines = (out / "volume_seed0.csv").read_text().splitlines()
-    header, rows = lines[3].split(","), [ln.split(",") for ln in lines[4:]]
-    assert rows and all(row[header.index("exact")] == "true"
-                        and row[header.index("acceptance")] == "nan" for row in rows)
-    volume = json.loads((out / "volume_seed0.json").read_text(),
-                        parse_constant=_no_constant)["volume"]
-    assert volume["meta"]["n_exact"] == volume["n_phases"] == len(rows)
+    # an exact phase takes no walk step: its acceptance is nan in the
+    # CSV, and the JSON counts the exact phases without writing any nan;
+    # dfk, lv and cooling write the same columns
+    for method in ("dfk", "lv", "cooling"):
+        cfg_file = tmp_path / f"{method}.cfg"
+        cfg_file.write_text(RERUN_CFGS[f"volume-{method}"])
+        out = tmp_path / method
+        assert cli.main(["volume", "--config", str(cfg_file), "--out", str(out)]) == 0
+        lines = (out / "volume_seed0.csv").read_text().splitlines()
+        header, rows = lines[3].split(","), [ln.split(",") for ln in lines[4:]]
+        assert rows and all(row[header.index("exact")] == "true"
+                            and row[header.index("acceptance")] == "nan" for row in rows)
+        volume = json.loads((out / "volume_seed0.json").read_text(),
+                            parse_constant=_no_constant)["volume"]
+        assert volume["meta"]["n_exact"] == volume["n_phases"] == len(rows)
 
 
 def test_sample_chain_run_row_count_and_roundtrip(tmp_path):

@@ -1,12 +1,16 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from conftest import ellipsoid
-from scipy.special import gammainccinv
+from scipy.special import gammainccinv, gammaln
 
+from klslab import volume
 from klslab.bodies import AxisCube, Ball, Polytope, RestrictedBody, simplex
-from klslab.densities import Boltzmann, Exponential, Uniform
+from klslab.densities import Boltzmann, Exponential, Gaussian, Uniform
 from klslab.rng import RngStream
-from klslab.volume import (OracleInconsistencyError, _batch_means_se,
+from klslab.volume import (OracleInconsistencyError, _batch_means_se, _phase_bound,
                            VolumePhaseError, anneal_optimize, ball_schedule,
                            cutting_plane_feasibility, dfk_volume,
                            exponential_schedule, gaussian_cooling_schedule,
@@ -128,28 +132,64 @@ def test_dfk_cube4_exact_phases_unbiased_over_seeds():
     assert np.std(zs, ddof=1) <= 1.35
 
 
-def _cube_polytope(n):
+def _cube_polytope(n, R=None):
     """[-1, 1]^n as a plain Polytope, which has no closed-form uniform
-    law: its ball-sequence phases propose from their bounding balls."""
+    law: its ball-sequence phases propose from their bounding balls.  R
+    is its circumradius guarantee, sqrt(n) unless given."""
     A = np.vstack([np.eye(n), -np.eye(n)])
-    return Polytope(A, np.ones(2 * n), 1.0, np.sqrt(n), np.zeros(n))
+    R = np.sqrt(n) if R is None else R
+    return Polytope(A, np.ones(2 * n), 1.0, R, np.zeros(n))
 
 
-def test_dfk_falls_back_to_chains_when_the_budget_runs_out():
-    # the outer phases keep too few of their bounding ball's proposals
-    # for 2,000 rows in the 18,000 the budget allows (one proposal per
-    # step of a 400 + 2,000 x 8 step chain, in whole 2,000-row batches):
-    # they run hit-and-run chains from the last exact draw's last point
-    res = dfk_volume(_cube_polytope(8), RngStream(9), k=2000)
+def _assert_exact_then_chains(res):
+    """Some phases exact, the rest chains, exact ones first, and the
+    phase records and meta agree on which."""
     exact = [row["exact"] for row in res.phases]
     assert 0 < res.meta["n_exact"] == sum(exact) < res.n_phases
     assert exact == sorted(exact, reverse=True) and exact[0]
     for row in res.phases:
         assert np.isnan(row["acceptance"]) == row["exact"]
         assert row["exact"] or row["acceptance"] == 1.0
-    assert res.value == pytest.approx(256.0, abs=4 * res.std_error)
-    again = dfk_volume(_cube_polytope(8), RngStream(9), k=2000)
+    return exact
+
+
+def test_dfk_falls_back_to_chains_when_the_budget_runs_out():
+    # with R = 6 the ball sequence climbs to B(0, 6), whose uniform law
+    # lands in [-1, 1]^6 about once in 3,800 proposals: the outer phases
+    # keep too few for 500 rows in the 211,200 the budget allows (64
+    # proposals per step of a 300 + 500 x 6 step chain) and run
+    # hit-and-run chains from the last exact draw's last point
+    res = dfk_volume(_cube_polytope(6, R=6.0), RngStream(9), k=500)
+    _assert_exact_then_chains(res)
+    assert res.value == pytest.approx(64.0, abs=4 * res.std_error)
+    again = dfk_volume(_cube_polytope(6, R=6.0), RngStream(9), k=500)
     assert again.value == res.value and again.std_error == res.std_error
+
+
+def test_lv_falls_back_to_chains_and_keeps_their_sample_guard(monkeypatch):
+    # a plain Polytope has no uniform law, so exp(-alpha |x|) proposes
+    # from its radial Gamma law alone, which lands in the cube ever more
+    # rarely as alpha falls: the last phases outrun the budget and chain
+    res = lv_annealing_volume(_cube_polytope(4), RngStream(9), k=500)
+    exact = _assert_exact_then_chains(res)
+    assert res.value == pytest.approx(16.0, abs=4 * res.std_error)
+    again = lv_annealing_volume(_cube_polytope(4), RngStream(9), k=500)
+    assert again.value == res.value and again.std_error == res.std_error
+
+    # with every phase's standard error inflated 100-fold, each sample
+    # relative variance exceeds REL_VARIANCE_ABORT: the exact phases,
+    # whose schedule bound (1 - 1/4)^-4 - 1 = 2.16 is proven, pass, and
+    # the first chain phase aborts
+    def noisy(*args):
+        est = ratio_estimator(*args)
+        return dataclasses.replace(est, std_error=100.0 * est.std_error)
+
+    monkeypatch.setattr(volume, "ratio_estimator", noisy)
+    with pytest.raises(VolumePhaseError, match="schedule too aggressive") as err:
+        lv_annealing_volume(_cube_polytope(4), RngStream(9), k=500)
+    assert err.value.phase == exact.index(False)
+    res = lv_annealing_volume(AxisCube(4), RngStream(9), k=500)
+    assert res.meta["n_exact"] == res.n_phases
 
 
 def test_batch_means_se_weights_the_short_batches():
@@ -199,6 +239,50 @@ def test_gaussian_cooling_square():
     res = gaussian_cooling_volume(AxisCube(2), RngStream(6), k=2500)
     assert res.value == pytest.approx(4.0, rel=0.10)
     assert res.meta["schedule"] == "reused cooling factor"
+
+
+@pytest.mark.parametrize("kind", [Exponential, Gaussian])
+def test_phase_bound_is_the_relative_variance_on_the_whole_space(kind):
+    # on R^n, Z(a) = Gamma(n) n vol(B_n) / a^n for exp(-a |x|) and
+    # (2 pi / a)^(n/2) for exp(-(a/2) |x|^2), so the relative variance
+    # Z(a) Z(2b - a) / Z(b)^2 - 1 of y = f_b / f_a meets the bound exactly
+    n = 4
+    if kind is Exponential:
+        log_z = lambda a: gammaln(n) + math.log(n) + Ball(n).log_volume() - n * math.log(a)
+    else:
+        log_z = lambda a: 0.5 * n * math.log(2.0 * math.pi / a)
+    body = Ball(n)
+    for a, b in [(8.0, 8.0 / 1.5), (8.0, 7.0), (3.0, 1.6), (1.0, 0.999)]:
+        truth = math.expm1(log_z(a) + log_z(2.0 * b - a) - 2.0 * log_z(b))
+        assert _phase_bound(kind(body, a), kind(body, b), 1.0) == pytest.approx(truth, rel=1e-9)
+    # the annealing step 1 + 1/sqrt(n): (1 - 1/n)^-p - 1, p = n or n/2
+    p = n if kind is Exponential else n / 2
+    assert _phase_bound(kind(body, 6.0), kind(body, 4.0), 1.0) == pytest.approx(
+        (1.0 - 1.0 / n) ** -p - 1.0, rel=1e-12)
+    # 2b <= a, n = 1's step, has no bound; the last phase's ratio lies in
+    # [1, U], U = e^{aR} or e^{aR^2/2}, so its bound is (U - 1)^2 / 4
+    assert _phase_bound(kind(body, 2.0), kind(body, 1.0), 1.0) == math.inf
+    log_top = 0.5 * 1.5 if kind is Exponential else 0.5 * 0.5 * 1.5 ** 2
+    assert _phase_bound(kind(body, 0.5), Uniform(body), 1.5) == pytest.approx(
+        math.expm1(log_top) ** 2 / 4.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("method", [lv_annealing_volume, gaussian_cooling_volume])
+@pytest.mark.parametrize("body, truth", [(AxisCube(4), 16.0),
+                                         (Ball(5), 8.0 * math.pi ** 2 / 15.0)])
+def test_annealed_volume_error_bars_cover_over_seeds(method, body, truth):
+    # every phase is an independent exact draw, so the summed relative
+    # variances are the log variance: z = ln(V / truth) / (se / V) has sd
+    # near 1, the bound dfk's coverage tests use
+    errs, zs = [], []
+    for seed in range(40):
+        res = method(body, RngStream(3000 + seed), k=500)
+        assert res.meta["n_exact"] == res.n_phases
+        errs.append(np.log(res.value / truth))
+        zs.append(errs[-1] / (res.std_error / res.value))
+    errs = np.array(errs)
+    assert abs(errs.mean()) <= 3 * errs.std(ddof=1) / np.sqrt(errs.size)
+    assert np.std(zs, ddof=1) <= 1.35
 
 
 def test_volume_result_json_and_estimate():
@@ -299,6 +383,54 @@ def test_cutting_plane_finds_offset_ball():
     assert target.contains(res.point)
     assert res.n_iterations <= int(np.ceil(9.0 * np.log(8.0)))
     assert res.trace[-1]["feasible"]
+
+
+def test_enclose_cuts_keeps_the_localizer_and_shrinks():
+    # ball of radius 1 cut by halfspaces tangent to a small offset ball,
+    # as the separation oracle cuts: every uniform point of ball & cuts
+    # stays in the ellipsoid, whose volume falls well below the ball's
+    n = 4
+    gen = RngStream(5).generator()
+    target = np.array([0.5, 0.0, 0.0, 0.0])
+    A = np.zeros((0, n))
+    b = np.zeros(0)
+    c, P = np.zeros(n), np.eye(n)
+    for _ in range(6):
+        u = gen.standard_normal(n)
+        a = u / np.linalg.norm(u)
+        A = np.vstack([A, a])
+        b = np.append(b, float(a @ target) + 0.1)
+        c, P = volume._enclose_cuts(c, P, A, b)
+    X = gen.standard_normal((200000, n))
+    X *= (gen.random(200000) ** (1.0 / n) / np.linalg.norm(X, axis=1))[:, None]
+    X = X[np.all(X @ A.T <= b, axis=1)]
+    assert X.shape[0] > 1000
+    D = X - c
+    assert np.einsum("ij,jk,ik->i", D, np.linalg.inv(P), D).max() <= 1.0
+    assert 0.5 * np.linalg.slogdet(P)[1] < np.log(0.7)
+    # one dimension keeps the interval as it was
+    c1, P1 = volume._enclose_cuts(np.zeros(1), np.eye(1), np.array([[1.0]]), np.array([0.0]))
+    assert c1 == 0.0 and P1 == 1.0
+
+
+def test_cutting_plane_draws_every_localizer_exactly(monkeypatch):
+    # the enclosing ellipsoid keeps the accept rate up: on the benchmark's
+    # offset-ball instance no iteration falls back to its chain
+    exact = []
+    real = volume.exact_or_chain
+
+    def spy(*args, **kwargs):
+        X, ok = real(*args, **kwargs)
+        exact.append(ok)
+        return X, ok
+
+    monkeypatch.setattr(volume, "exact_or_chain", spy)
+    target = Ball(4, radius=0.1, center=np.array([0.5, 0.0, 0.0, 0.0]))
+    for seed in range(10):
+        res = cutting_plane_feasibility(separation_oracle_for(target), 4, R=1.0,
+                                        r=0.1, rng=RngStream(seed), target_body=target)
+        assert res.found
+    assert len(exact) >= 30 and all(exact)
 
 
 def test_cutting_plane_detects_non_separating_oracle():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import ellipsoid, plain_polytope, simplex_moments
 from scipy import integrate, stats
+from scipy.special import gammainc
 
 from klslab import walks
 from klslab.bodies import (AxisCube, Ball, BallIntersection, Polytope, RestrictedBody,
@@ -665,6 +666,45 @@ def test_gaussian_uniform_envelope_matches_gaussian_proposals(body, a, center,
     X = exact_sample(Gaussian(body, a, center), 20000, RngStream(26).generator())
     for stat in (lambda Y: Y[:, 0], lambda Y: np.sum((Y - center) ** 2, axis=1)):
         assert stats.ks_2samp(stat(X), stat(ref)).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("alpha, uniform_envelope", [(1.0, True), (5.0, False)])
+def test_exponential_on_a_ball_has_the_truncated_gamma_radius(alpha, uniform_envelope,
+                                                              monkeypatch):
+    # exp(-alpha |x|) on B(0, 1) in R^3: P(|x| <= r) = gammainc(3, alpha r) /
+    # gammainc(3, alpha).  The ball's uniform law is the envelope while
+    # its volume is below Gamma(3) 3 vol(B_3) / alpha^3, alpha < 6^(1/3);
+    # it tests no membership, which the radial Gamma law does
+    n, body = 3, Ball(3)
+    calls = []
+    contains_many = body.contains_many
+    monkeypatch.setattr(body, "contains_many",
+                        lambda X: calls.append(len(X)) or contains_many(X))
+    X = exact_sample(Exponential(body, alpha), 20000, RngStream(32).generator())
+    assert (not calls) == uniform_envelope
+    radii = np.linalg.norm(X, axis=1)
+    cdf = lambda r: gammainc(n, alpha * np.clip(r, 0.0, 1.0)) / gammainc(n, alpha)
+    assert stats.kstest(radii, cdf).pvalue > 1e-3
+
+
+def test_exponential_on_an_off_centre_ball_divides_by_its_sup():
+    # B(2 e1, 1/2) misses 0, and exp(-|x|) peaks on it at 1.5 e1, where the
+    # uniform envelope keeps every proposal; at 2.5 e1 it keeps e^-1 of them
+    body = Ball(3, radius=0.5, center=np.array([2.0, 0.0, 0.0]))
+    dens = Exponential(body, 1.0)
+    _, accept = walks._exact_law(dens, RngStream(33).generator())
+    assert accept(np.tile([1.5, 0.0, 0.0], (1000, 1))).all()
+    m, p = 20000, math.exp(-1.0)
+    share = accept(np.tile([2.5, 0.0, 0.0], (m, 1))).mean()
+    assert abs(share - p) <= 4.0 * math.sqrt(p * (1.0 - p) / m)
+    # reference: uniform proposals kept with probability exp(-|x|) <= 1
+    X = exact_sample(dens, m, RngStream(34).generator())
+    gen = RngStream(35).generator()
+    P = ball_cloud(gen, 10 * m, 3, body.center, body.radius)
+    ref = P[gen.random(len(P)) < np.exp(-np.linalg.norm(P, axis=1))][:m]
+    assert len(ref) == m and body.contains_many(X).all()
+    assert stats.ks_2samp(np.linalg.norm(X, axis=1),
+                          np.linalg.norm(ref, axis=1)).pvalue > 1e-3
 
 
 def test_gaussian_on_a_wide_ball_keeps_gaussian_proposals():
