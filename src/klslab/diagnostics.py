@@ -10,7 +10,10 @@ cut.  Marginal densities use a binned Gaussian KDE with the Silverman
 bandwidth; CDFs are empirical.  The scan's bootstrap resamples keep the
 full sample's bandwidth and grid for each direction and redraw only the
 bin counts, so a resample measures the spread of the counts, not of the
-bandwidth rule.
+bandwidth rule.  One scan scores two weights of the smaller side's mass
+m: m itself for the Cheeger coefficient psi, and m sqrt(1 + ln(1/m)),
+the Gaussian-isoperimetry shape, for kappa.  Both come from one direction
+family, one KDE per direction and 16 shared resamples.
 """
 
 from __future__ import annotations
@@ -116,6 +119,21 @@ def _half_bin_keys(z, edges, centers):
     return 2 * b + (z > centers[b])
 
 
+def _cheeger_weight(m):
+    """psi's weight: the smaller side's mass m."""
+    return m
+
+
+def _log_cheeger_weight(m):
+    """kappa's weight, the shape of Gaussian isoperimetry:
+    m sqrt(1 + ln(1/m)) = m sqrt(ln(e/m))."""
+    return m * np.sqrt(1.0 + np.log(1.0 / m))
+
+
+# the scan's weights, psi's first
+_WEIGHTS = (_cheeger_weight, _log_cheeger_weight)
+
+
 def _profile_min(centers, density, cdf, weight):
     """min over thresholds of f(s)/weight(m(s)), m = min(F(s), 1-F(s)),
     and its argmin; thresholds with m below _CDF_FLOOR are skipped."""
@@ -148,49 +166,65 @@ def direction_family(samples, rng, n_random=None, n_eig=3):
     return np.vstack(dirs)
 
 
-def _halfspace_scan(X, rng, n_boot, weight):
-    """Profile minima of every direction_family direction plus a bootstrap
-    standard error of their minimum over the directions.
+def _halfspace_scan(X, rng):
+    """Profile minima of every direction_family direction under each of
+    _WEIGHTS, plus a bootstrap standard error of each weight's minimum
+    over the directions.
 
-    A resample keeps each direction's bandwidth and grid from the full
-    sample and redraws only the counts.  Every point gets its half-bin key
-    once; a resample's multiplicities (one bincount of its indices, shared
-    by all directions) weight one bincount of each direction's keys.  Bin
-    counts are left + right halves, and the CDF at center k is the cumulative
-    count through bin k minus its right half, all exact integers.
+    One KDE, grid and half-bin key set per direction and one set of
+    _N_BOOT resamples serve every weight.  A resample keeps each
+    direction's bandwidth and grid from the full sample and redraws only
+    the counts.  Every point gets its half-bin key once; a resample's
+    multiplicities (one bincount of its indices, shared by all directions)
+    weight one bincount of each direction's keys.  Bin counts are left +
+    right halves, and the CDF at center k is the cumulative count through
+    bin k minus its right half, all exact integers.  Each weight's
+    resample minima are taken over a direction's whole block of
+    resamples at once; they are the entries _profile_min would compare,
+    so they have its bits.
 
-    Returns (directions, per-direction minima, their thresholds, se).
+    Returns (directions, minima, thresholds, se): minima and thresholds
+    are (len(_WEIGHTS), directions) arrays and se has one entry per weight.
     """
     rng = as_generator(rng)
     N = X.shape[0]
     directions = direction_family(X, rng)
     # one contiguous row of projections per direction
     Z = np.ascontiguousarray((X @ directions.T).T)
-    per_dir = np.empty(len(Z))
-    thresholds = np.empty(len(Z))
+    per_dir = np.empty((len(_WEIGHTS), len(Z)))
+    thresholds = np.empty((len(_WEIGHTS), len(Z)))
     grids = []
     keys = np.empty(Z.shape, dtype=np.intp)
     for j, row in enumerate(Z):
         edges, sigma, centers, density, cdf = _kde_1d(row)
-        per_dir[j], thresholds[j] = _profile_min(centers, density, cdf, weight)
-        grids.append((edges, sigma, centers))
+        for w, weight in enumerate(_WEIGHTS):
+            per_dir[w, j], thresholds[w, j] = _profile_min(
+                centers, density, cdf, weight)
+        grids.append((edges, sigma))
         keys[j] = _half_bin_keys(row, edges, centers)
-    half = np.empty((len(Z), n_boot, 2 * _KDE_GRID))
-    for b in range(n_boot):
+    half = np.empty((len(Z), _N_BOOT, 2 * _KDE_GRID))
+    for b in range(_N_BOOT):
         idx = rng.integers(0, N, size=N)
         mult = np.bincount(idx, minlength=N).astype(float)
         for j, key in enumerate(keys):
             half[j, b] = np.bincount(key, weights=mult, minlength=2 * _KDE_GRID)
-    boots = np.full(n_boot, np.inf)
-    for (edges, sigma, centers), halves in zip(grids, half):
+    boots = np.full((len(_WEIGHTS), _N_BOOT), np.inf)
+    for (edges, sigma), halves in zip(grids, half):
         right = halves[:, 1::2]
         counts = halves[:, 0::2] + right
         cdf = (np.cumsum(counts, axis=-1) - right) / N
         density = _smooth(counts, sigma, N, edges[1] - edges[0])
-        for b in range(n_boot):
-            psi_b = _profile_min(centers, density[b], cdf[b], weight)[0]
-            boots[b] = min(boots[b], psi_b)
-    return directions, per_dir, thresholds, float(boots.std(ddof=1))
+        m = np.minimum(cdf, 1.0 - cdf)
+        ok = m >= _CDF_FLOOR
+        if not ok.any(axis=1).all():
+            raise ValueError("a resample has all thresholds below the CDF "
+                             "floor; too few samples")
+        # the floor keeps the masked-out thresholds finite
+        m = np.maximum(m, _CDF_FLOOR)
+        for w, weight in enumerate(_WEIGHTS):
+            ratio = np.where(ok, density / weight(m), np.inf)
+            np.minimum(boots[w], ratio.min(axis=1), out=boots[w])
+    return directions, per_dir, thresholds, [float(b.std(ddof=1)) for b in boots]
 
 
 def halfspace_isoperimetry(samples, rng=None, full_output=False):
@@ -198,26 +232,30 @@ def halfspace_isoperimetry(samples, rng=None, full_output=False):
 
     Returns the minimum of the per-direction profiles as an Estimate with
     a bootstrap standard error.  Ties break toward the first (smallest)
-    threshold on the scan grid.
+    threshold on the scan grid.  The same scan, with the same directions,
+    KDEs and 16 resamples, scores the Gaussian-isoperimetry weight too:
+    full_output's detail carries that minimum as "log_cheeger".
     """
     X = np.asarray(samples, dtype=float)
-    directions, per_dir, thresholds, se = _halfspace_scan(
-        X, rng, _N_BOOT, lambda m: m)
-    best = int(np.argmin(per_dir))
-    est = Estimate(float(per_dir[best]), se, X.shape[0], "halfspace_kde_min")
+    N = X.shape[0]
+    directions, per_dir, thresholds, se = _halfspace_scan(X, rng)
+    best = int(np.argmin(per_dir[0]))
+    est = Estimate(float(per_dir[0, best]), se[0], N, "halfspace_kde_min")
     if full_output:
-        return est, {"per_direction": per_dir, "thresholds": thresholds,
-                     "direction_index": best, "direction": directions[best]}
+        kappa = Estimate(float(per_dir[1].min()), se[1], N,
+                         "log_cheeger_halfspace")
+        return est, {"per_direction": per_dir[0], "thresholds": thresholds[0],
+                     "direction_index": best, "direction": directions[best],
+                     "log_cheeger": kappa}
     return est
 
 
 def log_cheeger_halfspace(samples, rng=None):
     """Halfspace scan with the Gaussian-isoperimetry weight:
-    min f(s) / (m(s) sqrt(ln(e/m(s)))), m = min(F, 1-F)."""
-    X = np.asarray(samples, dtype=float)
-    _, per_dir, _, se = _halfspace_scan(
-        X, rng, 8, lambda m: m * np.sqrt(1.0 + np.log(1.0 / m)))
-    return Estimate(float(per_dir.min()), se, X.shape[0], "log_cheeger_halfspace")
+    min f(s) / (m(s) sqrt(ln(e/m(s)))), m = min(F, 1-F).  It is
+    halfspace_isoperimetry's "log_cheeger" detail: one scan gives psi and
+    this from one direction family and 16 shared resamples."""
+    return halfspace_isoperimetry(samples, rng, full_output=True)[1]["log_cheeger"]
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +559,6 @@ def compute_constants(samples, rng, test_sets=None) -> ConstantsReport:
     sigma, sigma_var = thin_shell(X, full_output=True)
     lhat = slicing_constant(X, rng=rng)
     zeta, _ = poincare_family_min(X, default_test_functions(n, rng))
-    kappa = log_cheeger_halfspace(X, rng=rng)
     psi_sub = None
     if test_sets:
         psi_sub = subset_isoperimetry(X, test_sets)
@@ -531,7 +568,7 @@ def compute_constants(samples, rng, test_sets=None) -> ConstantsReport:
         sigma_thin_shell_variance=sigma_var,
         slicing_l=lhat,
         poincare_zeta=zeta,
-        kappa_log_cheeger=kappa,
+        kappa_log_cheeger=detail["log_cheeger"],
         psi_subsets=psi_sub,
         n_dim=n,
         n_samples=N,

@@ -5,10 +5,12 @@ from scipy import ndimage, stats
 from klslab.bodies import AxisCube
 from klslab.densities import Gaussian, Uniform
 from klslab.diagnostics import (BallSet, HalfspaceSet, SlabSet,
-                                _half_bin_keys, _kde_1d, _sorted_quantile,
+                                _half_bin_keys, _kde_1d, _log_cheeger_weight,
+                                _sorted_quantile,
                                 ball_walk_mixing_estimate, compute_constants,
                                 conductance_tv_bound, default_shell_width,
-                                direction_family, halfspace_isoperimetry,
+                                default_test_functions, direction_family,
+                                halfspace_isoperimetry,
                                 linear_test, log_cheeger_halfspace,
                                 mixing_bounds, poincare_family_min,
                                 poincare_ratio,
@@ -18,6 +20,10 @@ from klslab.diagnostics import (BallSet, HalfspaceSet, SlabSet,
 from klslab.estimates import Estimate, bootstrap_se
 from klslab.rng import RngStream
 from klslab.walks import exact_sample
+
+# a masked log(1/0) or a NaN in an estimator's array pass must fail here,
+# not pass with a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # closed-form targets for the standard normal
 PSI_GAUSS = 0.7978845608028654          # sqrt(2/pi), halfspace cut at 0
@@ -96,6 +102,16 @@ def test_halfspace_scan_needs_thresholds_above_floor(estimator):
         estimator(X, rng=RngStream(15).generator())
 
 
+@pytest.mark.parametrize("estimator", [halfspace_isoperimetry,
+                                       log_cheeger_halfspace])
+def test_halfspace_scan_needs_thresholds_above_floor_in_every_resample(estimator):
+    # two samples: the full sample's CDF reaches 1/2, but a resample that
+    # draws one point twice has no threshold above the floor
+    X = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    with pytest.raises(ValueError, match="a resample .* CDF floor"):
+        estimator(X, rng=RngStream(15).generator())
+
+
 # Textbook reference for the halfspace scan: np.percentile and np.histogram
 # on each column as given, np.sort for the CDF, the whole projection matrix
 # gathered per bootstrap.  A resample keeps the full sample's grid and
@@ -154,10 +170,6 @@ def _ref_scan(X, rng, n_boot, weight):
     return directions, per_dir, thresholds, float(np.std(boots, ddof=1))
 
 
-def _log_cheeger_weight(m):
-    return m * np.sqrt(1.0 + np.log(1.0 / m))
-
-
 def test_halfspace_scan_matches_textbook_reference_bit_for_bit():
     # one decimal makes ties along every axis direction
     X = np.round(_gaussian_cloud(4, 3000, 16), 1)
@@ -174,29 +186,35 @@ def test_halfspace_scan_matches_textbook_reference_bit_for_bit():
     assert detail["direction_index"] == best
     np.testing.assert_array_equal(detail["direction"], dirs[best])
 
-    _, per_dir, _, se = _ref_scan(X, RngStream(19).generator(), 8,
+    # kappa comes from the same scan: same directions, same resamples
+    _, per_dir, _, se = _ref_scan(X, RngStream(18).generator(), 16,
                                   _log_cheeger_weight)
-    est = log_cheeger_halfspace(X, rng=RngStream(19).generator())
-    assert (est.value, est.std_error) == (per_dir.min(), se)
+    kappa = detail["log_cheeger"]
+    assert (kappa.value, kappa.std_error) == (per_dir.min(), se)
+    assert log_cheeger_halfspace(X, rng=RngStream(18).generator()) == kappa
 
 
 def test_log_cheeger_scan_matches_reference_on_a_gaussian_cloud():
     X = _gaussian_cloud(8, 20000, 28)
-    _, per_dir, _, se = _ref_scan(X, RngStream(29).generator(), 8,
+    _, per_dir, _, se = _ref_scan(X, RngStream(29).generator(), 16,
                                   _log_cheeger_weight)
     est = log_cheeger_halfspace(X, rng=RngStream(29).generator())
     assert (est.value, est.std_error) == (per_dir.min(), se)
 
 
 def test_halfspace_se_calibrated_over_independent_clouds():
-    # the bootstrap se must match the spread of psi-hat across clouds
-    values, ses = [], []
+    # the bootstrap se must match the spread of psi-hat and kappa-hat
+    # across clouds; one scan gives both
+    ests = []
     for seed in range(40):
-        est = halfspace_isoperimetry(_gaussian_cloud(4, 5000, 300 + seed),
-                                     rng=RngStream(400 + seed).generator())
-        values.append(est.value)
-        ses.append(est.std_error)
-    assert 0.7 <= np.std(values, ddof=1) / np.mean(ses) <= 1.4
+        psi, detail = halfspace_isoperimetry(
+            _gaussian_cloud(4, 5000, 300 + seed),
+            rng=RngStream(400 + seed).generator(), full_output=True)
+        ests.append((psi, detail["log_cheeger"]))
+    for column in zip(*ests):
+        values = [e.value for e in column]
+        ses = [e.std_error for e in column]
+        assert 0.7 <= np.std(values, ddof=1) / np.mean(ses) <= 1.4
 
 
 def _closed_last_bin_column():
@@ -368,7 +386,6 @@ def test_poincare_linear_and_quadratic_gaussian():
 
 def test_poincare_family_min_reports_linear():
     X = _gaussian_cloud(4, 20000, 23)
-    from klslab.diagnostics import default_test_functions
     best, all_ests = poincare_family_min(
         X, default_test_functions(4, RngStream(24).generator()))
     assert best.value == pytest.approx(1.0, abs=0.06)
@@ -410,6 +427,25 @@ def test_mixing_bounds_and_ball_walk_plugin():
         mixing_bounds(0.0, 4.0)
     with pytest.raises(ValueError):
         ball_walk_mixing_estimate(10, 0.0)
+
+
+def test_compute_constants_scans_once():
+    # psi and kappa come from one halfspace_isoperimetry call, and the
+    # estimators after it draw from the generator in this order
+    X = _gaussian_cloud(8, 4000, 33)
+    report = compute_constants(X, RngStream(34).generator())
+    psi, detail = halfspace_isoperimetry(X, RngStream(34).generator(),
+                                         full_output=True)
+    assert (report.psi_halfspace, report.kappa_log_cheeger) == (
+        psi, detail["log_cheeger"])
+    gen = RngStream(34).generator()
+    halfspace_isoperimetry(X, gen)
+    sigma, sigma_var = thin_shell(X, full_output=True)
+    lhat = slicing_constant(X, gen)
+    zeta, _ = poincare_family_min(X, default_test_functions(8, gen))
+    assert (report.sigma_thin_shell, report.sigma_thin_shell_variance,
+            report.slicing_l, report.poincare_zeta) == (
+        sigma, sigma_var, lhat, zeta)
 
 
 def test_compute_constants_report():

@@ -13,6 +13,9 @@ SRC = pathlib.Path(klslab.__file__).parent
 ALLOWED_UNREFERENCED = {
     "power_opnorm": "the benchmark's tracer patches it; the benchmark "
                     "refresh removes it with its traced metrics",
+    "log_cheeger_halfspace": "the benchmark's tracer patches it; a benchmark "
+                             "refresh removes it with "
+                             "diagnostics.log_cheeger_halfspace.s",
     "chord_profile": "the benchmark's tracer classifies chord draws with it",
     "conductance_tv_bound": "acceptance criterion 11",
     "mixing_bounds": "acceptance criterion 11",
