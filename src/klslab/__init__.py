@@ -35,7 +35,7 @@ from .volume import (AnnealSchedule, CutPlaneResult, OptimizeResult,
                      gaussian_cooling_volume, lv_annealing_volume,
                      optimize_schedule, ratio_estimator, separation_oracle_for)
 from .walks import (ChainState, NoExactSampler, WalkError, advance_ensemble,
-                    ball_walk_step, coordinate_hit_and_run_step, default_delta,
-                    exact_or_chain, exact_sample, hit_and_run_step,
-                    metropolis_step, run_chain, sample_chord_point, warm_start)
+                    coordinate_hit_and_run_step, default_delta, exact_or_chain,
+                    exact_sample, hit_and_run_step, run_chain,
+                    sample_chord_point, warm_start)
 from .config import ConfigError, ExperimentConfig, parse_config

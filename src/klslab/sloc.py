@@ -397,6 +397,9 @@ def sloc_init(density, control="identity", tracked_sets=None, q=None, k=None,
     q = default_q(n) if q is None else int(q)
     if q < 2:
         raise ValueError("potential exponent q must be >= 2")
+    inner_steps = int(inner_steps)
+    if inner_steps < 1:
+        raise ValueError("inner_steps must be >= 1")
     k = 64 * n if k is None else int(k)
     if closed_form:
         if not (isinstance(density, Gaussian) and density.a == 1.0
@@ -411,7 +414,7 @@ def sloc_init(density, control="identity", tracked_sets=None, q=None, k=None,
         base=work, control=control, q=q, k=k,
         c=np.zeros(n), B=np.zeros((n, n)), tracked=tracked,
         density=work, closed_form=closed_form, pool=ObservablePool(window=window),
-        inner_steps=int(inner_steps), truncation=truncation)
+        inner_steps=inner_steps, truncation=truncation)
     _refresh(state, gen, max(1, int(init_refreshes)))
     state.meta["t0_pool"] = state.meta.pop("refresh")
     _validate_measures(state)

@@ -28,14 +28,14 @@ draw it.
 
 Steppers share one convention: they mutate and return a ChainState, they
 draw randomness only from the generator they are handed, and a rejected
-proposal leaves the state at x (the walk stays).  The ball walk and the
-Metropolis ball walk consume identical randomness for identical proposals,
-so with a uniform target they produce the same trajectory from the same
-stream; the tests pin that equivalence down.
+proposal leaves the state at x (the walk stays).
 
-advance_ensemble is the one batched stepper: Metropolis ball-walk steps
+advance_ensemble is the one ball-walk engine: Metropolis ball-walk steps
 on K chains in lockstep, stored as the rows of a (K, n) array.  The sloc
-ensemble runs on it wherever its tilted density has no exact law.
+ensemble runs on it wherever its tilted density has no exact law, and
+the scalar ball-walk and Metropolis steps are one-row advance_ensemble
+steps.  On a uniform target the filter accepts exactly the proposals
+inside the body, so the two kinds are the same walk.
 
 Hit-and-run resamples the target restricted to a random chord, and the
 1-D restriction is always drawn exactly: one uniform when it is flat,
@@ -59,7 +59,7 @@ last bits of a chain, not the variates it consumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -100,24 +100,12 @@ def default_delta(n: int) -> float:
 
 @dataclass
 class ChainState:
-    """A chain's position and counters.
-
-    metropolis_step caches the target's log-density at x as
-    (density, x, log f(x)).  The cache is read only while both the density
-    and the array x are the very objects it was taken with, so a step that
-    assigns a new x (every stepper does; none writes into x in place) or a
-    step against another density recomputes it.
-    """
+    """A chain's position and counters."""
 
     x: np.ndarray
     delta: float = 0.0
     steps_taken: int = 0
     proposals_accepted: int = 0
-    _log_f: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def acceptance_rate(self) -> float:
-        return self.proposals_accepted / max(1, self.steps_taken)
 
 
 def unit_direction(rng, n):
@@ -129,49 +117,28 @@ def unit_direction(rng, n):
     return g / norm
 
 
-def ball_walk_step(body, state: ChainState, rng, delta=None) -> ChainState:
-    """One ball-walk step: a uniform proposal in the delta-ball around x,
-    drawn by ball_cloud; stay if it lands outside the body."""
-    delta = state.delta if delta is None else delta
-    y = ball_cloud(rng, 1, body.n, state.x, delta)[0]
-    state.steps_taken += 1
-    if body.contains(y):
-        state.x = y
-        state.proposals_accepted += 1
-    return state
+def ball_walk_step(density, state: ChainState, rng, delta=None) -> ChainState:
+    """One ball-walk step on a uniform density: a uniform proposal in the
+    delta-ball around x, kept when it lands in the body."""
+    return _one_row_step(density, state, rng, delta)
 
 
 def metropolis_step(density: Density, state: ChainState, rng, delta=None) -> ChainState:
-    """Metropolis-filtered ball walk: accept y with min{1, f(y)/f(x)}, the
-    proposal y uniform in the delta-ball around x, drawn by ball_cloud.
+    """Metropolis-filtered ball walk: accept a uniform proposal y in the
+    delta-ball around x with probability min{1, f(y)/f(x)}."""
+    return _one_row_step(density, state, rng, delta)
 
-    The comparison runs in log scale.  No uniform variate is consumed when
-    the ratio decides by itself (certain accept or certain reject), which
-    keeps the stream aligned with the plain ball walk on uniform targets.
-    log f(x) comes from the state's cache when it is still valid, so a
-    step evaluates only log f(y).
-    """
+
+def _one_row_step(density, state, rng, delta):
+    """One advance_ensemble step of the chain at state, as a one-row
+    ensemble.  ball_walk_step calls this, not metropolis_step, so that a
+    tracer wrapping either name books each step once."""
     delta = state.delta if delta is None else delta
-    y = ball_cloud(rng, 1, density.n, state.x, delta)[0]
+    X = state.x[None, :].copy()
     state.steps_taken += 1
-    cached = state._log_f
-    if cached is not None and cached[0] is density and cached[1] is state.x:
-        log_fx = cached[2]
-    else:
-        log_fx = density.log_density(state.x)
-    log_fy = density.log_density(y)
-    log_ratio = log_fy - log_fx
-    if log_ratio >= 0:
-        accept = True
-    elif log_ratio == float("-inf"):
-        accept = False
-    else:
-        accept = np.log(rng.random()) < log_ratio
-    if accept:
-        state.x = y
+    if advance_ensemble(density, X, density.log_density_many(X), 1, delta, rng):
+        state.x = X[0]
         state.proposals_accepted += 1
-        log_fx = log_fy
-    state._log_f = (density, state.x, log_fx)
     return state
 
 
@@ -438,19 +405,19 @@ def run_chain(density, x0, n_samples, walk="hit_and_run", burn_in=0, thin=None,
     x0 = None starts the chain from warm_start(density, rng), drawn after
     the walk is checked against the density.  thin defaults to the
     dimension and delta, the ball-walk step size of
-    "ball_walk" and "metropolis", to default_delta(n).  The ball walk
-    tests membership only, so it takes uniform targets alone.  The chain
-    is deterministic given the generator: identical streams reproduce
-    identical trajectories.
+    "ball_walk" and "metropolis", to default_delta(n).  Both of those
+    kinds take one-row advance_ensemble steps, which draw one uniform per
+    step, accept or not; "ball_walk" takes uniform targets alone, on which
+    it is the same walk as "metropolis".  The chain is deterministic given
+    the generator: identical streams reproduce identical trajectories.
     """
     # the steppers are looked up by name on every call, so a rebinding of
     # walks.<kind>_step (perfbench's tracer) sees every step
-    target = density
     if walk == "ball_walk":
         if density.kind != "uniform":
             raise ValueError(f"walk 'ball_walk' tests membership only and would "
                              f"ignore the {density.kind!r} density; use 'metropolis'")
-        step, target = ball_walk_step, density.body
+        step = ball_walk_step
     elif walk == "metropolis":
         step = metropolis_step
     elif walk == "hit_and_run":
@@ -470,11 +437,11 @@ def run_chain(density, x0, n_samples, walk="hit_and_run", burn_in=0, thin=None,
     delta = default_delta(n) if delta is None else delta
     state = ChainState(x=x0, delta=delta)
     for _ in range(int(burn_in)):
-        step(target, state, rng)
+        step(density, state, rng)
     out = np.empty((int(n_samples), n))
     for i in range(int(n_samples)):
         for _ in range(thin):
-            step(target, state, rng)
+            step(density, state, rng)
         out[i] = state.x
     return out
 

@@ -109,6 +109,30 @@ def test_tracer_counts_every_run_chain_step(monkeypatch):
         tracer.uninstall()
 
 
+def test_tracer_books_a_ball_walk_step_once(monkeypatch):
+    # ball_walk_step and metropolis_step share one engine; a ball-walk step
+    # must reach it without passing through walks.metropolis_step, or a
+    # traced run counts it under both kinds
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    import numpy as np
+
+    from klslab import walks
+    from klslab.bodies import AxisCube
+    from klslab.densities import Uniform
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        before = tracer.calls["walks.step.metropolis"]
+        walks.run_chain(Uniform(AxisCube(3)), np.zeros(3), 7, walk="ball_walk",
+                        burn_in=5, thin=2, rng=0)
+        assert tracer.calls["walks.step.ball_walk"] == 5 + 7 * 2
+        assert tracer.calls["walks.step.metropolis"] == before
+    finally:
+        tracer.uninstall()
+
+
 def test_tracer_counts_read_the_return_shapes(monkeypatch):
     # isotropy.iterations and needles.cells are read off the results of the
     # traced calls (result[2] and result.cells); a change to either return

@@ -18,6 +18,10 @@ from klslab.walks import advance_ensemble, exact_sample
 
 ABS3_GAUSS = 1.5957691216057308  # E|x|^3 for x ~ N(0,1)
 
+# a NaN or a masked log(0) in the ensemble or the pool must fail here, not
+# pass with a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _std_gaussian(n, radius=None):
     radius = 50.0 * np.sqrt(n) if radius is None else radius
@@ -93,6 +97,18 @@ def test_init_validation():
     for bare in (E, [E]):
         with pytest.raises(ValueError, match=r"\(name, set\) pairs"):
             sloc_init(_std_gaussian(2), tracked_sets=bare, rng=RngStream(0))
+
+
+def test_inner_steps_below_one_refused():
+    # inner_steps = 0 left the t=0 exact draw no budget and its chain
+    # fallback no steps, whose acceptance rate divided by zero; a body with
+    # an exact uniform law ran no step at all and passed silently
+    for dens in (Gaussian(Ball(3)), Uniform(simplex(3))):
+        with pytest.raises(ValueError, match="inner_steps"):
+            sloc_init(dens, k=64, inner_steps=0, rng=RngStream(0))
+        for h in (None, 0.05):
+            with pytest.raises(ValueError, match="inner_steps"):
+                sloc_run(dens, 0.1, h=h, k=64, inner_steps=0, rng=RngStream(0))
 
 
 def test_tracked_measure_window_enforced():

@@ -24,84 +24,64 @@ from klslab.walks import (ChainState, NoExactSampler, WalkError, advance_ensembl
 
 WALKS = ("ball_walk", "metropolis", "hit_and_run", "coordinate_hit_and_run")
 
+# a NaN from -inf - (-inf) or a masked log(0) in a walk must fail here, not
+# pass with a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _chain_state(x, delta=None):
     return ChainState(np.asarray(x, dtype=float), delta, 0, 0)
 
 
 def test_ball_walk_and_metropolis_identical_on_uniform():
-    # on a uniform target the filter never consumes extra randomness, so
-    # the two walks must produce the same trajectory from the same stream
-    body = AxisCube(3)
-    dens = Uniform(body)
+    # on a uniform target the filter accepts exactly the proposals inside
+    # the body, so the two walks make the same trajectory from one stream
+    dens = Uniform(AxisCube(3))
     g1 = RngStream(9).generator()
     g2 = RngStream(9).generator()
     s1 = _chain_state(np.zeros(3))
     s2 = _chain_state(np.zeros(3))
     for _ in range(200):
-        ball_walk_step(body, s1, g1, delta=0.4)
+        ball_walk_step(dens, s1, g1, delta=0.4)
         metropolis_step(dens, s2, g2, delta=0.4)
         assert np.array_equal(s1.x, s2.x)
     assert s1.proposals_accepted == s2.proposals_accepted
 
 
-def _reference_metropolis_step(density, state, rng, delta):
-    """metropolis_step with both log-densities evaluated on every step."""
-    y = ball_cloud(rng, 1, density.n, state.x, delta)[0]
-    state.steps_taken += 1
-    log_ratio = density.log_density(y) - density.log_density(state.x)
-    if log_ratio >= 0:
-        accept = True
-    elif log_ratio == float("-inf"):
-        accept = False
-    else:
-        accept = np.log(rng.random()) < log_ratio
-    if accept:
-        state.x = y
-        state.proposals_accepted += 1
-    return state
+@pytest.mark.parametrize("step, density", [
+    (ball_walk_step, Uniform(Ball(4))),
+    (metropolis_step, Gaussian(AxisCube(5), a=2.0, center=np.full(5, 0.3))),
+])
+def test_scalar_steps_are_one_row_ensemble_steps(step, density):
+    # each scalar step is one advance_ensemble step of a one-row ensemble:
+    # the same bits, the same variates and the same step and accept counts
+    # as the one row driven by hand, whose log f(x) is carried between steps
+    g1, g2 = RngStream(41).generator(), RngStream(41).generator()
+    state = _chain_state(density.body.x0, delta=0.6)
+    X = density.body.x0[None, :].copy()
+    logf = density.log_density_many(X)
+    accepted = 0
+    for i in range(300):
+        step(density, state, g1)
+        accepted += int(advance_ensemble(density, X, logf, 1, 0.6, g2))
+        assert state.x.tobytes() == X[0].tobytes()
+        assert (state.steps_taken, state.proposals_accepted) == (i + 1, accepted)
+    assert 30 < accepted < 270
+    np.testing.assert_equal(g1.bit_generator.state, g2.bit_generator.state)
 
 
-def test_metropolis_cached_log_density_matches_reference():
-    # Gaussian over an affine image of simplex(8), the isotropy loop's case.
-    # The cached log f(x) must never go stale: not over 600 plain steps, and
-    # not when steps against a second density (a = 2) or hit-and-run steps
-    # that move x are interleaved with them
-    M = 3.0 * (np.eye(8) + 0.2 * np.random.default_rng(5).standard_normal((8, 8)))
-    body = transform_body(simplex(8), M)
-    dens = Gaussian(body, a=1.0, center=body.x0)
-    other = Gaussian(body, a=2.0, center=body.x0)
-    g1, g2 = RngStream(31).generator(), RngStream(31).generator()
-    s1, s2 = _chain_state(body.x0), _chain_state(body.x0)
-    delta = 0.15
-    schedule = [dens] * 600 + [dens, other, "hit_and_run", other] * 100
-    for target in schedule:
-        if target == "hit_and_run":
-            hit_and_run_step(dens, s1, g1)
-            hit_and_run_step(dens, s2, g2)
-        else:
-            metropolis_step(target, s1, g1, delta)
-            _reference_metropolis_step(target, s2, g2, delta)
-        assert s1.x.tobytes() == s2.x.tobytes()
-        assert s1.proposals_accepted == s2.proposals_accepted
-    assert s1.steps_taken == s2.steps_taken == 1000
-    # the filter both accepted and rejected
-    assert 100 < s1.proposals_accepted - 100 < 800
-
-
-def _reference_ball_step(density, state, rng, delta, walk):
-    """A ball-walk or Metropolis step whose proposal is the unit-ball point
-    g (U^(1/n) / |g|), from n normals and then one uniform."""
+def _reference_ball_step(density, state, rng, delta):
+    """A Metropolis ball-walk step whose proposal is the unit-ball point
+    g (U^(1/n) / |g|), from n normals and then one uniform, and which
+    draws one more uniform u on every step and accepts when
+    log u < log f(y) - log f(x)."""
     n = density.n
     g = rng.standard_normal(n)
     rad = rng.random() ** (1.0 / n)
     y = state.x + delta * (g * (rad / math.sqrt(g.dot(g))))
-    if walk == "ball_walk":
-        if density.body.contains(y):
-            state.x = y
-        return state
-    log_ratio = density.log_density(y) - density.log_density(state.x)
-    if log_ratio >= 0 or (log_ratio > -np.inf and np.log(rng.random()) < log_ratio):
+    with np.errstate(divide="ignore"):
+        log_u = np.log(rng.random())
+    if log_u < density.log_density(y) - density.log_density(state.x):
         state.x = y
     return state
 
@@ -112,13 +92,14 @@ def _reference_ball_step(density, state, rng, delta, walk):
 ])
 def test_ball_proposals_replay_the_unit_ball_point_draws(walk, density):
     # the steppers propose through ball_cloud; that consumes the variates
-    # of g (U^(1/n) / |g|) in the same order, so only last bits may move
+    # of g (U^(1/n) / |g|) in the same order, and the filter one uniform per
+    # step, so only last bits may move
     g1, g2 = RngStream(77).generator(), RngStream(77).generator()
     x0 = density.body.x0
     X = run_chain(density, x0, 2000, walk=walk, thin=1, rng=g1, delta=0.6)
     state = _chain_state(x0)
     for x in X:
-        _reference_ball_step(density, state, g2, 0.6, walk)
+        _reference_ball_step(density, state, g2, 0.6)
         assert np.linalg.norm(x - state.x) <= 1e-12 * max(1.0, np.linalg.norm(state.x))
     np.testing.assert_equal(g1.bit_generator.state, g2.bit_generator.state)
     moved = np.any(np.diff(X, axis=0) != 0.0, axis=1).mean()
@@ -199,11 +180,13 @@ def test_run_chain_rejects_bad_start():
 
 
 def test_metropolis_1d_gaussian_law():
-    # standard normal restricted to [-8, 8]; KS against the normal CDF
-    body = AxisCube(1, half_width=8.0)
-    dens = Gaussian(body, a=1.0)
-    X = run_chain(dens, np.zeros(1), 12000, walk="metropolis", burn_in=500,
-                  thin=5, rng=RngStream(17), delta=1.2)
+    # standard normal restricted to [-8, 8]: 12000 lockstep chains from 0,
+    # 200 Metropolis steps each (a scalar step is a one-row one); KS
+    # against the normal CDF
+    dens = Gaussian(AxisCube(1, half_width=8.0), a=1.0)
+    X = np.zeros((12000, 1))
+    advance_ensemble(dens, X, dens.log_density_many(X), 200, 1.2,
+                     RngStream(17).generator())
     stat = stats.kstest(X[:, 0], stats.norm.cdf).statistic
     assert stat < 0.02
 
@@ -504,25 +487,10 @@ def test_chord_draws_match_the_reference_sampler(case):
     np.testing.assert_equal(gen.bit_generator.state, ref_gen.bit_generator.state)
 
 
-def test_one_step_stationarity_uniform_cube():
-    # push exact uniform samples through one ball-walk step; the uniform
-    # law is stationary, so moments must be preserved within MC error
-    body = AxisCube(3)
-    dens = Uniform(body)
-    gen = RngStream(11).generator()
-    X = exact_sample(dens, 4000, gen)
-    moved = np.empty_like(X)
-    for i in range(len(X)):
-        s = _chain_state(X[i])
-        ball_walk_step(body, s, gen, delta=0.6)
-        moved[i] = s.x
-    # Var per coordinate is 1/3, se of the mean ~ sqrt(1/3/4000)
-    assert np.all(np.abs(moved.mean(axis=0)) < 4 * np.sqrt(1 / 3 / 4000))
-    assert np.allclose(moved.var(axis=0), 1 / 3, atol=0.03)
-
-
 def test_one_step_stationarity_uniform_cube_batched():
-    # the same check for the lockstep stepper: one step of every chain
+    # push exact uniform samples through one ball-walk step of every chain;
+    # the uniform law is stationary, so moments must be preserved within
+    # MC error (Var per coordinate 1/3, se of the mean sqrt(1/3/4000))
     body = AxisCube(3)
     dens = Uniform(body)
     gen = RngStream(11).generator()
@@ -550,16 +518,16 @@ def test_coordinate_hit_and_run_rotated_square():
 
 
 def test_acceptance_rate_window_default_delta():
+    # 2000 lockstep chains started from the uniform law, which the walk
+    # keeps, so the rate is the stationary one from the first step
     for n in (4, 9, 16):
-        body = AxisCube(n)
-        dens = Uniform(body)
+        dens = Uniform(AxisCube(n))
         delta = default_delta(n)
         assert delta == pytest.approx(1 / np.sqrt(n))
         gen = RngStream(n).generator()
-        state = _chain_state(np.zeros(n), delta=delta)
-        for _ in range(2000 * n):
-            ball_walk_step(body, state, gen)
-        assert 0.1 < state.acceptance_rate < 0.9
+        X = exact_sample(dens, 2000, gen)
+        rate = advance_ensemble(dens, X, dens.log_density_many(X), 20, delta, gen)
+        assert 0.1 < rate < 0.9
 
 
 def test_exact_sample_cube_uniform_law():
