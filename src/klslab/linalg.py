@@ -77,6 +77,13 @@ class CovMatrix:
         return f"CovMatrix(n={self.n}, trace={self.trace:.6g}, opnorm={self.opnorm:.6g})"
 
 
+def identity_multiple(B):
+    """t when the square matrix B is exactly t I, else None."""
+    B = np.asarray(B, dtype=float)
+    t = float(B[0, 0])
+    return t if np.array_equal(B, t * np.eye(len(B))) else None
+
+
 def quad_rows(X, B):
     """x_i.B x_i for every row x_i of X, as one GEMM and one row-wise dot."""
     return np.einsum("ij,ij->i", X @ B, X)

@@ -6,10 +6,13 @@ drift needs the current mean, so every step re-estimates the mean and
 covariance of the tilted density and tracks scalar observables of the
 covariance (tr A^2, tr A^q, the operator norm, and the barrier value u).
 
-Snapshots of k points of the tilted density go into a pool; recent
-snapshots are pooled with importance reweighting to the current tilt,
-which cuts the observable noise well below what one snapshot of size k
-could give.
+Snapshots of k points of the tilted density go into a pool
+(ObservablePool); recent snapshots are pooled with importance
+reweighting to the current tilt, which cuts the observable noise well
+below what one snapshot of size k could give.  The pool caches, at push,
+each point's |x|^2, its log-tilt and its membership in the tracked sets,
+which are fixed for the run; under the identity control a step then
+reweights every pooled point with one matrix-vector product.
 
 The refresh rule.  One function, _refresh, pushes count snapshots and
 re-reads the observables: sloc_init calls it once at t=0, where the tilt
@@ -50,8 +53,8 @@ from scipy.special import chdtr, chndtr, gammaincc, ndtr
 from .bodies import BallIntersection
 from .densities import Density, Gaussian, Tilted
 from .diagnostics import BallSet, HalfspaceSet
-from .linalg import (CovMatrix, SingularCovarianceError, quad_rows, stieltjes_u,
-                     sym_inv_sqrt)
+from .linalg import (CovMatrix, SingularCovarianceError, identity_multiple,
+                     quad_rows, stieltjes_u, sym_inv_sqrt)
 from .rng import as_generator, as_stream
 from .walks import (NoExactSampler, WalkError, advance_ensemble, default_delta,
                     exact_sample, warm_start)
@@ -84,33 +87,47 @@ class ObservablePool:
 
     A snapshot drawn under tilt (c_s, B_s) is reused under (c, B) with
     weights exp((c - c_s).x - x.(B - B_s)x/2), self-normalized within the
-    snapshot.  push() copies the snapshot's rows into one transposed
-    block, the columns of all pooled snapshots side by side, oldest
-    first, and keeps each row's own log-tilt c_s.x - x.B_s x/2; estimate()
-    evaluates the current tilt on every pooled column at once and reduces
-    per snapshot (max shift, normalization, ESS).  The snapshots then
-    enter one weighted mean and second moment, each weighted by its
-    effective sample size; a snapshot whose ESS falls under min_ess_frac
-    of its size is skipped.  The freshest snapshot has unit weights and is
-    the fallback when every snapshot is skipped.
+    snapshot.  The tracked sets, (name, set) pairs, are fixed when the
+    pool is made.  push() copies the snapshot's rows as columns into one
+    block, all pooled snapshots side by side, oldest first, and under
+    each column caches what stays fixed for its life: |x|^2, its own
+    log-tilt c_s.x - x.B_s x/2, and a 0/1 row per tracked set that reads
+    1 where the set holds x.  estimate() evaluates the current tilt on
+    every pooled column at once and reduces per snapshot (max shift,
+    normalization, ESS).  When B is exactly t I, as under the identity
+    control, the log-weights are one matrix-vector product
+    (c, -t/2, -1) . (x, |x|^2, log-tilt); any other B pays x.Bx per
+    column.  The snapshots then enter one weighted mean and second
+    moment, each weighted by its effective sample size; a snapshot whose
+    ESS falls under min_ess_frac of its size is skipped, and the tracked
+    sets' measures are the same weights applied to their cached rows.
+    The freshest snapshot has unit weights and is the fallback when every
+    snapshot is skipped.
     """
 
-    def __init__(self, window=16, min_ess_frac=0.05):
+    def __init__(self, window=16, min_ess_frac=0.05, tracked=()):
         if int(window) < 1:
             raise ValueError(f"pool window must be >= 1, got {window}")
         if not 0.0 <= float(min_ess_frac) <= 1.0:
             raise ValueError(f"min_ess_frac must be in [0, 1], got {min_ess_frac}")
         self.window = int(window)
         self.min_ess_frac = float(min_ess_frac)
-        self._XT = np.empty((0, 0))   # (n, capacity): pooled rows as columns
-        self._logtilt = np.empty(0)   # each column's log-tilt under (c_s, B_s)
+        self.tracked = list(tracked)
+        # (n + 2 + len(tracked), capacity): per column x, |x|^2, the
+        # log-tilt under (c_s, B_s), then one 0/1 membership row per set
+        self._block = np.empty((0, 0))
         self._spans = []              # (first column, size) per snapshot, oldest first
+
+    @property
+    def _n(self):
+        return len(self._block) - 2 - len(self.tracked)
 
     @property
     def groups(self):
         """(X_s, log-tilt of each row under (c_s, B_s)) per snapshot, oldest
         first, as views into the block."""
-        return [(self._XT[:, a:a + m].T, self._logtilt[a:a + m])
+        n = self._n
+        return [(self._block[:n, a:a + m].T, self._block[n + 1, a:a + m])
                 for a, m in self._spans]
 
     def push(self, c, B, X):
@@ -122,48 +139,59 @@ class ObservablePool:
             self._spans.pop(0)
         head = self._spans[0][0] if self._spans else 0
         tail = sum(self._spans[-1]) if self._spans else 0
-        if tail + m > self._XT.shape[1]:
+        if tail + m > self._block.shape[1]:
             # the live columns go to the front of a new block with room for
             # as many again, so a full window moves once per window pushes
             live = tail - head
-            XT, logtilt = np.empty((n, 2 * (live + m))), np.empty(2 * (live + m))
+            block = np.empty((n + 2 + len(self.tracked), 2 * (live + m)))
             if live:
-                XT[:, :live] = self._XT[:, head:tail]
-                logtilt[:live] = self._logtilt[head:tail]
-            self._XT, self._logtilt = XT, logtilt
+                block[:, :live] = self._block[:, head:tail]
+            self._block = block
             self._spans = [(a - head, size) for a, size in self._spans]
             tail = live
-        cols = self._XT[:, tail:tail + m]
-        cols[...] = X.T
-        self._logtilt[tail:tail + m] = _log_tilt(cols, c, B)
+        cols = self._block[:, tail:tail + m]
+        XT = cols[:n]
+        XT[...] = X.T
+        cols[n] = np.einsum("ij,ij->j", XT, XT)
+        cols[n + 1] = _log_tilt(XT, c, B)
+        for row, (_, E) in enumerate(self.tracked, start=n + 2):
+            cols[row] = E.signed_distance(X) >= 0.0
         self._spans.append((tail, m))
 
-    def estimate(self, c, B, tracked=()):
-        """Pooled mean, covariance and tracked-set measures at tilt (c, B)."""
+    def estimate(self, c, B):
+        """Pooled mean, covariance, tracked-set measures (name -> (value,
+        se)) and total ESS at tilt (c, B)."""
         if not self._spans:
             raise ValueError("estimate on an empty pool: push a snapshot first")
+        n = self._n
         head = self._spans[0][0]
         tail = sum(self._spans[-1])
-        XT = self._XT[:, head:tail]
+        block = self._block[:, head:tail]
+        XT = block[:n]
         sizes = np.array([m for _, m in self._spans])
         starts = np.array([a for a, _ in self._spans]) - head
-        logw = _log_tilt(XT, c, B)
-        logw -= self._logtilt[head:tail]
+        t = identity_multiple(B)
+        if t is None:
+            logw = _log_tilt(XT, c, B) - block[n + 1]
+        else:
+            logw = np.concatenate((c, (-0.5 * t, -1.0))) @ block[:n + 2]
         logw -= np.repeat(np.maximum.reduceat(logw, starts), sizes)
         w = np.exp(logw)
-        w /= np.repeat(np.add.reduceat(w, starts), sizes)
-        ess = 1.0 / np.add.reduceat(w * w, starts)
+        sums = np.add.reduceat(w, starts)
+        ess = sums * sums / np.add.reduceat(w * w, starts)
         keep = ess >= self.min_ess_frac * sizes
         if not keep.any():
             keep[-1] = True
         ess = np.where(keep, ess, 0.0)
         total = float(ess.sum())
-        W = w * np.repeat(ess / total, sizes)
-        mu = XT @ W
+        # each snapshot's self-normalized weights, scaled by its ESS share
+        W = w * np.repeat(ess / (total * sums), sizes)
+        # one pass gives the mean (rows :n) and the sets' measures (n+2:)
+        means = block @ W
+        mu = means[:n]
         cov = CovMatrix((XT * W) @ XT.T - np.outer(mu, mu))
         g = {}
-        for name, E in tracked:
-            val = float(W @ (E.signed_distance(XT.T) >= 0.0))
+        for (name, _), val in zip(self.tracked, means[n + 2:].tolist()):
             g[name] = (val, math.sqrt(max(val * (1.0 - val), 0.0) / total))
         return mu, cov, g, total
 
@@ -324,8 +352,9 @@ def _refresh(state, gen, count=1):
     snapshots = None
     if path in (None, "exact"):
         try:
-            snapshots = np.split(exact_sample(state.density, count * state.k, gen,
-                                              max_batches=state.inner_steps), count)
+            X = exact_sample(state.density, count * state.k, gen,
+                             max_batches=state.inner_steps)
+            snapshots = [X] if count == 1 else np.split(X, count)
         except (NoExactSampler, WalkError):
             pass
     if snapshots is not None:
@@ -339,7 +368,7 @@ def _refresh(state, gen, count=1):
         for _ in range(count):
             rate = _step_chains(state, gen)
             state.pool.push(state.c, state.B, state.ensemble)
-    mu, cov, g, ess = state.pool.estimate(state.c, state.B, state.tracked)
+    mu, cov, g, ess = state.pool.estimate(state.c, state.B)
     state.mean = mu
     state.cov = cov
     state.phi = cov.trace_sq
@@ -413,7 +442,8 @@ def sloc_init(density, control="identity", tracked_sets=None, q=None, k=None,
     state = LocalizationState(
         base=work, control=control, q=q, k=k,
         c=np.zeros(n), B=np.zeros((n, n)), tracked=tracked,
-        density=work, closed_form=closed_form, pool=ObservablePool(window=window),
+        density=work, closed_form=closed_form,
+        pool=ObservablePool(window=window, tracked=tracked),
         inner_steps=inner_steps, truncation=truncation)
     _refresh(state, gen, max(1, int(init_refreshes)))
     state.meta["t0_pool"] = state.meta.pop("refresh")

@@ -66,6 +66,7 @@ from scipy.special import ndtr, ndtri
 
 from .densities import Density, Uniform, Gaussian, Exponential, Boltzmann, Tilted
 from .bodies import AxisCube, Ball, BallIntersection, RestrictedBody, ball_cloud
+from .linalg import identity_multiple
 from .rng import as_generator
 
 _DEGENERATE_CHORD = 1e-13
@@ -623,9 +624,8 @@ def _tilt_as_gaussian(density):
     is Gaussian(t, c/t); both on the tilt's body.  Any other tilt, a B
     that is not exactly t I included, raises NoExactSampler.
     """
-    B = density.B
-    t = float(B[0, 0])
-    if not np.array_equal(B, t * np.eye(density.n)):
+    t = identity_multiple(density.B)
+    if t is None:
         raise NoExactSampler("a tilt with a non-scalar B has no exact law")
     base, c = density.base, density.c
     if isinstance(base, Gaussian) and base.a + t > 0.0:

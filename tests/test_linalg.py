@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from klslab.linalg import (CovMatrix, SingularCovarianceError, power_opnorm,
-                           stieltjes_u, sym_inv_sqrt)
+from klslab.linalg import (CovMatrix, SingularCovarianceError, identity_multiple,
+                           power_opnorm, stieltjes_u, sym_inv_sqrt)
 
 # root of 1/(u-1)^2 + 1/u^2 = 2 on u > 1, frozen from an independent
 # bracketing root-find (scipy.optimize.brentq at xtol=1e-14)
@@ -111,3 +111,13 @@ def test_sym_inv_sqrt_singular_raises():
     S = np.diag([1.0, 0.0])
     with pytest.raises(SingularCovarianceError):
         sym_inv_sqrt(S)
+
+
+def test_identity_multiple_is_exact():
+    assert identity_multiple(np.zeros((3, 3))) == 0.0
+    assert identity_multiple(0.25 * np.eye(4)) == 0.25
+    assert identity_multiple(np.eye(1) * -2.0) == -2.0
+    assert identity_multiple(np.diag([1.0, 1.0 + 1e-15])) is None
+    off = np.eye(3)
+    off[0, 2] = 1e-300
+    assert identity_multiple(off) is None

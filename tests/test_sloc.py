@@ -340,11 +340,11 @@ def test_state_invariants_detect_tampering():
 
 def test_pool_reweighting_is_exact():
     X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.5]])
-    pool = ObservablePool(window=4)
+    E = HalfspaceSet(np.array([1.0, 0.0]), 0.0)
+    pool = ObservablePool(window=4, tracked=[("E0", E)])
     pool.push(np.zeros(2), np.zeros((2, 2)), X)
     c1 = np.array([0.3, -0.2])
-    E = HalfspaceSet(np.array([1.0, 0.0]), 0.0)
-    mu, cov, g, ess = pool.estimate(c1, np.zeros((2, 2)), [("E0", E)])
+    mu, cov, g, ess = pool.estimate(c1, np.zeros((2, 2)))
     w = np.exp(X @ c1)
     w /= w.sum()
     assert np.allclose(mu, w @ X)
@@ -364,7 +364,7 @@ def test_pool_drops_stale_group_keeps_fresh():
     pool.push(np.zeros(2), np.zeros((2, 2)), X_old)
     pool.push(b, np.zeros((2, 2)), X_new)
     # querying at tilt b: the old group's overlap collapses (ESS ~ 200 e^-9)
-    mu, _, _, ess = pool.estimate(b, np.zeros((2, 2)), ())
+    mu, _, _, ess = pool.estimate(b, np.zeros((2, 2)))
     assert ess == pytest.approx(200.0)            # fresh group, unit weights
     assert np.allclose(mu, X_new.mean(axis=0))
 
@@ -374,8 +374,7 @@ def test_pool_never_returns_empty_estimate():
     X = RngStream(11).generator().standard_normal((100, 2))
     pool = ObservablePool(window=4, min_ess_frac=0.05)
     pool.push(np.zeros(2), np.zeros((2, 2)), X)
-    mu, cov, _, ess = pool.estimate(np.array([50.0, 0.0]),
-                                    np.zeros((2, 2)), ())
+    mu, cov, _, ess = pool.estimate(np.array([50.0, 0.0]), np.zeros((2, 2)))
     assert np.all(np.isfinite(mu))
     assert np.all(np.isfinite(cov.matrix))
     assert ess >= 1.0
@@ -462,7 +461,7 @@ def test_pool_matches_per_snapshot_oracle():
         groups.append((c_s, B_s, gen.standard_normal((int(gen.integers(60, 140)), n))))
     tracked = [("H", HalfspaceSet(np.array([1.0, 0.0, 0.0, 0.0]), 0.1)),
                ("S", BallSet(np.zeros(n), 2.0))]
-    pool = ObservablePool(window=len(groups), min_ess_frac=0.3)
+    pool = ObservablePool(window=len(groups), min_ess_frac=0.3, tracked=tracked)
     for c_s, B_s, X in groups:
         pool.push(c_s, B_s, X)
 
@@ -471,12 +470,81 @@ def test_pool_matches_per_snapshot_oracle():
     for query, near in ((c, True), (c + 40.0 * direction, False)):
         (mu, cov, g, ess), n_kept = _pool_oracle(groups, query, B, tracked, 0.3)
         assert (0 < n_kept < len(groups)) if near else n_kept == 0
-        got_mu, got_cov, got_g, got_ess = pool.estimate(query, B, tracked)
+        got_mu, got_cov, got_g, got_ess = pool.estimate(query, B)
         np.testing.assert_allclose(got_mu, mu, rtol=1e-10)
         np.testing.assert_allclose(got_cov.matrix, cov, rtol=1e-10)
         assert got_ess == pytest.approx(ess, rel=1e-10)
         for name in g:
             np.testing.assert_allclose(got_g[name], g[name], rtol=1e-10)
+
+
+def test_pool_matches_per_snapshot_oracle_under_scalar_B():
+    # the identity control's case, B = t I, where the pool reads the tilt
+    # off its cached |x|^2 row.  The snapshots grow, so a push re-packs the
+    # block, and the window of 4 evicts, so a cached row that falls out of
+    # line with its column fails one of the checks after each push.
+    gen = np.random.default_rng(78)
+    n = 4
+    c = gen.standard_normal(n)
+    t = 0.7
+    direction = np.ones(n) / 2.0
+    tracked = [("H", HalfspaceSet(np.array([1.0, 0.0, 0.0, 0.0]), 0.1)),
+               ("S", BallSet(np.zeros(n), 2.0))]
+    window = 4
+    pool = ObservablePool(window=window, min_ess_frac=0.3, tracked=tracked)
+    groups, kept = [], set()
+    for i, offset in enumerate((3.0, 2.0, 0.0, 1.5, 0.5, 1.0, 0.25)):
+        c_s = c + offset * direction
+        t_s = t - 0.05 * (i + 1)
+        X = gen.standard_normal((60 + 20 * i, n))
+        groups.append((c_s, t_s * np.eye(n), X))
+        pool.push(c_s, t_s * np.eye(n), X)
+        live = groups[-window:]
+        assert [len(Xs) for Xs, _ in pool.groups] == [len(Xs) for *_, Xs in live]
+        for query in (c, c + 3.0 * direction):
+            (mu, cov, g, ess), n_kept = _pool_oracle(live, query, t * np.eye(n),
+                                                     tracked, 0.3)
+            kept.add("none" if n_kept == 0 else "all" if n_kept == len(live)
+                     else "some")
+            got_mu, got_cov, got_g, got_ess = pool.estimate(query, t * np.eye(n))
+            np.testing.assert_allclose(got_mu, mu, rtol=1e-10)
+            np.testing.assert_allclose(got_cov.matrix, cov, rtol=1e-10)
+            assert got_ess == pytest.approx(ess, rel=1e-10)
+            for name in g:
+                np.testing.assert_allclose(got_g[name], g[name], rtol=1e-10)
+    # the queries kept every snapshot, skipped some, and fell back
+    assert kept == {"all", "some", "none"}
+
+
+def test_pool_scores_each_pushed_row_once(monkeypatch):
+    # the tracked sets are read at push and cached: over a run, every row
+    # pushed is scored once, and estimate scores none
+    calls = {"rows": 0, "estimates": 0, "inside_estimate": 0}
+    in_estimate = []
+    signed_distance = HalfspaceSet.signed_distance
+    estimate = ObservablePool.estimate
+
+    def counting_signed_distance(self, X):
+        calls["rows"] += len(X)
+        calls["inside_estimate"] += bool(in_estimate)
+        return signed_distance(self, X)
+
+    def flagged_estimate(self, c, B):
+        calls["estimates"] += 1
+        in_estimate.append(True)
+        try:
+            return estimate(self, c, B)
+        finally:
+            in_estimate.pop()
+
+    monkeypatch.setattr(HalfspaceSet, "signed_distance", counting_signed_distance)
+    monkeypatch.setattr(ObservablePool, "estimate", flagged_estimate)
+    k, init_refreshes, n_steps = 64, 3, 5
+    sloc_run(Uniform(AxisCube(3)), T=0.05, h=0.01, k=k, init_refreshes=init_refreshes,
+             tracked_sets={"E0": HalfspaceSet(np.eye(3)[0], 0.0)}, rng=RngStream(15))
+    assert calls["estimates"] == 1 + n_steps
+    assert calls["rows"] == k * (init_refreshes + n_steps)
+    assert calls["inside_estimate"] == 0
 
 
 def test_singular_covariance_raises_sloc_error():
