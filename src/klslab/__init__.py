@@ -17,8 +17,8 @@ from .diagnostics import (BallSet, ConstantsReport, HalfspaceSet, SlabSet,
                           ball_walk_mixing_estimate, compute_constants,
                           conductance_tv_bound, direction_family,
                           halfspace_isoperimetry, log_cheeger_halfspace,
-                          mixing_bounds, poincare_family_min, poincare_ratio,
-                          slicing_constant, subset_isoperimetry, thin_shell)
+                          mixing_bounds, poincare_family_min, slicing_constant,
+                          subset_isoperimetry, thin_shell)
 from .estimates import Estimate
 from .isotropy import estimate_mean_cov, iterated_gaussian_isotropy
 from .linalg import (CovMatrix, SingularCovarianceError, power_opnorm,

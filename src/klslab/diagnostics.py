@@ -13,7 +13,10 @@ bin counts, so a resample measures the spread of the counts, not of the
 bandwidth rule.  One scan scores two weights of the smaller side's mass
 m: m itself for the Cheeger coefficient psi, and m sqrt(1 + ln(1/m)),
 the Gaussian-isoperimetry shape, for kappa.  Both come from one direction
-family, one KDE per direction and 16 shared resamples.
+family, one KDE per direction and 16 shared resamples.  The Poincare
+ratios E|grad g|^2 / Var g are scored for a whole family of test functions
+g(x) = u.x + x.Qx, each given by its data (u, Q), in one pass over the
+cloud.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import numpy as np
 from scipy import ndimage
 
 from .estimates import Estimate, bootstrap_se
-from .linalg import quad_rows
 from .rng import as_generator
 
 _CDF_FLOOR = 0.01
@@ -361,11 +363,13 @@ def thin_shell(samples, full_output=False):
     X = np.asarray(samples, dtype=float)
     r = np.linalg.norm(X, axis=1)
     N = r.size
-    v = float(r.var(ddof=1))
+    # r.var(ddof=1) bit for bit, from squares the fourth moment reuses
+    sq = r - r.mean()
+    sq *= sq
+    v = float(sq.sum() / (N - 1))
     if v <= 0:
         raise ValueError("degenerate radius distribution")
-    centered = r - r.mean()
-    m4 = float(np.mean(centered**4))
+    m4 = float(np.mean(sq * sq))
     se_v = np.sqrt(max(m4 - v * v, 0.0) / N)
     est = Estimate(float(np.sqrt(v)), float(se_v / (2 * np.sqrt(v))), N,
                    "sqrt_var_norm")
@@ -415,24 +419,24 @@ def slicing_constant(samples, rng=None):
 
 @dataclass
 class TestFunction:
-    """Scalar test function with an analytic gradient, both vectorized."""
+    """The Poincare test function g(x) = u.x + x.Qx, given by its data.
+
+    u is a length-n vector and Q a symmetric (n, n) matrix, or None for a
+    linear g, so grad g(x) = u + 2 Q x.  poincare_family_min scores a
+    family of them in one pass over the samples.
+    """
     name: str
-    value: callable
-    grad: callable
+    u: np.ndarray
+    Q: Optional[np.ndarray] = None
 
 
 def linear_test(u, name=None):
-    u = np.asarray(u, dtype=float)
-    return TestFunction(name or "linear",
-                        lambda X: X @ u,
-                        lambda X: np.broadcast_to(u, X.shape).copy())
+    return TestFunction(name or "linear", np.asarray(u, dtype=float))
 
 
 def quadratic_test(Q, name=None):
-    Q = 0.5 * (np.asarray(Q, dtype=float) + np.asarray(Q, dtype=float).T)
-    return TestFunction(name or "quadratic",
-                        lambda X: quad_rows(X, Q),
-                        lambda X: 2.0 * X @ Q)
+    Q = np.asarray(Q, dtype=float)
+    return TestFunction(name or "quadratic", np.zeros(len(Q)), 0.5 * (Q + Q.T))
 
 
 def default_test_functions(n, rng):
@@ -451,32 +455,56 @@ def default_test_functions(n, rng):
     return fns
 
 
-def poincare_ratio(samples, test_fn: TestFunction):
-    """E |grad g|^2 / Var g for one test function."""
+def poincare_family_min(samples, test_fns):
+    """E |grad g|^2 / Var g for each test function, and the smallest.
+
+    Returns (best, estimates), one Estimate per test in order.  The
+    tests' values form one (T, N) array: one GEMM U X^T gives every linear
+    part, and a quadratic test adds x.Qx from one X Q product, which also
+    gives its gradient u + 2 Q x.  A linear test's |grad g|^2 is |u|^2
+    exactly.  The standard error propagates the errors of the two sample
+    moments through their ratio, with their covariance, which is nonzero
+    only for quadratic tests, where |grad g|^2 varies with x.
+    """
     X = np.asarray(samples, dtype=float)
     N = X.shape[0]
-    vals = test_fn.value(X)
-    var = float(vals.var(ddof=1))
-    if var <= 0:
-        raise ValueError(f"test function {test_fn.name} is constant on the "
-                         "samples; Poincare ratio undefined")
-    grads = test_fn.grad(X)
-    gsq = np.einsum("ij,ij->i", grads, grads)
-    num = float(gsq.mean())
-    # first-order error propagation for the ratio of two sample means
-    se_num = gsq.std(ddof=1) / np.sqrt(N)
-    centered = vals - vals.mean()
-    se_var = np.sqrt(max(np.mean(centered**4) - var * var, 0.0) / N)
+    U = np.array([f.u for f in test_fns], dtype=float)
+    V = U @ X.T
+    quad = [t for t, f in enumerate(test_fns) if f.Q is not None]
+    gsq = np.empty((len(quad), N))
+    for row, t in enumerate(quad):
+        XQ = X @ test_fns[t].Q
+        V[t] += np.einsum("ij,ij->i", XQ, X)
+        XQ *= 2.0
+        XQ += U[t]
+        gsq[row] = np.einsum("ij,ij->i", XQ, XQ)
+    # V becomes the squared deviations, so var is each row's var(ddof=1)
+    # bit for bit and the fourth moment is one more square
+    V -= V.mean(axis=1, keepdims=True)
+    V *= V
+    var = V.sum(axis=1) / (N - 1)
+    bad = np.flatnonzero(var <= 0)
+    if bad.size:
+        raise ValueError(f"test function {test_fns[bad[0]].name} is constant "
+                         "on the samples; Poincare ratio undefined")
+    m4 = np.einsum("ij,ij->i", V, V) / N
+    # squared relative error of num / var: Var(var) / var^2 ...
+    rel2 = np.maximum(m4 - var * var, 0.0) / (N * var * var)
+    num = np.einsum("ij,ij->i", U, U)
+    if quad:
+        num[quad] = gsq.mean(axis=1)
+        gsq -= num[quad, None]
+        var_gsq = np.einsum("ij,ij->i", gsq, gsq) / (N - 1)
+        cov = np.einsum("ij,ij->i", gsq, V[quad]) / N
+        # ... + Var(num) / num^2 - 2 Cov(num, var) / (num var)
+        rel2[quad] += (var_gsq / num[quad]
+                       - 2.0 * cov / var[quad]) / (N * num[quad])
     ratio = num / var
-    se = ratio * np.sqrt((se_num / num) ** 2 + (se_var / var) ** 2)
-    return Estimate(ratio, float(se), N, f"poincare[{test_fn.name}]")
-
-
-def poincare_family_min(samples, test_fns):
-    ests = [poincare_ratio(samples, f) for f in test_fns]
-    i = min(range(len(ests)), key=lambda k: ests[k].value)
-    best = ests[i]
-    return Estimate(best.value, best.std_error, best.n_samples,
+    se = ratio * np.sqrt(np.maximum(rel2, 0.0))
+    ests = [Estimate(float(ratio[t]), float(se[t]), N, f"poincare[{f.name}]")
+            for t, f in enumerate(test_fns)]
+    i = int(np.argmin(ratio))
+    return Estimate(ests[i].value, ests[i].std_error, N,
                     f"poincare_min[{test_fns[i].name}]"), ests
 
 

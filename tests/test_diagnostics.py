@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy import ndimage, stats
 
-from klslab.bodies import AxisCube
+from klslab import diagnostics
+from klslab.bodies import AxisCube, ball_cloud
 from klslab.densities import Gaussian, Uniform
 from klslab.diagnostics import (BallSet, HalfspaceSet, SlabSet,
                                 _half_bin_keys, _kde_1d, _log_cheeger_weight,
@@ -13,7 +14,6 @@ from klslab.diagnostics import (BallSet, HalfspaceSet, SlabSet,
                                 halfspace_isoperimetry,
                                 linear_test, log_cheeger_halfspace,
                                 mixing_bounds, poincare_family_min,
-                                poincare_ratio,
                                 quadratic_test, silverman_bandwidth,
                                 slicing_constant, subset_isoperimetry,
                                 thin_shell)
@@ -328,6 +328,19 @@ def test_thin_shell_chi_16():
     assert est.value == pytest.approx(np.sqrt(var_est.value))
 
 
+def test_thin_shell_variance_se_covers_uniform_ball():
+    # Var |x| = n/(n+2) - (n/(n+1))^2 for x uniform in the unit n-ball; the
+    # z-scores of var_norm over many exact clouds must have sd near 1
+    n, count = 5, 2000
+    truth = n / (n + 2) - (n / (n + 1)) ** 2
+    z = []
+    for seed in range(200):
+        X = ball_cloud(RngStream(seed).generator(), count, n, np.zeros(n), 1.0)
+        var_est = thin_shell(X, full_output=True)[1]
+        z.append((var_est.value - truth) / var_est.std_error)
+    assert 0.8 <= np.std(z, ddof=1) <= 1.25
+
+
 def test_slicing_constant_gaussian():
     X = _gaussian_cloud(6, 20000, 18)
     est = slicing_constant(X, rng=RngStream(19).generator())
@@ -377,10 +390,10 @@ def test_slicing_warns_on_anisotropy():
 
 def test_poincare_linear_and_quadratic_gaussian():
     X = _gaussian_cloud(5, 30000, 22)
-    lin = poincare_ratio(X, linear_test(np.eye(5)[0]))
+    lin = poincare_family_min(X, [linear_test(np.eye(5)[0])])[0]
     assert lin.value == pytest.approx(1.0, abs=0.05)
     # g = |x|^2: E|grad|^2 = 4n, Var = 2n, ratio exactly 2
-    quad = poincare_ratio(X, quadratic_test(np.eye(5)))
+    quad = poincare_family_min(X, [quadratic_test(np.eye(5))])[0]
     assert quad.value == pytest.approx(2.0, abs=0.15)
 
 
@@ -391,7 +404,93 @@ def test_poincare_family_min_reports_linear():
     assert best.value == pytest.approx(1.0, abs=0.06)
     assert best.value == min(e.value for e in all_ests)
     with pytest.raises(ValueError):
-        poincare_ratio(np.zeros((50, 2)), linear_test([1.0, 0.0]))
+        poincare_family_min(np.zeros((50, 2)), [linear_test([1.0, 0.0])])
+
+
+def _ref_poincare(X, f):
+    """E |grad g|^2 / Var g for one test function, one function at a time:
+    the first-order error of the ratio of two sample moments, with their
+    covariance."""
+    N = X.shape[0]
+    vals = X @ f.u
+    grads = np.broadcast_to(f.u, X.shape).copy()
+    if f.Q is not None:
+        vals = vals + np.einsum("ij,ij->i", X @ f.Q, X)
+        grads = grads + 2.0 * X @ f.Q
+    var = float(vals.var(ddof=1))
+    gsq = np.einsum("ij,ij->i", grads, grads)
+    num = float(gsq.mean())
+    se_num = gsq.std(ddof=1) / np.sqrt(N)
+    centered = vals - vals.mean()
+    se_var = np.sqrt(max(np.mean(centered**4) - var * var, 0.0) / N)
+    cov = np.mean((gsq - num) * centered**2) / N
+    ratio = num / var
+    se = ratio * np.sqrt((se_num / num) ** 2 + (se_var / var) ** 2
+                         - 2.0 * cov / (num * var))
+    return ratio, se
+
+
+def test_poincare_family_matches_per_function_reference():
+    X = _gaussian_cloud(8, 5000, 40) * np.linspace(0.5, 2.0, 8)
+    fns = default_test_functions(8, RngStream(41).generator())
+    best, ests = poincare_family_min(X, fns)
+    assert len(ests) == len(fns) == 9
+    for f, est in zip(fns, ests):
+        value, se = _ref_poincare(X, f)
+        if f.Q is None and np.count_nonzero(f.u) > 1:
+            # one GEMM for every linear part sums the eight products in
+            # another order than one GEMV per test
+            assert est.value == pytest.approx(value, rel=8 * np.finfo(float).eps)
+        else:
+            assert est.value == value, f.name
+        assert est.std_error == pytest.approx(se, rel=1e-12), f.name
+        assert est.n_samples == 5000
+    assert best.value == min(e.value for e in ests)
+
+
+def test_poincare_mixed_test_function_gradient():
+    # g = u.x + x.Qx: grad g = u + 2 Q x, and on N(0, I) the ratio is
+    # (|u|^2 + 4 tr Q^2) / (|u|^2 + 2 tr Q^2)
+    gen = RngStream(42).generator()
+    A = gen.standard_normal((5, 5))
+    Q = 0.25 * (A + A.T)
+    u = gen.standard_normal(5)
+    f = diagnostics.TestFunction("mixed", u, Q)
+    X = _gaussian_cloud(5, 20000, 43)
+    est = poincare_family_min(X, [f])[0]
+    value, se = _ref_poincare(X, f)
+    assert est.value == pytest.approx(value, rel=1e-12)
+    assert est.std_error == pytest.approx(se, rel=1e-12)
+    uu, qq = u @ u, np.sum(Q * Q)
+    assert abs(est.value - (uu + 4 * qq) / (uu + 2 * qq)) < 4 * est.std_error
+
+
+def test_poincare_family_names_its_constant_member():
+    X = _gaussian_cloud(4, 500, 44)
+    fns = default_test_functions(4, RngStream(45).generator())
+    fns.insert(3, quadratic_test(np.zeros((4, 4)), "flat"))
+    with pytest.raises(ValueError, match="test function flat is constant"):
+        poincare_family_min(X, fns)
+
+
+@pytest.mark.parametrize("body", ["cube", "gaussian"])
+def test_poincare_se_covers_closed_forms(body):
+    # E|grad g|^2 / Var g in closed form: on the cube [-1, 1]^4 linear 3,
+    # x_i^2 and |x|^2 15, x0*x1 6; on N(0, I_4) linear 1, quadratics 2.
+    # The z-scores of every member over many exact clouds have sd near 1
+    truth = {"cube": [3.0] * 5 + [15.0] * 3 + [6.0],
+             "gaussian": [1.0] * 5 + [2.0] * 4}[body]
+    z = []
+    for seed in range(200):
+        gen = RngStream(seed).generator()
+        if body == "cube":
+            X = gen.uniform(-1.0, 1.0, (4000, 4))
+        else:
+            X = gen.standard_normal((4000, 4))
+        ests = poincare_family_min(X, default_test_functions(4, gen))[1]
+        z.append([(e.value - t) / e.std_error for e, t in zip(ests, truth)])
+    sd = np.std(z, axis=0, ddof=1)
+    assert np.all((0.75 <= sd) & (sd <= 1.3)), sd
 
 
 def test_conductance_tv_bound_exact_values():

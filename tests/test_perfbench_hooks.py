@@ -62,6 +62,28 @@ def test_tracer_install_and_uninstall_restore_every_binding(monkeypatch):
     assert _changed(before, _bindings()) == []
 
 
+def test_tracer_books_every_constants_estimator(monkeypatch):
+    # diagnostics.<estimator>.s is the self time of the traced estimator; a
+    # compute_constants that stops reaching one through diagnostics' module
+    # bindings leaves its metric reading 0
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    from klslab import diagnostics
+    from klslab.rng import RngStream
+
+    X = RngStream(5).generator().standard_normal((2000, 4))
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        diagnostics.compute_constants(X, RngStream(6).generator())
+    finally:
+        tracer.uninstall()
+    for estimator in ("halfspace_isoperimetry", "thin_shell", "slicing_constant",
+                      "poincare_family_min"):
+        assert tracer.calls[f"diagnostics.{estimator}"] == 1, estimator
+        assert tracer.self_ns[f"diagnostics.{estimator}"] > 0, estimator
+
+
 def test_every_body_kind_is_a_traced_chord_kind():
     # tracing.CHORD_KINDS names the bodies.chord.<kind>.us metrics; a kind
     # left out of it would be timed under no metric.  The file is read,
